@@ -7,6 +7,10 @@ into a gradient estimate.  Strategies live on a floored simplex (every path
 keeps probability at least Lambda) so every estimate rests on enough visits.
 At the episode boundary each player applies one mirror step with her own
 learning rate, using the estimate in place of the exact gradient.
+
+Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
+(PCG64); each pick is the inverse CDF of her frozen strategy at the uniform
+(GuideTable); own-path costs of at most 2 edges add exactly, in any order.
 """
 
 from __future__ import annotations
@@ -46,16 +50,49 @@ class ChoiceVector:
 
 def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> ChoiceVector:
     """Draw one path per player, path s with probability n * x_{i,s}."""
-    flat = game.check_vector(flat)
-    picks = []
-    for i in range(game.n):
-        probs = game.n * flat[game.player_slice(i)]
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9 or np.any(probs < -1e-12):
-            raise ValueError(f"player {i} choice probabilities sum to {total}")
-        cdf = np.cumsum(np.maximum(probs, 0.0) / total)
-        picks.append(int(min(np.searchsorted(cdf, rng.random(), side="right"), probs.size - 1)))
-    return ChoiceVector(game, tuple(picks))
+    sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
+    picks = sampler.picks(rng.random((game.n, 1)))[:, 0] - game.offsets[:-1]
+    return ChoiceVector(game, tuple(int(p) for p in picks))
+
+
+def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
+    """Each player's choice distribution n * x_i; raises unless it sums to 1."""
+    blocks = np.split(game.n * game.check_vector(flat), game.offsets[1:-1])
+    for i, p in enumerate(blocks):
+        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+            raise ValueError(f"player {i} choice probabilities sum to {p.sum()}")
+    return [q / q.sum() for q in (np.maximum(p, 0.0) for p in blocks)]
+
+
+class GuideTable:
+    """Inverse-CDF sampler with a guide table (Chen & Asau 1974; Devroye 1986, III.2).
+
+    For u in [0, 1), ``picks(u)[i, t]`` is the start of row i plus
+    ``min(searchsorted(cdfs[i], u[i, t], "right"), size_i - 1)``, exactly: rows
+    end in +inf (the clip), and the guide entry of bucket floor(u * K), exact for
+    K a power of two, is at most ``passes`` unit steps short of the answer.
+    """
+
+    def __init__(self, cdfs) -> None:
+        sizes = [len(c) for c in cdfs]
+        self.cdf, ends = np.concatenate(cdfs, dtype=float), np.cumsum(sizes)
+        # buckets no wider than the smallest probability hold one CDF step each
+        probs = self.cdf - np.concatenate(([0.0], self.cdf[:-1]))
+        probs[ends[:-1]] = self.cdf[ends[:-1]]
+        self.k = 1 << min(12, max(0, math.ceil(-math.log2(probs[probs > 0].min(initial=1.0)))))
+        self.cdf[ends - 1] = np.inf
+        grid = np.arange(self.k + 1) * (1.0 / self.k)
+        guide = np.stack([lo + np.searchsorted(self.cdf[lo:hi], grid, side="right")
+                          for lo, hi in zip(ends - sizes, ends)])
+        self.passes = int((guide[:, 1:] - guide[:, :-1]).max())
+        self.guide, self.rows = guide.ravel(), (np.arange(len(cdfs)) * (self.k + 1))[:, None]
+
+    def picks(self, u: np.ndarray) -> np.ndarray:
+        """Flat row indices for uniforms of shape (rows, draws)."""
+        s = self.guide[(u * self.k).astype(np.intp) + self.rows]
+        for _ in range(self.passes):
+            s += self.cdf[s] <= u
+        return s
 
 
 def restrict_profile(game: CongestionGame, flat: np.ndarray, lam: float) -> np.ndarray:
@@ -275,51 +312,39 @@ class BanditReport:
         )
 
 
-def _player_tables(game: CongestionGame):
-    return [game.incidence[game.player_slice(i)] for i in range(game.n)]
+def _edge_counts(game: CongestionGame, picks: np.ndarray):
+    """Players per step and edge for flat picks (n, steps), as counts (steps, m+1)
+    with the padding column m zeroed, and the keys t*(m+1) + e of each pick's edges."""
+    m = game.m
+    keys = np.take(game.edge_ids, picks, axis=0) + (np.arange(picks.shape[1]) * (m + 1))[:, None]
+    counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * (m + 1)).reshape(-1, m + 1)
+    counts[:, m] = 0
+    return keys, counts
 
 
-def _simulate_episode(game, flat, streams, steps, batch, inc_rows, record):
-    n = game.n
-    cdfs = []
-    for i in range(n):
-        probs = n * flat[game.player_slice(i)]
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9 or np.any(probs < -1e-12):
-            raise ValueError(f"player {i} choice probabilities sum to {total}")
-        cdf = np.cumsum(np.maximum(probs, 0.0) / total)
-        cdf[-1] = 1.0
-        cdfs.append(cdf)
-
+def _simulate_episode(game, flat, streams, steps, batch, record):
+    n, m = game.n, game.m
+    sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
+    # c_e(k * (1/n)) for k = 0..n, bit-equal to edge_costs at the sampled loads k * (1/n)
+    costs = np.zeros((m + 1, n + 1))
+    costs[:m] = game.edge_costs(np.outer(np.arange(n + 1) * (1.0 / n), np.ones(m))).T
+    costs, edge_rows = costs.ravel(), np.arange(m + 1) * (n + 1)
     visits = np.zeros(game.dim, dtype=np.int64)
     sums = np.zeros(game.dim)
     log = np.empty((steps, n), dtype=np.int16) if record else None
 
-    done = 0
-    while done < steps:
+    for done in range(0, steps, batch):
         size = min(batch, steps - done)
-        picks = [
-            np.minimum(
-                np.searchsorted(cdfs[i], streams[i].random(size), side="right"),
-                cdfs[i].size - 1,
-            )
-            for i in range(n)
-        ]
-        gathered = [inc_rows[i][picks[i]] for i in range(n)]
-        loads = gathered[0].copy()
-        for arr in gathered[1:]:
-            loads += arr
-        loads *= 1.0 / n
-        ecosts = game.edge_costs(loads)
-        for i in range(n):
-            own_costs = (gathered[i] * ecosts).sum(axis=1)
-            sl = game.player_slice(i)
-            visits[sl] += np.bincount(picks[i], minlength=game.sizes[i])
-            sums[sl] += np.bincount(picks[i], weights=own_costs, minlength=game.sizes[i])
+        picks = sampler.picks(np.stack([stream.random(size) for stream in streams]))
+        keys, counts = _edge_counts(game, picks)
+        step_costs = costs[counts + edge_rows].ravel()
+        own = step_costs[keys[..., 0]]
+        for col in range(1, keys.shape[2]):  # edges in ascending order
+            own += step_costs[keys[..., col]]
+        visits += np.bincount(picks.ravel(), minlength=game.dim)
+        sums += np.bincount(picks.ravel(), weights=own.ravel(), minlength=game.dim)
         if record:
-            for i in range(n):
-                log[done : done + size, i] = picks[i]
-        done += size
+            log[done : done + size] = (picks - game.offsets[:-1, None]).T
     return visits, sums, log
 
 
@@ -345,7 +370,6 @@ def run_bandit(
         np.random.Generator(np.random.PCG64(ss))
         for ss in np.random.SeedSequence(config.seed).spawn(game.n)
     ]
-    inc_rows = _player_tables(game)
 
     records: list[EpisodeRecord] = []
     choice_logs: list[np.ndarray] | None = [] if config.record_choices else None
@@ -361,7 +385,7 @@ def run_bandit(
         else:
             steps = config.episode_steps(game, tau)
             visits, sums, log = _simulate_episode(
-                game, x, streams, steps, config.batch, inc_rows, config.record_choices
+                game, x, streams, steps, config.batch, config.record_choices
             )
             estimate, fallback = estimate_gradient(visits, sums, previous)
             if choice_logs is not None:
@@ -420,34 +444,26 @@ class MixedDeltaResult:
 
 def expected_path_costs(game: CongestionGame, flat: np.ndarray, batch: int = 8192) -> np.ndarray:
     """Exact E[c_s(X)] for all paths by enumerating the joint choice distribution."""
-    flat = game.check_vector(flat)
-    total = 1
-    for sz in game.sizes:
-        total *= sz
-        if total > ENUMERATION_CAP:
-            raise ValueError(
-                f"enumeration would exceed {ENUMERATION_CAP} outcomes; use monte-carlo mode"
-            )
-    probs = [np.maximum(game.n * flat[game.player_slice(i)], 0.0) for i in range(game.n)]
-    probs = [p / p.sum() for p in probs]
-    inc_rows = _player_tables(game)
-
+    total = math.prod(game.sizes)
+    if total > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration would exceed {ENUMERATION_CAP} outcomes; use monte-carlo mode"
+        )
+    probs = _choice_probs(game, flat)
     expected = np.zeros(game.dim)
-    sizes = np.asarray(game.sizes)
     for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
-        rest = idx.copy()
-        weight = np.ones(idx.size)
-        loads = np.zeros((idx.size, game.m))
+        picks = np.unravel_index(np.arange(start, min(start + batch, total)), game.sizes)
+        weight = np.ones(picks[0].size)
         for i in range(game.n - 1, -1, -1):
-            pick = rest % sizes[i]
-            rest //= sizes[i]
-            weight *= probs[i][pick]
-            loads += inc_rows[i][pick]
-        loads *= 1.0 / game.n
-        pathcosts = game.edge_costs(loads) @ game.incidence.T
-        expected += weight @ pathcosts
+            weight *= probs[i][picks[i]]
+        expected += weight @ _outcome_path_costs(game, game.offsets[:-1, None] + picks)
     return expected
+
+
+def _outcome_path_costs(game: CongestionGame, picks: np.ndarray) -> np.ndarray:
+    """Cost of every path in each joint outcome: flat picks (n, k) -> (k, dim)."""
+    _, counts = _edge_counts(game, picks)
+    return game.edge_costs(counts[:, : game.m] * (1.0 / game.n)) @ game.incidence.T
 
 
 def _delta_from_expected(game, flat, expected, support_tol):
@@ -472,33 +488,17 @@ def mixed_delta_gap(
     """Equilibrium gap in mixed strategies: spreads of E[c_s(X)] over used paths."""
     flat = game.check_vector(flat)
     if mode == "enumerate":
-        expected = expected_path_costs(game, flat)
-        return MixedDeltaResult(
-            delta=_delta_from_expected(game, flat, expected, support_tol),
-            expected_costs=expected,
-            mode=mode,
-        )
-    if mode != "monte-carlo":
+        expected, samples = expected_path_costs(game, flat), 0
+    elif mode == "monte-carlo":
+        rng = np.random.default_rng(seed)
+        sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
+        acc = np.zeros(game.dim)
+        for done in range(0, samples, 16384):
+            picks = sampler.picks(rng.random((game.n, min(16384, samples - done))))
+            acc += _outcome_path_costs(game, picks).sum(axis=0)
+        expected = acc / samples
+    else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
-    rng = np.random.default_rng(seed)
-    inc_rows = _player_tables(game)
-    acc = np.zeros(game.dim)
-    done = 0
-    while done < samples:
-        size = min(16384, samples - done)
-        loads = np.zeros((size, game.m))
-        for i in range(game.n):
-            probs = np.maximum(game.n * flat[game.player_slice(i)], 0.0)
-            cdf = np.cumsum(probs / probs.sum())
-            cdf[-1] = 1.0
-            picks = np.minimum(
-                np.searchsorted(cdf, rng.random(size), side="right"), cdf.size - 1
-            )
-            loads += inc_rows[i][picks]
-        loads *= 1.0 / game.n
-        acc += (game.edge_costs(loads) @ game.incidence.T).sum(axis=0)
-        done += size
-    expected = acc / samples
     return MixedDeltaResult(
         delta=_delta_from_expected(game, flat, expected, support_tol),
         expected_costs=expected,

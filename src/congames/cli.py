@@ -23,7 +23,7 @@ from .bulletin import BulletinConfig, OracleMinima, run_bulletin, social_ratio_r
 from .game import CongestionGame
 from .gamefile import GameFileError, parse_game
 from .generator import generate_random_game
-from .minimize import min_average_cost, min_max_cost, reference_minimizer
+from .minimize import CertifiedMinimum, min_average_cost, min_max_cost, reference_minimizer
 
 log = logging.getLogger("congames")
 
@@ -102,8 +102,20 @@ def _load_game(spec: ExperimentSpec) -> CongestionGame:
         d=int(g.pop("d")),
         degree=int(g.pop("deg", 3)),
         symmetric=bool(int(g.pop("sym", 0))),
-        max_path_len=int(g["len"]) if g.pop("len", None) is not None else None,
+        max_path_len=int(g.pop("len")) if "len" in g else None,
     )
+
+
+def _reference(game: CongestionGame) -> CertifiedMinimum:
+    """Potential minimizer; warns on stderr when its certificate missed the tolerance."""
+    reference = reference_minimizer(game)
+    if not reference.converged:
+        print(
+            f"warning: reference minimizer stopped unconverged after {reference.iterations} "
+            f"iterations with certificate {reference.certificate:.3e}; it is added to every phi_gap",
+            file=sys.stderr,
+        )
+    return reference
 
 
 def parse_gen_string(text: str) -> dict:
@@ -143,7 +155,7 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         max_steps=spec.steps if spec.steps is not None else 200_000,
         target_gap=target,
     )
-    reference = reference_minimizer(game)
+    reference = _reference(game)
     report = run_bulletin(game, config, reference=reference)
     avg_min = min_average_cost(game)
     max_min = min_max_cost(game) if (game.symmetric and eps_max is not None) else None
@@ -252,7 +264,7 @@ def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> Experi
         episodes=spec.episodes if spec.episodes is not None else 8,
         seed=spec.seed,
     )
-    reference = reference_minimizer(game)
+    reference = _reference(game)
     report = run_bandit(game, config, reference=reference)
     params = report.params
 

@@ -132,6 +132,14 @@ class CongestionGame:
         return inc
 
     @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """(dim x m_path) edge ids of every path in ascending order, padded with m."""
+        ids = np.full((self.dim, self.m_path), self.m, dtype=np.intp)
+        for row, path in enumerate(s for pl in self.paths for s in pl):
+            ids[row, : len(path)] = sorted(path)
+        return ids
+
+    @cached_property
     def _coef_table(self) -> np.ndarray:
         deg = max(e.degree for e in self.edges)
         table = np.zeros((self.m, deg))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congames import (
     BanditConfig,
@@ -24,6 +26,7 @@ from congames import (
     run_bandit,
     sample_choices,
 )
+from congames.bandit import GuideTable
 from conftest import random_feasible
 
 
@@ -84,6 +87,41 @@ def test_sample_choices_rejects_bad_distribution():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ValueError, match="sum"):
         sample_choices(np.random.default_rng(0), game, np.array([0.5, 0.6]))
+
+
+@st.composite
+def cdf_rows(draw):
+    """1-4 CDFs with zero-probability paths, tiny steps, and a last entry
+    either left as rounded (possibly just under 1) or forced to 1.  Forcing can
+    leave an entry just above 1 before it, so uniforms stay below 1, as drawn."""
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-9, 1e-3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = np.array(draw(st.lists(weight, min_size=1, max_size=12)))
+        if w.sum() == 0.0:
+            w[-1] = 1.0
+        cdf = np.cumsum(w / w.sum())
+        if draw(st.booleans()):
+            cdf[-1] = 1.0
+        rows.append(cdf)
+    return rows
+
+
+@given(cdfs=cdf_rows(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_guide_table_equals_clipped_searchsorted(cdfs, data):
+    table = GuideTable(cdfs)
+    # CDF values, bucket boundaries j/K and their floating-point neighbours
+    anchors = np.concatenate(cdfs + [np.arange(table.k + 1) / table.k])
+    anchors = np.concatenate([anchors, np.nextafter(anchors, -1.0), np.nextafter(anchors, 2.0)])
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    u = np.concatenate([anchors[(anchors >= 0.0) & (anchors < 1.0)], drawn])
+    picks = table.picks(np.tile(u, (len(cdfs), 1)))
+    start = 0
+    for i, cdf in enumerate(cdfs):
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        assert np.array_equal(picks[i] - start, want)
+        start += cdf.size
 
 
 # -- episode lengths ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from congames import (
     parse_game_text,
     render_game,
 )
-from congames.cli import main, parse_gen_string
+from congames.cli import ExperimentSpec, _load_game, main, parse_gen_string
 
 G1_TEXT = """\
 # two parallel edges, one player
@@ -176,3 +177,27 @@ def test_cli_rejects_bad_log_level(g1_path, monkeypatch, capsys):
     code = main(["--game", g1_path, "--algo", "bulletin-gd", "--eps", "1e-4"])
     assert code == 2
     assert "CONGESTION_LOG_LEVEL" in capsys.readouterr().err
+
+
+def test_cli_gen_path_length_cap(capsys):
+    assert main(["--gen", "n=2,m=3,d=2,len=2", "--algo", "bulletin-gd", "--eps", "1e-4"]) == 0
+    longest = {}
+    for cap in ("", ",len=2"):
+        specs = [ExperimentSpec("bulletin-gd", gen=parse_gen_string(f"n=2,m=3,d=2,seed={s}{cap}"))
+                 for s in range(6)]
+        longest[cap] = max(_load_game(spec).m_path for spec in specs)
+    assert longest == {"": 3, ",len=2": 2}
+
+
+def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
+    args = ["--algo", "bandit-gd", "--episodes", "1", "--seed", "0"]
+    out = tmp_path / "run.csv"
+    # the reference minimizer stalls on this game with a certificate near 1e-4
+    assert main(["--gen", "n=16,m=8,d=3,seed=302", *args, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "warning: reference minimizer stopped unconverged" in captured.err
+    assert re.search(r"certificate \d\.\d{3}e-0[45];", captured.err)
+    assert "warning" not in captured.out and "warning" not in out.read_text()
+    assert main(["--gen", "n=3,m=3,d=3,deg=1", *args, "--nu", "1"]) == 0
+    assert capsys.readouterr().err == ""
