@@ -51,6 +51,8 @@ def generate_random_game(
         raise GameStructureError("need n >= 1, m >= 1, d >= 1")
     if degree < 1:
         raise GameStructureError("cost degree must be at least 1")
+    if max_path_len is not None and max_path_len < 1:
+        raise GameStructureError("path length cap must be at least 1")
     max_len = min(max_path_len or 3, m)
     rng = np.random.default_rng(seed)
     edges = tuple(_random_cost(rng, degree) for _ in range(m))

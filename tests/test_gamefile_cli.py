@@ -187,6 +187,8 @@ def test_cli_gen_path_length_cap(capsys):
                  for s in range(6)]
         longest[cap] = max(_load_game(spec).m_path for spec in specs)
     assert longest == {"": 3, ",len=2": 2}
+    assert main(["--gen", "n=2,m=3,d=2,len=0", "--algo", "bulletin-gd", "--eps", "1e-4"]) == 2
+    assert "path length cap must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
