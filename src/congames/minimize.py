@@ -12,6 +12,17 @@ The returned certificate is the Frank-Wolfe duality gap
 an upper bound on the true suboptimality by convexity, valid regardless of
 how the point was found.
 
+A vertex of the joint polytope picks one path per player.  The active set is
+an int array V of shape (k, n), each row a vertex as per-player path indices,
+with weights w of shape (k,), both in insertion order.  One gather scores every
+active vertex, the best response is one argmin over a (n, d) array padded with
++inf, and the iterate is rebuilt from (V, w) every 64 steps.  The arithmetic is
+fixed down to the bit: ties between away vertices go to the lexicographically
+smallest, the weight total is summed left to right, and the rebuild adds the
+vertices up in row order.  Outputs (flat, value, certificate, iterations,
+converged) are pinned by tests/test_minimize_golden.py; the CLI's phi_gap
+column subtracts the value, so a last-bit change there changes CSV bytes.
+
 The maximum individual cost is piecewise smooth, not edge-separable; its
 minimizer uses an epigraph formulation solved by SLSQP.
 """
@@ -52,6 +63,13 @@ class _EdgeSeparableObjective:
         self.table = table  # (m, P): F_e(y) = sum_p table[e, p-1] * y**p
         powers = np.arange(1, table.shape[1] + 1)
         self.dtable = table * powers  # derivative coefficients over powers 0..P-1
+        P = self.dtable.shape[1]
+        # taylor[j][q] = dtable[:, q+j] * C(q+j, q): the coefficient of loads**j in
+        # the t**q term of the derivative along a line, for q + j < P.
+        self.taylor = [
+            np.array([self.dtable[:, q + j] * _binomial(q + j, q) for q in range(P - j)])
+            for j in range(P)
+        ]
 
     def value_from_loads(self, loads: np.ndarray) -> float:
         acc = np.zeros_like(loads)
@@ -67,18 +85,17 @@ class _EdgeSeparableObjective:
 
     def line_derivative_poly(self, loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
         """Coefficients (ascending in t) of d/dt G(x + t*d) along load direction dloads."""
-        P = self.dtable.shape[1]
-        coeffs = np.zeros(P)
-        dpow = dloads.copy()  # dloads**(q+1), includes the outer chain factor
-        for q in range(P):
-            inner = np.zeros_like(loads)
-            lpow = np.ones_like(loads)  # loads**(p-q)
-            for p in range(q, P):
-                inner += self.dtable[:, p] * _binomial(p, q) * lpow
-                lpow = lpow * loads
-            coeffs[q] = float((dpow * inner).sum())
-            dpow = dpow * dloads
-        return coeffs
+        P = len(self.taylor)
+        inner = np.zeros((P, loads.size))
+        lpow = np.ones_like(loads)  # loads**j
+        for j, coef in enumerate(self.taylor):
+            inner[: P - j] += coef * lpow
+            lpow = lpow * loads
+        dpow = np.empty_like(inner)  # dloads**(q+1), includes the outer chain factor
+        dpow[0] = dloads
+        for q in range(1, P):
+            dpow[q] = dpow[q - 1] * dloads
+        return (dpow * inner).sum(axis=1)
 
 
 def potential_objective(game: CongestionGame) -> _EdgeSeparableObjective:
@@ -102,20 +119,24 @@ def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
 def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
     """Unique sign change of a nondecreasing polynomial on [0, t_max]."""
 
+    descending = coeffs[::-1]
+    horner = descending.tolist()
+
     def ev(t: float) -> float:
-        return float(np.polyval(coeffs[::-1], t))
+        y = 0.0
+        for c in horner:
+            y = y * t + c
+        return y
 
     if ev(t_max) <= 0.0:
         return t_max
     if ev(0.0) >= 0.0:
         return 0.0
-    trimmed = np.trim_zeros(coeffs[::-1], "f")
-    if trimmed.size >= 2:
-        roots = np.roots(trimmed)
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        inside = real[(real >= -1e-12) & (real <= t_max * (1 + 1e-12))]
-        if inside.size:
-            return float(np.clip(inside.min(), 0.0, t_max))
+    roots = np.roots(descending)  # strips leading zeros; not constant, by the signs above
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    inside = real[(real >= -1e-12) & (real <= t_max * (1 + 1e-12))]
+    if inside.size:
+        return float(np.clip(inside.min(), 0.0, t_max))
     lo, hi = 0.0, t_max  # bisection fallback; derivative is monotone
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -126,16 +147,6 @@ def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _vertex_vector(game: CongestionGame, vertex: tuple[int, ...]) -> np.ndarray:
-    v = np.zeros(game.dim)
-    v[game.offsets[:-1] + np.asarray(vertex)] = 1.0 / game.n
-    return v
-
-
-def _vertex_score(game: CongestionGame, g: np.ndarray, vertex: tuple[int, ...]) -> float:
-    return float(g[game.offsets[:-1] + np.asarray(vertex)].sum() / game.n)
-
-
 def minimize_edge_separable(
     game: CongestionGame,
     objective: _EdgeSeparableObjective,
@@ -143,72 +154,82 @@ def minimize_edge_separable(
     max_iter: int = 200_000,
 ) -> CertifiedMinimum:
     inc = game.incidence
-    offsets = game.offsets
+    n, starts, unit = game.n, game.offsets[:-1], 1.0 / game.n
+    mask = np.arange(game.d) < np.asarray(game.sizes)[:, None]
+    padded = np.full((n, game.d), np.inf)  # per-player path values, +inf beyond a block
 
+    def best_response(g: np.ndarray) -> np.ndarray:
+        padded[mask] = g
+        return padded.argmin(axis=1)
+
+    def scores(g: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return g[V + starts].sum(axis=1) / n
+
+    def combination(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_k w[k] * vertex(V[k]), added up in row order."""
+        x = np.zeros(game.dim)
+        np.add.at(x, V + starts, np.broadcast_to((w * unit)[:, None], V.shape))
+        return x
+
+    one = np.ones(1)
     # Seed the active set with the best-response vertex at the uniform profile;
     # the iterate must be an exact convex combination of active vertices.
-    g0 = inc @ objective.edge_gradient(game.uniform_profile().flat @ inc)
-    seed = tuple(
-        int(np.argmin(g0[offsets[i] : offsets[i + 1]])) for i in range(game.n)
-    )
-    weights: dict[tuple[int, ...], float] = {seed: 1.0}
-    x = _vertex_vector(game, seed)
+    V = best_response(inc @ objective.edge_gradient(game.uniform_profile().flat @ inc))[None]
+    w = one.copy()
+    x = combination(V, w)
 
     gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         loads = x @ inc
         g = inc @ objective.edge_gradient(loads)
-        fw = tuple(
-            int(np.argmin(g[offsets[i] : offsets[i + 1]])) for i in range(game.n)
-        )
+        fw = best_response(g)[None]
         gx = float(g @ x)
-        gap = gx - _vertex_score(game, g, fw)
+        gap = gx - float(scores(g, fw)[0])
         if gap <= tol:
             break
 
-        away, away_score = None, -np.inf
-        for v in sorted(weights):
-            s = _vertex_score(game, g, v)
-            if s > away_score:
-                away, away_score = v, s
+        s = scores(g, V)  # the away vertex scores highest, ties to the smallest row
+        ties = np.flatnonzero(s == s.max())
+        away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
 
-        if gap >= away_score - gx or len(weights) == 1:
-            direction = _vertex_vector(game, fw) - x
-            t_max, mode = 1.0, "fw"
+        fw_step = gap >= float(s[away]) - gx or len(w) == 1
+        if fw_step:
+            direction = combination(fw, one) - x
+            t_max = 1.0
         else:
-            direction = x - _vertex_vector(game, away)
-            w_away = weights[away]
-            t_max, mode = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0, "away"
+            direction = x - combination(V[away : away + 1], one)
+            w_away = float(w[away])
+            t_max = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0
 
         dloads = direction @ inc
         t = _poly_root_in(objective.line_derivative_poly(loads, dloads), t_max)
         if t <= 0.0:
             break  # numerically stalled; certificate below still stands
 
-        if mode == "fw":
-            for v in list(weights):
-                weights[v] *= 1.0 - t
-            weights[fw] = weights.get(fw, 0.0) + t
+        if fw_step:
+            w *= 1.0 - t
+            hit = np.flatnonzero((V == fw).all(axis=1))
+            if hit.size:
+                w[hit[0]] += t
+            else:
+                V = np.concatenate([V, fw])
+                w = np.append(w, t)
         else:
-            for v in list(weights):
-                weights[v] *= 1.0 + t
-            weights[away] -= t
-        for v in [v for v, w in weights.items() if w <= 1e-15]:
-            del weights[v]
-        total = sum(weights.values())
-        for v in weights:
-            weights[v] /= total
+            w *= 1.0 + t
+            w[away] -= t
+        keep = w > 1e-15
+        V, w = V[keep], w[keep]
+        w /= sum(w.tolist())  # left to right: np.sum's pairwise order changes bits
 
         x = x + t * direction
         if it % 64 == 0:  # resync from the convex combination to kill drift
-            x = sum(w * _vertex_vector(game, v) for v, w in weights.items())
+            x = combination(V, w)
 
-    x = sum(w * _vertex_vector(game, v) for v, w in weights.items())
+    x = combination(V, w)
     loads = x @ inc
     g = inc @ objective.edge_gradient(loads)
-    fw = tuple(int(np.argmin(g[offsets[i] : offsets[i + 1]])) for i in range(game.n))
-    gap = float(g @ x) - _vertex_score(game, g, fw)
+    gap = float(g @ x) - float(scores(g, best_response(g)[None])[0])
     return CertifiedMinimum(
         flat=x,
         value=objective.value_from_loads(loads),
