@@ -15,6 +15,7 @@ Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,18 +51,27 @@ class ChoiceVector:
 
 def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> ChoiceVector:
     """Draw one path per player, path s with probability n * x_{i,s}."""
-    sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
-    picks = sampler.picks(rng.random((game.n, 1)))[:, 0] - game.offsets[:-1]
-    return ChoiceVector(game, tuple(int(p) for p in picks))
+    picks = _sampler(game, flat, draws=1).picks(rng.random((game.n, 1)))[:, 0]
+    return ChoiceVector(game, tuple((picks - game.offsets[:-1]).tolist()))
 
 
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     """Each player's choice distribution n * x_i; raises unless it sums to 1."""
-    blocks = np.split(game.n * game.check_vector(flat), game.offsets[1:-1])
-    for i, p in enumerate(blocks):
-        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-            raise ValueError(f"player {i} choice probabilities sum to {p.sum()}")
-    return [q / q.sum() for q in (np.maximum(p, 0.0) for p in blocks)]
+    probs = game.n * game.check_vector(flat)
+    starts = game.offsets[:-1]
+    totals = np.add.reduceat(probs, starts)
+    bad = np.abs(totals - 1.0) > 1e-9
+    if bad.any() or probs.min() < -1e-12:
+        i = int(np.argmax(bad | (np.minimum.reduceat(probs, starts) < -1e-12)))
+        raise ValueError(f"player {i} choice probabilities sum to {totals[i]}")
+    bounds = game.offsets.tolist()
+    q = np.maximum(probs, 0.0)
+    return [b / b.sum() for b in (q[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))]
+
+
+def _sampler(game: CongestionGame, flat: np.ndarray, draws: int) -> GuideTable:
+    """Guide table of every player's choice distribution, for `draws` draws each."""
+    return GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws)
 
 
 class GuideTable:
@@ -71,21 +81,31 @@ class GuideTable:
     ``min(searchsorted(cdfs[i], u[i, t], "right"), size_i - 1)``, exactly: rows
     end in +inf (the clip), and the guide entry of bucket floor(u * K), exact for
     K a power of two, is at most ``passes`` unit steps short of the answer.
+    ``draws``, the number of draws per row the table serves, caps K: a larger
+    table costs more to build than it saves.
     """
 
-    def __init__(self, cdfs) -> None:
+    def __init__(self, cdfs, draws: int) -> None:
         sizes = [len(c) for c in cdfs]
-        self.cdf, ends = np.concatenate(cdfs, dtype=float), np.cumsum(sizes)
-        # buckets no wider than the smallest probability hold one CDF step each
-        probs = self.cdf - np.concatenate(([0.0], self.cdf[:-1]))
-        probs[ends[:-1]] = self.cdf[ends[:-1]]
-        self.k = 1 << min(12, max(0, math.ceil(-math.log2(probs[probs > 0].min(initial=1.0)))))
-        self.cdf[ends - 1] = np.inf
-        grid = np.arange(self.k + 1) * (1.0 / self.k)
-        guide = np.stack([lo + np.searchsorted(self.cdf[lo:hi], grid, side="right")
-                          for lo, hi in zip(ends - sizes, ends)])
-        self.passes = int((guide[:, 1:] - guide[:, :-1]).max())
-        self.guide, self.rows = guide.ravel(), (np.arange(len(cdfs)) * (self.k + 1))[:, None]
+        ends = list(itertools.accumulate(sizes))
+        self.cdf = np.concatenate(cdfs, dtype=float)
+        log_k = min(12, (draws - 1).bit_length())
+        if log_k:  # buckets no wider than the smallest probability hold one CDF step each
+            probs = np.diff(self.cdf, prepend=0.0)
+            probs[ends[:-1]] = self.cdf[ends[:-1]]
+            log_k = min(log_k, max(0, math.ceil(-math.log2(probs[probs > 0].min(initial=1.0)))))
+        k = self.k = 1 << log_k
+        self.cdf[[e - 1 for e in ends]] = np.inf
+        # Row i, bucket j has key i*(K+2) + j.  Each entry is keyed by the first
+        # bucket j with cdf <= j/K, ceil(K * cdf) (scaling by a power of two is
+        # exact; +inf goes to the spare bucket K+1).  Keys grow along the flat
+        # array, so a running count at key i*(K+2) + j is the start of row i plus
+        # searchsorted(row i, j/K, "right").
+        bases = np.arange(len(sizes)) * (k + 2)
+        first = np.minimum(np.ceil(self.cdf * k), k + 1).astype(np.intp)
+        hist = np.bincount(np.repeat(bases, sizes) + first, minlength=len(sizes) * (k + 2))
+        self.guide, self.rows = hist.cumsum(), bases[:, None]
+        self.passes = int(hist.reshape(-1, k + 2)[:, 1 : k + 1].max())
 
     def picks(self, u: np.ndarray) -> np.ndarray:
         """Flat row indices for uniforms of shape (rows, draws)."""
@@ -174,6 +194,8 @@ class BanditConfig:
         return etas
 
     def derive(self, game: CongestionGame) -> BanditParams:
+        if self.episodes < 1:
+            raise ConfigurationError("need at least one episode")
         if not (0.0 < self.kappa < 1.0):
             raise ConfigurationError("kappa must lie in (0, 1)")
         if self.nu < 1.0:
@@ -324,7 +346,7 @@ def _edge_counts(game: CongestionGame, picks: np.ndarray):
 
 def _simulate_episode(game, flat, streams, steps, batch, record):
     n, m = game.n, game.m
-    sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
+    sampler = _sampler(game, flat, draws=steps)
     # c_e(k * (1/n)) for k = 0..n, bit-equal to edge_costs at the sampled loads k * (1/n)
     costs = np.zeros((m + 1, n + 1))
     costs[:m] = game.edge_costs(np.outer(np.arange(n + 1) * (1.0 / n), np.ones(m))).T
@@ -490,8 +512,10 @@ def mixed_delta_gap(
     if mode == "enumerate":
         expected, samples = expected_path_costs(game, flat), 0
     elif mode == "monte-carlo":
+        if samples < 1:
+            raise ValueError("monte-carlo mode needs at least one sample")
         rng = np.random.default_rng(seed)
-        sampler = GuideTable([np.cumsum(p) for p in _choice_probs(game, flat)])
+        sampler = _sampler(game, flat, draws=samples)
         acc = np.zeros(game.dim)
         for done in range(0, samples, 16384):
             picks = sampler.picks(rng.random((game.n, min(16384, samples - done))))

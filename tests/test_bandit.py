@@ -110,7 +110,7 @@ def cdf_rows(draw):
 @given(cdfs=cdf_rows(), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_guide_table_equals_clipped_searchsorted(cdfs, data):
-    table = GuideTable(cdfs)
+    table = GuideTable(cdfs, draws=data.draw(st.sampled_from([1, 2, 3, 5, 100, 1 << 13])))
     # CDF values, bucket boundaries j/K and their floating-point neighbours
     anchors = np.concatenate(cdfs + [np.arange(table.k + 1) / table.k])
     anchors = np.concatenate([anchors, np.nextafter(anchors, -1.0), np.nextafter(anchors, 2.0)])
@@ -335,6 +335,8 @@ def test_config_validation():
         BanditConfig(lam=0.6).derive(game)
     with pytest.raises(ConfigurationError, match="learning rate"):
         BanditConfig(lam=0.1, eta=10.0).derive(game)
+    with pytest.raises(ConfigurationError, match="episode"):
+        BanditConfig(lam=0.1, episodes=0).derive(game)
 
 
 def test_presets_satisfy_theta_precondition():
@@ -401,6 +403,8 @@ def test_mixed_delta_monte_carlo_agrees():
     assert np.allclose(mc.expected_costs, exact.expected_costs, atol=0.01)
     with pytest.raises(ValueError, match="mode"):
         mixed_delta_gap(game, x, mode="grid")
+    with pytest.raises(ValueError, match="at least one sample"):
+        mixed_delta_gap(game, x, mode="monte-carlo", samples=0)
 
 
 def test_mixed_delta_theory_ceiling():

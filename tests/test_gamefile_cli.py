@@ -191,6 +191,12 @@ def test_cli_gen_path_length_cap(capsys):
     assert "path length cap must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_rejects_zero_episodes(capsys):
+    args = ["--gen", "n=3,m=3,d=3,deg=1", "--algo", "bandit-gd", "--episodes", "0"]
+    assert main(args) == 2
+    assert "error: need at least one episode" in capsys.readouterr().err
+
+
 def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
     args = ["--algo", "bandit-gd", "--episodes", "1", "--seed", "0"]
     out = tmp_path / "run.csv"
