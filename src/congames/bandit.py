@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import ConfigurationError, FeasibleSet, make_geometry
+from .bulletin import resolve_learning_rates
 from .game import SUPPORT_TOL, CongestionGame
 from .minimize import CertifiedMinimum, reference_minimizer
 
@@ -180,18 +181,7 @@ class BanditConfig:
     batch: int = 16384
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
-        lam_smooth = game.smoothness_params().lam
-        if self.eta is None:
-            etas = np.full(game.n, 1.0 / lam_smooth)
-        else:
-            etas = np.broadcast_to(np.asarray(self.eta, dtype=float), (game.n,)).copy()
-        if np.any(etas <= 0.0):
-            raise ConfigurationError("learning rate must be positive")
-        if np.any(etas > 1.0 / lam_smooth + 1e-12):
-            raise ConfigurationError(
-                f"learning rate exceeds 1/lambda = {1.0 / lam_smooth:.6g}"
-            )
-        return etas
+        return resolve_learning_rates(game, self.eta)
 
     def derive(self, game: CongestionGame) -> BanditParams:
         if self.episodes < 1:
@@ -488,17 +478,6 @@ def _outcome_path_costs(game: CongestionGame, picks: np.ndarray) -> np.ndarray:
     return game.edge_costs(counts[:, : game.m] * (1.0 / game.n)) @ game.incidence.T
 
 
-def _delta_from_expected(game, flat, expected, support_tol):
-    worst = 0.0
-    for i in range(game.n):
-        sl = game.player_slice(i)
-        block, costs = flat[sl], expected[sl]
-        used = block > support_tol
-        if used.any():
-            worst = max(worst, float(costs[used].max() - costs.min()))
-    return max(worst, 0.0)
-
-
 def mixed_delta_gap(
     game: CongestionGame,
     flat: np.ndarray,
@@ -524,7 +503,7 @@ def mixed_delta_gap(
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
     return MixedDeltaResult(
-        delta=_delta_from_expected(game, flat, expected, support_tol),
+        delta=game.equilibrium_gap(flat, expected, support_tol),
         expected_costs=expected,
         mode=mode,
         samples=samples,

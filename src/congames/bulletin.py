@@ -16,8 +16,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import ConfigurationError, make_geometry, project_simplex_rows
-from .game import SUPPORT_TOL, CongestionGame, FlowProfile
+from .game import (
+    SUPPORT_TOL,
+    CongestionGame,
+    FlowProfile,
+    padded_equilibrium_gaps,
+    reduce_paths,
+)
 from .minimize import CertifiedMinimum, MaxCostMinimum, reference_minimizer
+
+
+def resolve_learning_rates(game: CongestionGame, eta) -> np.ndarray:
+    """Per-player rates: eta (scalar or one per player), default 1/lambda, each in (0, 1/lambda]."""
+    lam = game.smoothness_params().lam
+    if eta is None:
+        etas = np.full(game.n, 1.0 / lam)
+    else:
+        etas = np.broadcast_to(np.asarray(eta, dtype=float), (game.n,)).copy()
+    if not np.all(np.isfinite(etas)):
+        raise ConfigurationError("learning rate must be a finite number")
+    if np.any(etas <= 0.0):
+        raise ConfigurationError("learning rate must be positive")
+    if np.any(etas > 1.0 / lam + 1e-12):
+        raise ConfigurationError(f"learning rate exceeds 1/lambda = {1.0 / lam:.6g}")
+    return etas
 
 
 @dataclass
@@ -32,20 +54,12 @@ class BulletinConfig:
     record_profiles: bool = False
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
-        lam = game.smoothness_params().lam
-        if self.eta is None:
-            etas = np.full(game.n, 1.0 / lam)
-        else:
-            etas = np.broadcast_to(np.asarray(self.eta, dtype=float), (game.n,)).copy()
-        if np.any(etas <= 0.0):
-            raise ConfigurationError("learning rate must be positive")
-        if np.any(etas > 1.0 / lam + 1e-12):
-            raise ConfigurationError(
-                f"learning rate exceeds 1/lambda = {1.0 / lam:.6g}"
-            )
-        if self.target_gap is not None and self.target_gap <= 0.0:
-            raise ConfigurationError("target gap must be positive")
-        return etas
+        """Per-player learning rates, after rejecting a bad step cap or target gap."""
+        if self.max_steps < 0:
+            raise ConfigurationError("step cap must be nonnegative")
+        if self.target_gap is not None and not 0.0 < self.target_gap < math.inf:
+            raise ConfigurationError("target gap must be a positive finite number")
+        return resolve_learning_rates(game, self.eta)
 
 
 @dataclass
@@ -111,13 +125,11 @@ class BulletinReport:
         return math.ceil(self.game.n * self.gamma_measured / (eta * eps))
 
 
-def _pad_state(game: CongestionGame, flat: np.ndarray):
-    mask = np.zeros((game.n, game.d), dtype=bool)
-    for i, sz in enumerate(game.sizes):
-        mask[i, :sz] = True
-    X = np.zeros((game.n, game.d))
-    X[mask] = flat
-    return X, mask
+# The diagnostics pass runs every _CHUNK_STEPS steps, fewer when one chunk of
+# padded (n, d) profiles would exceed _CHUNK_ENTRIES entries: its buffers and
+# temporaries then stay within a few hundred kB whatever the game.
+_CHUNK_STEPS = 64
+_CHUNK_ENTRIES = 8192
 
 
 def run_bulletin(
@@ -125,7 +137,19 @@ def run_bulletin(
     config: BulletinConfig,
     reference: CertifiedMinimum | None = None,
 ) -> BulletinReport:
-    """Iterate the update x_i <- mirror_step(x_i, grad_i Phi, eta_i)."""
+    """Iterate the update x_i <- mirror_step(x_i, grad_i Phi, eta_i).
+
+    The loop does only what the dynamics and the stop rule need: loads, edge
+    costs, path costs, the potential, the average cost and the mirror step,
+    in the padded (n, d) layout.  It copies each iterate and its path costs
+    into a chunk buffer; a diagnostics pass turns a full chunk, and the last
+    one, into the equilibrium gaps, maximum costs and cumulative costs of all
+    its steps at once.  The stop rule reads only the potential, so the step
+    count does not depend on the chunking, and every report field is bit for
+    bit what a per-step evaluation gives: gaps and maxima take only max, min
+    and one subtraction, the average cost stays one dot product per step, and
+    the cumulative costs add their per-step rows in step order.
+    """
     etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
     entropy = geometry.kind == "negative-entropy"
@@ -151,56 +175,41 @@ def run_bulletin(
 
     inc = game.incidence
     mass = 1.0 / game.n
-    X, mask = _pad_state(game, x0)
+    mask = game.path_mask
+    X = game.padded(x0)
     etas_col = etas[:, None]
     neg_inf = np.where(mask, 0.0, -np.inf)
+    target = config.target_gap
 
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, config.max_steps + 1))
+    Xs = np.empty((rows, *X.shape))
+    PCs = np.zeros((rows, *X.shape))  # the padding stays 0; the entropy step reads it
+    diagnostics = _Diagnostics(game, reference, config.record_profiles)
     phis: list[float] = []
-    deltas: list[float] = []
-    theorem_deltas: list[float] = []
     avgs: list[float] = []
-    maxs: list[float] = []
-    profiles: list[np.ndarray] = []
-    cum_unit = np.zeros(game.n)
-    cum_paths = np.zeros(game.dim)
-    PC = np.zeros_like(X)
-    heavy_tol = 2.0 * game.b * game.m  # movable-mass threshold is sqrt(gap / this)
 
     stopped = False
+    j = 0
     for _ in range(config.max_steps + 1):
         flat = X[mask]
         loads = flat @ inc
         ecosts = game.edge_costs(loads)
-        pc = inc @ ecosts
+        PC = PCs[j]
+        PC[mask] = inc @ ecosts
         phi = float(game.edge_primitives(loads).sum())
-
-        PC[mask] = pc
-        best = np.where(mask, PC, np.inf).min(axis=1)
-        used = mask & (X > SUPPORT_TOL)
-        worst_used = np.where(used, PC, -np.inf).max(axis=1)
-        delta = max(float((worst_used - best).max()), 0.0)
-
-        cert_gap = phi - reference.value + reference.certificate
-        heavy_floor = max(SUPPORT_TOL, math.sqrt(max(cert_gap, 0.0) / heavy_tol))
-        heavy = mask & (X > heavy_floor)
-        worst_heavy = np.where(heavy, PC, -np.inf).max(axis=1)
-        theorem_delta = max(float((worst_heavy - best).max()), 0.0)
-
         phis.append(phi)
-        deltas.append(delta)
-        theorem_deltas.append(theorem_delta)
         avgs.append(float(loads @ ecosts))
-        maxs.append(float(pc.max()))
-        cum_unit += game.n * np.where(mask, PC * X, 0.0).sum(axis=1)
-        cum_paths += pc
-        if config.record_profiles:
-            profiles.append(flat.copy())
+        Xs[j] = X
+        j += 1
 
-        if config.target_gap is not None and cert_gap <= config.target_gap:
+        if target is not None and phi - reference.value + reference.certificate <= target:
             stopped = True
             break
         if len(phis) > config.max_steps:
             break
+        if j == rows:
+            diagnostics.add(Xs, PCs, phis[-rows:])
+            j = 0
 
         if entropy:
             Z = etas_col * PC
@@ -211,24 +220,61 @@ def run_bulletin(
             Y = X - etas_col * PC + neg_inf  # padding drops out of the projection
             X = project_simplex_rows(Y, mass)
             X *= mass / X.sum(axis=1, keepdims=True)  # kill thresholding round-off
+    diagnostics.add(Xs[:j], PCs[:j], phis[len(phis) - j :])
 
     return BulletinReport(
         game=game,
         reference=reference,
         etas=etas,
         phi=np.asarray(phis),
-        delta_gaps=np.asarray(deltas),
-        theorem_delta_gaps=np.asarray(theorem_deltas),
         avg_costs=np.asarray(avgs),
-        max_costs=np.asarray(maxs),
         x_final=X[mask].copy(),
         gamma_measured=float(gamma),
         target_gap=config.target_gap,
         stopped_at_target=stopped,
-        cum_unit_costs=cum_unit,
-        cum_path_costs=cum_paths,
-        profiles=np.asarray(profiles) if config.record_profiles else None,
+        delta_gaps=np.concatenate(diagnostics.deltas),
+        theorem_delta_gaps=np.concatenate(diagnostics.theorem_deltas),
+        max_costs=np.concatenate(diagnostics.maxs),
+        cum_unit_costs=diagnostics.cum_unit,
+        cum_path_costs=diagnostics.cum_paths,
+        profiles=None if diagnostics.profiles is None else np.concatenate(diagnostics.profiles),
     )
+
+
+class _Diagnostics:
+    """The per-step diagnostics of a run, computed a chunk of steps at a time."""
+
+    def __init__(self, game: CongestionGame, reference: CertifiedMinimum, record_profiles: bool):
+        self.game = game
+        self.reference = reference
+        self.deltas: list[np.ndarray] = []
+        self.theorem_deltas: list[np.ndarray] = []
+        self.maxs: list[np.ndarray] = []
+        self.profiles: list[np.ndarray] | None = [] if record_profiles else None
+        self.cum_unit = np.zeros(game.n)
+        self.cum_paths = np.zeros(game.dim)
+
+    def add(self, X: np.ndarray, PC: np.ndarray, phi: list[float]) -> None:
+        """Steps with padded profiles X and path costs PC, both (k, n, d), and potentials phi."""
+        game, mask = self.game, self.game.path_mask
+        cert_gaps = np.asarray(phi) - self.reference.value + self.reference.certificate
+        floors = np.stack(
+            [np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps, SUPPORT_TOL)]
+        )
+        deltas, theorem_deltas = padded_equilibrium_gaps(X, PC, mask, floors)
+        self.deltas.append(deltas)
+        self.theorem_deltas.append(theorem_deltas)
+        self.maxs.append(reduce_paths(np.maximum, np.where(mask, PC, -np.inf)).max(axis=1))
+        unit = game.n * np.where(mask, PC * X, 0.0).sum(axis=2)
+        self.cum_unit = _add_rows(self.cum_unit, unit)
+        self.cum_paths = _add_rows(self.cum_paths, PC[:, mask])
+        if self.profiles is not None:
+            self.profiles.append(X[:, mask])
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added in row order as a per-step loop would."""
+    return np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
 
 
 def delta_equilibrium_gap(
@@ -236,15 +282,7 @@ def delta_equilibrium_gap(
 ) -> float:
     """Worst over players of (priciest used path) - (cheapest allowed path), floored at 0."""
     flat = game.check_vector(flat)
-    pc = game.path_costs(flat)
-    worst = 0.0
-    for i in range(game.n):
-        sl = game.player_slice(i)
-        block, costs = flat[sl], pc[sl]
-        used = block > support_tol
-        if used.any():
-            worst = max(worst, float(costs[used].max() - costs.min()))
-    return max(worst, 0.0)
+    return game.equilibrium_gap(flat, game.path_costs(flat), support_tol)
 
 
 def equilibrium_gap_bound(game: CongestionGame, epsilon: float) -> float:
@@ -267,8 +305,12 @@ def theorem_delta_gap(
     which is why the plain gap is reported separately and checked against
     nothing.
     """
-    heavy = max(support_tol, math.sqrt(max(epsilon, 0.0) / (2.0 * game.b * game.m)))
-    return delta_equilibrium_gap(game, flat, support_tol=heavy)
+    return delta_equilibrium_gap(game, flat, support_tol=_heavy_floor(game, epsilon, support_tol))
+
+
+def _heavy_floor(game: CongestionGame, gap, support_tol: float):
+    """sqrt(gap / (2*b*m)), at least support_tol: the least mass the gap argument can move."""
+    return np.maximum(support_tol, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
 
 
 @dataclass(frozen=True)

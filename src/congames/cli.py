@@ -63,6 +63,8 @@ class ExperimentSpec:
             raise ConfigurationError("exactly one game source (--game or --gen) required")
         if self.eps is not None and self.sigma is not None:
             raise ConfigurationError("--eps and --sigma are mutually exclusive")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ConfigurationError("--sigma must be a positive finite number")
         if self.algo not in {"bulletin-gd", "bulletin-mu", "bandit-gd", "bandit-mu"}:
             raise ConfigurationError(f"unknown algorithm {self.algo!r}")
 

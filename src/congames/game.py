@@ -140,6 +140,17 @@ class CongestionGame:
         return ids
 
     @cached_property
+    def path_mask(self) -> np.ndarray:
+        """(n x d) layout of the padded strategy: row i marks player i's paths."""
+        return np.arange(self.d) < np.asarray(self.sizes)[:, None]
+
+    def padded(self, flat: np.ndarray) -> np.ndarray:
+        """A per-(player, path) vector in the (n x d) layout, zero past each block."""
+        out = np.zeros((self.n, self.d))
+        out[self.path_mask] = flat
+        return out
+
+    @cached_property
     def _coef_table(self) -> np.ndarray:
         deg = max(e.degree for e in self.edges)
         table = np.zeros((self.m, deg))
@@ -147,29 +158,30 @@ class CongestionGame:
             table[e, : cost.degree] = cost.coefficients
         return table
 
+    @cached_property
+    def _primitive_table(self) -> np.ndarray:
+        """Coefficients of F_e(y) / y**2: c_j / (j + 2) for the power y**(j+2)."""
+        table = self._coef_table
+        return table / np.arange(2, table.shape[1] + 2)
+
+    @cached_property
+    def _slope_table(self) -> np.ndarray:
+        """Coefficients of c'_e(y): (j + 1) * c_j for the power y**j."""
+        table = self._coef_table
+        return np.arange(1, table.shape[1] + 1) * table
+
     def edge_costs(self, loads: np.ndarray) -> np.ndarray:
         """c_e(load_e) for every edge; loads may be batched (..., m)."""
-        table = self._coef_table
-        acc = np.zeros_like(loads)
-        for j in range(table.shape[1] - 1, -1, -1):
-            acc = acc * loads + table[:, j]
-        return acc * loads
+        return _horner(self._coef_table, loads) * loads
 
     def edge_primitives(self, loads: np.ndarray) -> np.ndarray:
         """F_e(load_e), the per-edge potential contributions."""
-        table = self._coef_table
-        acc = np.zeros_like(loads)
-        for j in range(table.shape[1] - 1, -1, -1):
-            acc = acc * loads + table[:, j] / (j + 2)
-        return acc * loads * loads
+        return _horner(self._primitive_table, loads) * loads * loads
 
     def edge_slopes(self, loads: np.ndarray) -> np.ndarray:
         """c'_e(load_e)."""
-        table = self._coef_table
-        acc = np.zeros_like(loads)
-        for j in range(table.shape[1] - 1, -1, -1):
-            acc = acc * loads + (j + 1) * table[:, j]
-        return acc
+        # constant for linear costs, so broadcast to the shape of loads
+        return np.broadcast_to(_horner(self._slope_table, loads), np.shape(loads)).copy()
 
     # -- flows and costs -------------------------------------------------------
 
@@ -216,8 +228,55 @@ class CongestionGame:
         """C_M(x) = max over all allowed paths of the path cost."""
         return float(self.path_costs(flat).max())
 
+    def equilibrium_gap(
+        self, flat: np.ndarray, costs: np.ndarray, support_tol: float = SUPPORT_TOL
+    ) -> float:
+        """Worst over players of (priciest path with mass above support_tol) - (cheapest path)."""
+        return float(
+            padded_equilibrium_gaps(self.padded(flat), self.padded(costs), self.path_mask, support_tol)
+        )
+
     def player_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+
+def _horner(table: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """sum_j table[:, j] * loads**j per edge, from the leading coefficient down."""
+    acc = table[:, -1]
+    for j in range(table.shape[1] - 2, -1, -1):
+        acc = acc * loads + table[:, j]
+    return acc
+
+
+def reduce_paths(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """ufunc (np.minimum or np.maximum) over the last, path axis of A.
+
+    One elementwise call per path column: numpy reduces a short contiguous
+    axis one output at a time, several times slower at d <= 8.  Exact for min
+    and max, so the result equals A's ufunc.reduce over that axis.
+    """
+    acc = A[..., 0]
+    for c in range(1, A.shape[-1]):
+        acc = ufunc(acc, A[..., c])
+    return acc
+
+
+def padded_equilibrium_gaps(
+    X: np.ndarray, costs: np.ndarray, mask: np.ndarray, floor
+) -> np.ndarray:
+    """Equilibrium gaps of profiles in the padded layout.
+
+    X and costs have shape (..., n, d), mask is the game's `path_mask` and
+    floor the support threshold, a scalar or an array broadcasting against
+    the leading dimensions.  Per entry the result is the worst over players
+    of (priciest path with mass above floor) - (cheapest allowed path),
+    floored at 0.  Only max and min are taken, so the value does not depend
+    on the layout or batching.
+    """
+    best = reduce_paths(np.minimum, np.where(mask, costs, np.inf))
+    used = mask & (X > np.expand_dims(floor, (-2, -1)))
+    worst = reduce_paths(np.maximum, np.where(used, costs, -np.inf))
+    return np.maximum((worst - best).max(axis=-1), 0.0)
 
 
 @dataclass(frozen=True)

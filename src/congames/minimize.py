@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _sciopt
 
-from .game import CongestionGame
+from .game import CongestionGame, _horner
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,10 @@ class _EdgeSeparableObjective:
         ]
 
     def value_from_loads(self, loads: np.ndarray) -> float:
-        acc = np.zeros_like(loads)
-        for p in range(self.table.shape[1] - 1, -1, -1):
-            acc = acc * loads + self.table[:, p]
-        return float((acc * loads).sum())
+        return float((_horner(self.table, loads) * loads).sum())
 
     def edge_gradient(self, loads: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(loads)
-        for p in range(self.dtable.shape[1] - 1, -1, -1):
-            acc = acc * loads + self.dtable[:, p]
-        return acc
+        return _horner(self.dtable, loads)
 
     def line_derivative_poly(self, loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
         """Coefficients (ascending in t) of d/dt G(x + t*d) along load direction dloads."""
@@ -99,21 +93,13 @@ class _EdgeSeparableObjective:
 
 
 def potential_objective(game: CongestionGame) -> _EdgeSeparableObjective:
-    coef = game._coef_table  # (m, J), powers 1..J of the costs
-    m, J = coef.shape
-    table = np.zeros((m, J + 1))
-    for j in range(J):
-        table[:, j + 1] = coef[:, j] / (j + 2)  # integral of c_j y^(j+1)
-    return _EdgeSeparableObjective(game, table)
+    # integral of c_j y^(j+1) is c_j y^(j+2) / (j + 2)
+    return _EdgeSeparableObjective(game, np.pad(game._primitive_table, ((0, 0), (1, 0))))
 
 
 def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
-    coef = game._coef_table
-    m, J = coef.shape
-    table = np.zeros((m, J + 1))
-    for j in range(J):
-        table[:, j + 1] = coef[:, j]  # y * c_e(y) term by term
-    return _EdgeSeparableObjective(game, table)
+    # y * c_e(y) term by term
+    return _EdgeSeparableObjective(game, np.pad(game._coef_table, ((0, 0), (1, 0))))
 
 
 def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
@@ -155,7 +141,7 @@ def minimize_edge_separable(
 ) -> CertifiedMinimum:
     inc = game.incidence
     n, starts, unit = game.n, game.offsets[:-1], 1.0 / game.n
-    mask = np.arange(game.d) < np.asarray(game.sizes)[:, None]
+    mask = game.path_mask
     padded = np.full((n, game.d), np.inf)  # per-player path values, +inf beyond a block
 
     def best_response(g: np.ndarray) -> np.ndarray:

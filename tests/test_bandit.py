@@ -335,6 +335,8 @@ def test_config_validation():
         BanditConfig(lam=0.6).derive(game)
     with pytest.raises(ConfigurationError, match="learning rate"):
         BanditConfig(lam=0.1, eta=10.0).derive(game)
+    with pytest.raises(ConfigurationError, match="learning rate must be a finite number"):
+        BanditConfig(lam=0.1, eta=float("nan")).derive(game)
     with pytest.raises(ConfigurationError, match="episode"):
         BanditConfig(lam=0.1, episodes=0).derive(game)
 

@@ -142,6 +142,32 @@ def test_learning_rate_gate():
         run_bulletin(game, BulletinConfig(eta=0.0, max_steps=5))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"eta": math.nan}, "learning rate must be a finite number"),
+        ({"eta": np.array([0.01, math.inf])}, "learning rate must be a finite number"),
+        ({"target_gap": math.nan}, "target gap must be a positive finite number"),
+        ({"target_gap": math.inf}, "target gap must be a positive finite number"),
+        ({"target_gap": 0.0}, "target gap must be a positive finite number"),
+        ({"max_steps": -1}, "step cap must be nonnegative"),
+    ],
+)
+def test_bad_config_rejected_before_any_step(kwargs, message, monkeypatch):
+    game = generate_random_game(seed=2, n=2, m=4, d=2)
+    # a rejected config must not evaluate a single step
+    monkeypatch.setattr(CongestionGame, "edge_costs", None)
+    with pytest.raises(ConfigurationError, match=message):
+        run_bulletin(game, BulletinConfig(**kwargs))
+
+
+def test_zero_step_cap_evaluates_the_start_only(g1):
+    rep = run_bulletin(g1, BulletinConfig(max_steps=0, x0=np.array([0.5, 0.5])))
+    assert rep.steps == 0
+    assert rep.phi.tolist() == [3 / 16]
+    assert rep.delta_gaps.tolist() == [0.25]
+
+
 def test_entropy_needs_positive_start(g1):
     cfg = BulletinConfig(geometry="negative-entropy", x0=np.array([1.0, 0.0]), max_steps=5)
     with pytest.raises(ConfigurationError, match="positive"):

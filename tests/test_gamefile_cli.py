@@ -197,6 +197,22 @@ def test_cli_rejects_zero_episodes(capsys):
     assert "error: need at least one episode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eta", "nan"], "error: learning rate must be a finite number"),
+        (["--eps", "nan"], "error: target gap must be a positive finite number"),
+        (["--sigma", "nan"], "error: --sigma must be a positive finite number"),
+        (["--steps", "-1"], "error: step cap must be nonnegative"),
+    ],
+)
+def test_cli_rejects_bad_bulletin_flags(g1_path, flags, message, capsys):
+    assert main(["--game", g1_path, "--algo", "bulletin-gd", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
     args = ["--algo", "bandit-gd", "--episodes", "1", "--seed", "0"]
     out = tmp_path / "run.csv"
