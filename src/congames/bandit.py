@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import ConfigurationError, FeasibleSet, make_geometry
-from .bulletin import resolve_learning_rates
+from .bregman import ConfigurationError, FeasibleSet, make_geometry, resolve_learning_rates
 from .game import SUPPORT_TOL, CongestionGame
 from .minimize import CertifiedMinimum, reference_minimizer
 
@@ -181,7 +180,7 @@ class BanditConfig:
     batch: int = 16384
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
-        return resolve_learning_rates(game, self.eta)
+        return resolve_learning_rates(self.eta, game.n, game.smoothness_params().lam)
 
     def derive(self, game: CongestionGame) -> BanditParams:
         if self.episodes < 1:

@@ -69,6 +69,21 @@ class FeasibleSet:
         return verts
 
 
+def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
+    """Rates of n players: eta (scalar or one per player), default 1/lam, each in (0, 1/lam]."""
+    if eta is None:
+        etas = np.full(n, 1.0 / lam)
+    else:
+        etas = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).copy()
+    if not np.all(np.isfinite(etas)):
+        raise ConfigurationError("learning rate must be a finite number")
+    if np.any(etas <= 0.0):
+        raise ConfigurationError("learning rate must be positive")
+    if np.any(etas > 1.0 / lam + 1e-12):
+        raise ConfigurationError(f"learning rate exceeds 1/lambda = {1.0 / lam:.6g}")
+    return etas
+
+
 def project_simplex(p: np.ndarray, mass: float) -> np.ndarray:
     """Euclidean projection onto {z >= 0, sum z = mass} by sorted thresholding."""
     p = np.asarray(p, dtype=float)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import ConfigurationError, make_geometry, project_simplex_rows
+from .bregman import (
+    ConfigurationError,
+    make_geometry,
+    project_simplex_rows,
+    resolve_learning_rates,
+)
 from .game import (
     SUPPORT_TOL,
     CongestionGame,
@@ -24,22 +29,6 @@ from .game import (
     reduce_paths,
 )
 from .minimize import CertifiedMinimum, MaxCostMinimum, reference_minimizer
-
-
-def resolve_learning_rates(game: CongestionGame, eta) -> np.ndarray:
-    """Per-player rates: eta (scalar or one per player), default 1/lambda, each in (0, 1/lambda]."""
-    lam = game.smoothness_params().lam
-    if eta is None:
-        etas = np.full(game.n, 1.0 / lam)
-    else:
-        etas = np.broadcast_to(np.asarray(eta, dtype=float), (game.n,)).copy()
-    if not np.all(np.isfinite(etas)):
-        raise ConfigurationError("learning rate must be a finite number")
-    if np.any(etas <= 0.0):
-        raise ConfigurationError("learning rate must be positive")
-    if np.any(etas > 1.0 / lam + 1e-12):
-        raise ConfigurationError(f"learning rate exceeds 1/lambda = {1.0 / lam:.6g}")
-    return etas
 
 
 @dataclass
@@ -59,7 +48,7 @@ class BulletinConfig:
             raise ConfigurationError("step cap must be nonnegative")
         if self.target_gap is not None and not 0.0 < self.target_gap < math.inf:
             raise ConfigurationError("target gap must be a positive finite number")
-        return resolve_learning_rates(game, self.eta)
+        return resolve_learning_rates(self.eta, game.n, game.smoothness_params().lam)
 
 
 @dataclass
