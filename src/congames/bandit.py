@@ -157,6 +157,11 @@ def estimate_gradient(
     return est, fallback
 
 
+def _estimator_accuracy(game: CongestionGame) -> float:
+    """epsilon = 4*b*m_path/n, the accuracy target of each episode's gradient estimate."""
+    return 4.0 * game.b * game.m_path / game.n
+
+
 @dataclass
 class BanditConfig:
     """Episode dynamics parameters.
@@ -173,7 +178,6 @@ class BanditConfig:
     seed: int = 0
     geometry: str = "euclidean"
     eta: float | np.ndarray | None = None
-    kappa: float = 0.05
     nu: float = 8.0
     exact_gradient: bool = False
     record_choices: bool = False
@@ -185,8 +189,6 @@ class BanditConfig:
     def derive(self, game: CongestionGame) -> BanditParams:
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
-        if not (0.0 < self.kappa < 1.0):
-            raise ConfigurationError("kappa must lie in (0, 1)")
         if self.nu < 1.0:
             raise ConfigurationError("nu must be at least 1")
         if not (0.0 < self.lam < 1.0 / game.d):
@@ -199,7 +201,7 @@ class BanditConfig:
         geometry = make_geometry(self.geometry)
         floor = self.lam / game.n
         gamma = geometry.gamma(FeasibleSet(size=max(game.sizes), mass=1.0 / game.n, floor=floor))
-        epsilon = 4.0 * game.b * game.m_path / game.n
+        epsilon = _estimator_accuracy(game)
         theta = math.sqrt(eta_min * gamma * epsilon * game.n)
         if theta > 1.0 + 1e-12:
             raise ConfigurationError(
@@ -242,9 +244,11 @@ def euclidean_preset(
 ) -> BanditConfig:
     """Gradient-descent instantiation: Gamma = 2, Lambda = sqrt(eps/(2 eta n))/(beta d)."""
     smooth = game.smoothness_params()
-    epsilon = 4.0 * game.b * game.m_path / game.n
+    epsilon = _estimator_accuracy(game)
     if eta is None:
         eta = min(1.0 / smooth.lam, (1.0 - 1e-9) / (2.0 * epsilon * game.n))
+    else:
+        resolve_learning_rates(eta, game.n, smooth.lam)
     lam = min(
         math.sqrt(epsilon / (2.0 * eta * game.n)) / (smooth.beta * game.d),
         lambda_cap / game.d,
@@ -260,9 +264,11 @@ def entropy_preset(
 ) -> BanditConfig:
     """Multiplicative-updates instantiation: Gamma = Lambda/n."""
     smooth = game.smoothness_params()
-    epsilon = 4.0 * game.b * game.m_path / game.n
+    epsilon = _estimator_accuracy(game)
     if eta is None:
         eta = 1.0 / smooth.lam
+    else:
+        resolve_learning_rates(eta, game.n, smooth.lam)
     for _ in range(8):  # Lambda and the theta <= 1 cap depend on each other
         lam = min(
             (epsilon / (eta * smooth.beta**2 * game.d**2)) ** (1.0 / 3.0),

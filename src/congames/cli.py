@@ -50,7 +50,6 @@ class ExperimentSpec:
     sigma: float | None = None
     eta: float | None = None
     lambda_cap: float = 0.9
-    kappa: float = 0.05
     nu: float = 8.0
     steps: int | None = None
     episodes: int | None = None
@@ -61,12 +60,19 @@ class ExperimentSpec:
     def validate(self) -> None:
         if (self.game_path is None) == (self.gen is None):
             raise ConfigurationError("exactly one game source (--game or --gen) required")
+        if self.algo not in {"bulletin-gd", "bulletin-mu", "bandit-gd", "bandit-mu"}:
+            raise ConfigurationError(f"unknown algorithm {self.algo!r}")
+        if self.algo.startswith("bandit"):
+            ignored = {"--eps": self.eps, "--sigma": self.sigma, "--steps": self.steps}
+        else:
+            ignored = {"--episodes": self.episodes}
+        for flag, value in ignored.items():
+            if value is not None:
+                raise ConfigurationError(f"{flag} does not apply to --algo {self.algo}")
         if self.eps is not None and self.sigma is not None:
             raise ConfigurationError("--eps and --sigma are mutually exclusive")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ConfigurationError("--sigma must be a positive finite number")
-        if self.algo not in {"bulletin-gd", "bulletin-mu", "bandit-gd", "bandit-mu"}:
-            raise ConfigurationError(f"unknown algorithm {self.algo!r}")
 
 
 @dataclass
@@ -261,7 +267,6 @@ def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> Experi
         game,
         eta=spec.eta,
         lambda_cap=spec.lambda_cap,
-        kappa=spec.kappa,
         nu=spec.nu,
         episodes=spec.episodes if spec.episodes is not None else 8,
         seed=spec.seed,
@@ -385,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     tgt.add_argument("--sigma", type=float, help="social-cost slack; converted to a gap target")
     p.add_argument("--eta", type=float, help="learning rate (default 1/lambda)")
     p.add_argument("--lambda-cap", dest="lambda_cap", type=float, default=0.9)
-    p.add_argument("--kappa", type=float, default=0.05)
     p.add_argument("--nu", type=float, default=8.0)
     lim = p.add_mutually_exclusive_group()
     lim.add_argument("--steps", type=int, help="bulletin step cap")
@@ -411,7 +415,6 @@ def main(argv=None) -> int:
             sigma=args.sigma,
             eta=args.eta,
             lambda_cap=args.lambda_cap,
-            kappa=args.kappa,
             nu=args.nu,
             steps=args.steps,
             episodes=args.episodes,

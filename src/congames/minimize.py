@@ -24,7 +24,8 @@ converged) are pinned by tests/test_minimize_golden.py; the CLI's phi_gap
 column subtracts the value, so a last-bit change there changes CSV bytes.
 
 The maximum individual cost is piecewise smooth, not edge-separable; its
-minimizer uses an epigraph formulation solved by SLSQP.
+minimizer uses an epigraph formulation solved by SLSQP.  scipy is imported only
+by min_max_cost, so the rest of the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .game import CongestionGame, _horner
 
@@ -251,6 +251,9 @@ class MaxCostMinimum:
 
 def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> MaxCostMinimum:
     """x_hat = argmin C_M via the epigraph form  min t  s.t.  c_s(x) <= t."""
+    # Importing scipy.optimize takes about half a second and nothing else needs it.
+    from scipy import optimize
+
     inc = game.incidence
     rows = {tuple(r) for r in inc.astype(int)}
     rows = np.array(sorted(rows), dtype=float)  # distinct paths only
@@ -299,7 +302,7 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> MaxCostMinimum:
     starts.append(reference_minimizer(game, tol=1e-9).flat)
     for x0 in starts:
         y0 = np.concatenate([x0, [game.max_cost(x0)]])
-        res = _sciopt.minimize(
+        res = optimize.minimize(
             objective,
             y0,
             jac=objective_grad,

@@ -242,7 +242,7 @@ def test_criterion_7_bandit_estimator_accuracy(pools):
     t0 = time.perf_counter()
     trials, hits = 200, 0
     for seed in range(trials):
-        cfg = BanditConfig(lam=0.05, episodes=1, seed=seed, nu=8.0, kappa=0.05, eta=0.1)
+        cfg = BanditConfig(lam=0.05, episodes=1, seed=seed, nu=8.0, eta=0.1)
         rep = run_bandit(pools.links, cfg, reference=pools.links_ref)
         hits += rep.grad_errors[0] <= rep.params.epsilon
     elapsed = time.perf_counter() - t0

@@ -327,8 +327,6 @@ def test_theta_gate():
 
 def test_config_validation():
     game = parallel_links_game(2, [[1.0], [1.0]])
-    with pytest.raises(ConfigurationError, match="kappa"):
-        BanditConfig(lam=0.1, kappa=1.5).derive(game)
     with pytest.raises(ConfigurationError, match="nu"):
         BanditConfig(lam=0.1, nu=0.5).derive(game)
     with pytest.raises(ConfigurationError, match="Lambda"):

@@ -213,6 +213,29 @@ def test_cli_rejects_bad_bulletin_flags(g1_path, flags, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "algo, flags",
+    [
+        ("bandit-gd", ["--eps", "-5"]),
+        ("bandit-mu", ["--sigma", "0.25"]),
+        ("bandit-gd", ["--steps", "10"]),
+        ("bulletin-gd", ["--episodes", "2"]),
+        ("bulletin-mu", ["--episodes", "2", "--eps", "1e-4"]),
+    ],
+)
+def test_cli_rejects_flags_the_algorithm_ignores(algo, flags, capsys):
+    assert main(["--gen", "n=3,m=3,d=3,deg=1", "--algo", algo, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flags[0]} does not apply to --algo {algo}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("algo", ["bandit-gd", "bandit-mu"])
+def test_cli_bandit_names_a_bad_learning_rate(algo, capsys):
+    assert main(["--gen", "n=3,m=3,d=3", "--algo", algo, "--eta", "nan"]) == 2
+    assert capsys.readouterr().err == "error: learning rate must be a finite number\n"
+
+
 def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
     args = ["--algo", "bandit-gd", "--episodes", "1", "--seed", "0"]
     out = tmp_path / "run.csv"

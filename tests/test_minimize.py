@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,24 @@ def test_max_cost_minimizer_identical_links(identity_links):
     game = identity_links(2, 2)
     best = min_max_cost(game)
     assert math.isclose(best.value, 0.5, abs_tol=1e-7)
+
+
+def test_scipy_loaded_only_by_max_cost_oracle():
+    # importing scipy.optimize costs about half a second of every start-up
+    code = (
+        "import sys\n"
+        "import congames, congames.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "game = congames.parallel_links_game(2, [[1.0]] * 2)\n"
+        "print(round(congames.min_max_cost(game).value, 6))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0.5", "True"]
 
 
 def test_max_cost_minimizer_asymmetric_two_link():
