@@ -251,7 +251,7 @@ class MaxCostMinimum:
 
 def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> MaxCostMinimum:
     """x_hat = argmin C_M via the epigraph form  min t  s.t.  c_s(x) <= t."""
-    # Importing scipy.optimize takes about half a second and nothing else needs it.
+    # scipy.optimize adds about 0.3 s to start-up, and nothing else needs it.
     from scipy import optimize
 
     inc = game.incidence

@@ -86,7 +86,7 @@ def test_max_cost_minimizer_identical_links(identity_links):
 
 
 def test_scipy_loaded_only_by_max_cost_oracle():
-    # importing scipy.optimize costs about half a second of every start-up
+    # scipy.optimize adds about 0.3 s to every start-up that does not need it
     code = (
         "import sys\n"
         "import congames, congames.cli\n"
