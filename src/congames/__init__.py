@@ -9,7 +9,6 @@ from .bandit import (
     BanditConfig,
     BanditParams,
     BanditReport,
-    ChoiceVector,
     EpisodeRecord,
     MixedDeltaResult,
     descent_step_check,
@@ -31,7 +30,6 @@ from .bregman import (
     EuclideanGeometry,
     FeasibleSet,
     make_geometry,
-    project_simplex,
 )
 from .bulletin import (
     BulletinConfig,
@@ -72,7 +70,6 @@ __all__ = [
     "BulletinConfig",
     "BulletinReport",
     "CertifiedMinimum",
-    "ChoiceVector",
     "CongestionGame",
     "ConfigurationError",
     "CostValidationError",
@@ -107,7 +104,6 @@ __all__ = [
     "parallel_links_game",
     "parse_game",
     "parse_game_text",
-    "project_simplex",
     "reference_minimizer",
     "regret",
     "render_game",

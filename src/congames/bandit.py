@@ -28,31 +28,11 @@ from .minimize import CertifiedMinimum, reference_minimizer
 ENUMERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class ChoiceVector:
-    """Realized atomic selections: one path per player, carrying flow 1/n."""
-
-    game: CongestionGame
-    choices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.choices) != self.game.n:
-            raise ValueError("one choice per player required")
-        for i, c in enumerate(self.choices):
-            if not (0 <= c < self.game.sizes[i]):
-                raise ValueError(f"player {i} has no path {c}")
-
-    @property
-    def flat(self) -> np.ndarray:
-        v = np.zeros(self.game.dim)
-        v[self.game.offsets[:-1] + np.asarray(self.choices)] = 1.0 / self.game.n
-        return v
-
-
-def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> ChoiceVector:
-    """Draw one path per player, path s with probability n * x_{i,s}."""
+def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> np.ndarray:
+    """Draw one path per player, path s with probability n * x_{i,s}; returns the
+    index of each player's path within her own path list."""
     picks = _sampler(game, flat, draws=1).picks(rng.random((game.n, 1)))[:, 0]
-    return ChoiceVector(game, tuple((picks - game.offsets[:-1]).tolist()))
+    return picks - game.offsets[:-1]
 
 
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
@@ -189,8 +169,8 @@ class BanditConfig:
     def derive(self, game: CongestionGame) -> BanditParams:
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
-        if self.nu < 1.0:
-            raise ConfigurationError("nu must be at least 1")
+        if not 1.0 <= self.nu < math.inf:
+            raise ConfigurationError("nu must be a finite number, at least 1")
         if not (0.0 < self.lam < 1.0 / game.d):
             raise ConfigurationError(
                 f"Lambda must lie in (0, 1/d) = (0, {1.0 / game.d:.6g})"
@@ -377,11 +357,7 @@ def run_bandit(
     if reference is None:
         reference = reference_minimizer(game)
 
-    floor = config.lam / game.n
-    sets = [
-        FeasibleSet(size=game.sizes[i], mass=1.0 / game.n, floor=floor)
-        for i in range(game.n)
-    ]
+    step = geometry.padded_step(game.path_mask, etas, 1.0 / game.n, config.lam / game.n)
     x = restrict_profile(game, game.uniform_profile().flat, config.lam)
     streams = [
         np.random.Generator(np.random.PCG64(ss))
@@ -422,11 +398,7 @@ def run_bandit(
         )
         previous = estimate
 
-        nxt = np.empty_like(x)
-        for i in range(game.n):
-            sl = game.player_slice(i)
-            nxt[sl] = geometry.mirror_step(sets[i], x[sl], estimate[sl], float(etas[i]))
-        x = nxt
+        x = step(game.padded(x), game.padded(estimate))[game.path_mask]
 
     return BanditReport(
         game=game,

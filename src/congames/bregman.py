@@ -8,7 +8,10 @@ divergence, mirror step = multiplicative update).  Both solve the step
 
 exactly over a scaled simplex {z >= floor, sum z = mass}, the Euclidean case
 by a sorted-threshold projection and the entropy case by a finite active-set
-loop on the multiplicative closed form.
+loop on the multiplicative closed form.  Each geometry has one
+implementation of its step, `padded_step`, which steps every player at once
+in the padded (n, d) layout of `CongestionGame.padded`; `mirror_step` and
+`project` are its one-player calls.
 """
 
 from __future__ import annotations
@@ -84,19 +87,12 @@ def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
     return etas
 
 
-def project_simplex(p: np.ndarray, mass: float) -> np.ndarray:
-    """Euclidean projection onto {z >= 0, sum z = mass} by sorted thresholding."""
-    p = np.asarray(p, dtype=float)
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - mass
-    idx = np.arange(1, p.size + 1)
-    rho = idx[u - css / idx > 0][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(p - tau, 0.0)
+def project_simplex_rows(P: np.ndarray, mass) -> np.ndarray:
+    """Row-wise sorted-threshold projection onto {z >= 0, sum z = mass}.
 
-
-def project_simplex_rows(P: np.ndarray, mass: float, out=None) -> np.ndarray:
-    """Row-wise sorted-threshold projection; entries padded to -inf are ignored."""
+    mass is a scalar or a column of per-row masses; entries padded to -inf
+    are ignored and come out 0.
+    """
     U = -np.sort(-P, axis=1)
     idx = np.arange(1, P.shape[1] + 1)
     with np.errstate(invalid="ignore"):  # -inf padding yields NaN rows, never selected
@@ -104,7 +100,7 @@ def project_simplex_rows(P: np.ndarray, mass: float, out=None) -> np.ndarray:
         cond = U - css / idx > 0
     rho = P.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
     tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
-    return np.maximum(P - tau[:, None], 0.0, out=out)
+    return np.maximum(P - tau[:, None], 0.0)
 
 
 class EuclideanGeometry:
@@ -127,18 +123,30 @@ class EuclideanGeometry:
         return 2.0
 
     def project(self, fs: FeasibleSet, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (fs.size,):
-            raise ConfigurationError(f"point has shape {p.shape}, expected ({fs.size},)")
-        if fs.floor == 0.0:
-            return project_simplex(p, fs.mass)
-        # Substitute z = floor + w and project the residual onto the unfloored simplex.
-        w = project_simplex(p - fs.floor, fs.mass - fs.size * fs.floor)
-        return w + fs.floor
+        """The Bregman projection of p: the mirror step from p with a zero gradient."""
+        return self.mirror_step(fs, p, np.zeros(fs.size), 1.0)
 
     def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         _check_step_args(fs, x, g, eta)
-        return self.project(fs, np.asarray(x, dtype=float) - eta * np.asarray(g, dtype=float))
+        return _one_row_step(self, fs, x, g, eta)
+
+    def padded_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
+        """The mirror step of every row of the padded (n, d) layout, as step(X, G).
+
+        Row i is player i: her entries are where mask[i] holds, X and G hold 0
+        elsewhere, and she steps with rate etas[i] over {z >= floor, sum z =
+        mass}.  The step is built once per run, so each call does only the
+        arithmetic.  Here it projects x - eta * g, with z = floor + w turning
+        the floored set into {w >= 0, sum w = mass - size * floor}; padding
+        enters the projection as -inf and comes out 0.
+        """
+        etas = np.reshape(etas, (-1, 1))
+        shift = np.where(mask, 0.0, -np.inf) - floor
+        if not floor:
+            return lambda X, G: project_simplex_rows(X - etas * G + shift, mass)
+        free = (mass - floor * mask.sum(axis=1))[:, None]
+        lift = np.where(mask, floor, 0.0)
+        return lambda X, G: project_simplex_rows(X - etas * G + shift, free) + lift
 
 
 class EntropyGeometry:
@@ -172,47 +180,60 @@ class EntropyGeometry:
         return fs.floor
 
     def project(self, fs: FeasibleSet, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (fs.size,):
-            raise ConfigurationError(f"point has shape {p.shape}, expected ({fs.size},)")
-        if np.any(p <= 0.0):
-            raise DivergenceDomainError("entropy projection needs strictly positive input")
-        return _entropy_argmin(fs, p)
+        """The Bregman projection of p: the mirror step from p with a zero gradient."""
+        return self.mirror_step(fs, p, np.zeros(fs.size), 1.0)
 
     def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         _check_step_args(fs, x, g, eta)
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if np.any(x <= 0.0):
+        if np.any(np.asarray(x, dtype=float) <= 0.0):
             raise DivergenceDomainError("entropy mirror step needs strictly positive iterate")
-        # Stabilized multiplicative weights; the shift cancels after renormalization.
-        z = eta * g
-        w = x * np.exp(-(z - z.min()))
-        return _entropy_argmin(fs, w)
+        return _one_row_step(self, fs, x, g, eta)
+
+    def padded_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
+        """Multiplicative updates in the layout of EuclideanGeometry.padded_step.
+
+        Shifting each row of eta * G by its minimum, padding included, keeps
+        exp from underflowing; the shift cancels when the row is rescaled.
+        """
+        etas = np.reshape(etas, (-1, 1))
+
+        def step(X, G):
+            Z = etas * G
+            Z -= Z.min(axis=1, keepdims=True)
+            W = X * np.exp(-Z)
+            if floor:
+                return _pin_to_floor(W, mask, mass, floor)
+            W *= mass / W.sum(axis=1, keepdims=True)
+            return W
+
+        return step
 
 
-def _entropy_argmin(fs: FeasibleSet, w: np.ndarray) -> np.ndarray:
-    """argmin over the floored scaled simplex of sum z ln(z/w), by active-set pinning.
+def _pin_to_floor(W: np.ndarray, mask: np.ndarray, mass: float, floor: float) -> np.ndarray:
+    """Row-wise argmin over {z >= floor, sum z = mass} of sum z ln(z/w).
 
-    The unconstrained-in-the-floor solution rescales w to the mass.  Entries
-    that fall below the floor are pinned there; the remaining free mass is
+    Rescaling w to the mass solves the problem without the floor.  Entries
+    that fall below the floor are pinned there and the remaining free mass is
     redistributed over the rest.  Rescaling only shrinks the free entries, so
-    pinned entries stay pinned and the loop ends within `size` rounds at the
-    exact KKT point.
+    pinned entries stay pinned and the loop ends within d rounds at the exact
+    KKT point.  Padding (w = 0) stays 0.
     """
-    if fs.floor == 0.0:
-        return w * (fs.mass / w.sum())
-    pinned = np.zeros(fs.size, dtype=bool)
-    z = np.empty(fs.size)
-    for _ in range(fs.size + 1):
-        free_mass = fs.mass - fs.floor * pinned.sum()
-        z[pinned] = fs.floor
-        z[~pinned] = w[~pinned] * (free_mass / w[~pinned].sum())
-        newly = (~pinned) & (z < fs.floor)
+    pinned = np.zeros(W.shape, dtype=bool)
+    for _ in range(W.shape[1] + 1):
+        free = mass - floor * pinned.sum(axis=1, keepdims=True)
+        unpinned = np.where(pinned, 0.0, W)
+        Z = np.where(pinned, floor, W * (free / unpinned.sum(axis=1, keepdims=True)))
+        newly = mask & ~pinned & (Z < floor)
         if not newly.any():
-            return z
+            return Z
         pinned |= newly
     raise AssertionError("active-set loop failed to settle")  # pragma: no cover
+
+
+def _one_row_step(geometry, fs: FeasibleSet, x, g, eta: float) -> np.ndarray:
+    """The padded step of a single player who owns every entry of fs."""
+    step = geometry.padded_step(np.ones((1, fs.size), dtype=bool), eta, fs.mass, fs.floor)
+    return step(np.asarray(x, dtype=float)[None], np.asarray(g, dtype=float)[None])[0]
 
 
 def _check_step_args(fs: FeasibleSet, x, g, eta: float) -> None:

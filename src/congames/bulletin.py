@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import (
-    ConfigurationError,
-    make_geometry,
-    project_simplex_rows,
-    resolve_learning_rates,
-)
+from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import (
     SUPPORT_TOL,
     CongestionGame,
@@ -166,8 +161,7 @@ def run_bulletin(
     mass = 1.0 / game.n
     mask = game.path_mask
     X = game.padded(x0)
-    etas_col = etas[:, None]
-    neg_inf = np.where(mask, 0.0, -np.inf)
+    step = geometry.padded_step(mask, etas, mass)
     target = config.target_gap
 
     rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, config.max_steps + 1))
@@ -200,14 +194,8 @@ def run_bulletin(
             diagnostics.add(Xs, PCs, phis[-rows:])
             j = 0
 
-        if entropy:
-            Z = etas_col * PC
-            Z -= Z.min(axis=1, keepdims=True)
-            X = X * np.exp(-Z)
-            X *= mass / X.sum(axis=1, keepdims=True)
-        else:
-            Y = X - etas_col * PC + neg_inf  # padding drops out of the projection
-            X = project_simplex_rows(Y, mass)
+        X = step(X, PC)
+        if not entropy:
             X *= mass / X.sum(axis=1, keepdims=True)  # kill thresholding round-off
     diagnostics.add(Xs[:j], PCs[:j], phis[len(phis) - j :])
 
@@ -274,9 +262,15 @@ def delta_equilibrium_gap(
     return game.equilibrium_gap(flat, game.path_costs(flat), support_tol)
 
 
-def equilibrium_gap_bound(game: CongestionGame, epsilon: float) -> float:
-    """delta <= sqrt(8*b*m*eps) for any x with Phi(x) <= Phi(q) + eps."""
-    return math.sqrt(max(8.0 * game.b * game.m * epsilon, 0.0))
+def equilibrium_gap_bound(game: CongestionGame, epsilon):
+    """delta <= sqrt(8*b*m*eps) for any x with Phi(x) <= Phi(q) + eps; eps may be an array."""
+    return np.sqrt(np.maximum(8.0 * game.b * game.m * epsilon, 0.0))
+
+
+def average_ratio_bound(game: CongestionGame, epsilon):
+    """C_A(x) / min C_A <= (b/a)(1 + 2*m*eps/a) when Phi(x) <= min Phi + eps; eps may be an array."""
+    a = game.a
+    return (game.b / a) * (1.0 + 2.0 * game.m * epsilon / a)
 
 
 def theorem_delta_gap(
@@ -343,7 +337,7 @@ def social_ratio_report(
 
     avg_lower = minima.average.value - minima.average.certificate
     ratio_avg = game.average_cost(flat) / avg_lower
-    bound_avg = (b / a) * (1.0 + 2.0 * m * epsilon / a)
+    bound_avg = average_ratio_bound(game, epsilon)
     report = {
         "epsilon": epsilon,
         "ratio_avg": ratio_avg,

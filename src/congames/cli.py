@@ -19,7 +19,14 @@ import numpy as np
 
 from .bandit import entropy_preset, euclidean_preset, mixed_delta_gap, run_bandit
 from .bregman import ConfigurationError
-from .bulletin import BulletinConfig, OracleMinima, run_bulletin, social_ratio_report
+from .bulletin import (
+    BulletinConfig,
+    OracleMinima,
+    average_ratio_bound,
+    equilibrium_gap_bound,
+    run_bulletin,
+    social_ratio_report,
+)
 from .game import CongestionGame
 from .gamefile import GameFileError, parse_game
 from .generator import generate_random_game
@@ -49,8 +56,8 @@ class ExperimentSpec:
     eps: float | None = None
     sigma: float | None = None
     eta: float | None = None
-    lambda_cap: float = 0.9
-    nu: float = 8.0
+    lambda_cap: float | None = None
+    nu: float | None = None
     steps: int | None = None
     episodes: int | None = None
     seed: int = 0
@@ -65,7 +72,11 @@ class ExperimentSpec:
         if self.algo.startswith("bandit"):
             ignored = {"--eps": self.eps, "--sigma": self.sigma, "--steps": self.steps}
         else:
-            ignored = {"--episodes": self.episodes}
+            ignored = {
+                "--episodes": self.episodes,
+                "--lambda-cap": self.lambda_cap,
+                "--nu": self.nu,
+            }
         for flag, value in ignored.items():
             if value is not None:
                 raise ConfigurationError(f"{flag} does not apply to --algo {self.algo}")
@@ -73,6 +84,8 @@ class ExperimentSpec:
             raise ConfigurationError("--eps and --sigma are mutually exclusive")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ConfigurationError("--sigma must be a positive finite number")
+        if self.lambda_cap is not None and not 0.0 < self.lambda_cap < math.inf:
+            raise ConfigurationError("--lambda-cap must be a positive finite number")
 
 
 @dataclass
@@ -171,21 +184,16 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
 
     avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)
     cert_gaps = report.certified_gaps
-    rows = []
-    for t in range(len(report.phi)):
-        gap = max(cert_gaps[t], 0.0)
-        rows.append(
-            (
-                t,
-                report.phi[t],
-                cert_gaps[t],
-                report.delta_gaps[t],
-                report.avg_costs[t],
-                report.max_costs[t],
-                report.avg_costs[t] / avg_lower,
-                (b / a) * (1.0 + 2.0 * m * gap / a),
-            )
-        )
+    rows = zip(
+        range(len(report.phi)),
+        report.phi,
+        cert_gaps,
+        report.delta_gaps,
+        report.avg_costs,
+        report.max_costs,
+        report.avg_costs / avg_lower,
+        average_ratio_bound(game, np.maximum(cert_gaps, 0.0)),
+    )
     if spec.out:
         _write_csv(
             spec.out,
@@ -200,7 +208,7 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         ("monotone-descent", ascent <= 1e-10, f"max one-step increase {ascent:.3e}")
     )
 
-    delta_bounds = np.sqrt(np.maximum(8.0 * b * m * cert_gaps, 0.0)) + 1e-6
+    delta_bounds = equilibrium_gap_bound(game, cert_gaps) + 1e-6
     delta_ok = bool(np.all(report.theorem_delta_gaps <= delta_bounds))
     worst = float((report.theorem_delta_gaps - delta_bounds).max())
     assertions.append(
@@ -263,13 +271,12 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
 
 def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> ExperimentResult:
     preset = euclidean_preset if spec.algo.endswith("gd") else entropy_preset
+    given = {"lambda_cap": spec.lambda_cap, "nu": spec.nu, "episodes": spec.episodes}
     config = preset(
         game,
         eta=spec.eta,
-        lambda_cap=spec.lambda_cap,
-        nu=spec.nu,
-        episodes=spec.episodes if spec.episodes is not None else 8,
         seed=spec.seed,
+        **{key: value for key, value in given.items() if value is not None},
     )
     reference = _reference(game)
     report = run_bandit(game, config, reference=reference)
@@ -389,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     tgt.add_argument("--eps", type=float, help="potential-gap target")
     tgt.add_argument("--sigma", type=float, help="social-cost slack; converted to a gap target")
     p.add_argument("--eta", type=float, help="learning rate (default 1/lambda)")
-    p.add_argument("--lambda-cap", dest="lambda_cap", type=float, default=0.9)
-    p.add_argument("--nu", type=float, default=8.0)
+    p.add_argument("--lambda-cap", dest="lambda_cap", type=float, help="bandit cap on Lambda*d")
+    p.add_argument("--nu", type=float, help="bandit episode-length factor")
     lim = p.add_mutually_exclusive_group()
     lim.add_argument("--steps", type=int, help="bulletin step cap")
     lim.add_argument("--episodes", type=int, help="bandit episode count")

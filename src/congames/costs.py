@@ -70,36 +70,51 @@ class PolynomialCost:
     def _terms(self):
         return ((j + 1, c) for j, c in enumerate(self.coefficients))
 
+    @property
+    def _table(self) -> np.ndarray:
+        return np.asarray(self.coefficients)
+
     def value(self, y):
         """c(y); accepts scalars or arrays."""
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * y + c
-        return acc * y
+        return horner(self._table, y) * y
 
     def slope(self, y):
         """c'(y)."""
-        acc = 0.0
-        for j, c in reversed(list(enumerate(self.coefficients, start=1))):
-            acc = acc * y + j * c
-        return acc
+        # adding 0 keeps a constant slope in the shape of y
+        return horner(slope_table(self._table), y) + np.zeros(np.shape(y))
 
     def curvature(self, y):
         """c''(y)."""
         if self.degree < 2:
             return np.zeros_like(np.asarray(y, dtype=float))
-        acc = 0.0
-        for j, c in reversed(list(enumerate(self.coefficients, start=1))):
-            if j >= 2:
-                acc = acc * y + j * (j - 1) * c
-        return acc
+        j = np.arange(2, self.degree + 1)
+        return horner(j * (j - 1) * self._table[1:], y) + np.zeros(np.shape(y))
 
     def primitive(self, y):
         """Antiderivative F(y) = integral of c from 0 to y, F(0) = 0."""
-        acc = 0.0
-        for j, c in reversed(list(enumerate(self.coefficients, start=1))):
-            acc = acc * y + c / (j + 1)
-        return acc * y * y
+        return horner(primitive_table(self._table), y) * y * y
+
+
+def horner(table: np.ndarray, y) -> np.ndarray:
+    """sum_j table[..., j] * y**j, from the leading coefficient down.
+
+    table is one polynomial's coefficients or one row per edge; y broadcasts
+    against the rows (edge loads (..., m) against an (m, deg) table).
+    """
+    acc = table[..., -1]
+    for j in range(table.shape[-1] - 2, -1, -1):
+        acc = acc * y + table[..., j]
+    return acc
+
+
+def slope_table(table: np.ndarray) -> np.ndarray:
+    """Coefficients of c'(y) from those of c(y)/y: (j + 1) * table[..., j] for y**j."""
+    return np.arange(1, table.shape[-1] + 1) * table
+
+
+def primitive_table(table: np.ndarray) -> np.ndarray:
+    """Coefficients of F(y)/y**2 from those of c(y)/y: table[..., j] / (j + 2) for y**j."""
+    return table / np.arange(2, table.shape[-1] + 2)
 
 
 def _check(cond: bool, reason: str) -> None:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .costs import PolynomialCost
+from .costs import PolynomialCost, horner, primitive_table, slope_table
 
 FEASIBILITY_TOL = 1e-12
 SUPPORT_TOL = 1e-9  # entries above this count as used paths
@@ -160,28 +160,24 @@ class CongestionGame:
 
     @cached_property
     def _primitive_table(self) -> np.ndarray:
-        """Coefficients of F_e(y) / y**2: c_j / (j + 2) for the power y**(j+2)."""
-        table = self._coef_table
-        return table / np.arange(2, table.shape[1] + 2)
+        return primitive_table(self._coef_table)
 
     @cached_property
     def _slope_table(self) -> np.ndarray:
-        """Coefficients of c'_e(y): (j + 1) * c_j for the power y**j."""
-        table = self._coef_table
-        return np.arange(1, table.shape[1] + 1) * table
+        return slope_table(self._coef_table)
 
     def edge_costs(self, loads: np.ndarray) -> np.ndarray:
         """c_e(load_e) for every edge; loads may be batched (..., m)."""
-        return _horner(self._coef_table, loads) * loads
+        return horner(self._coef_table, loads) * loads
 
     def edge_primitives(self, loads: np.ndarray) -> np.ndarray:
         """F_e(load_e), the per-edge potential contributions."""
-        return _horner(self._primitive_table, loads) * loads * loads
+        return horner(self._primitive_table, loads) * loads * loads
 
     def edge_slopes(self, loads: np.ndarray) -> np.ndarray:
         """c'_e(load_e)."""
         # constant for linear costs, so broadcast to the shape of loads
-        return np.broadcast_to(_horner(self._slope_table, loads), np.shape(loads)).copy()
+        return np.broadcast_to(horner(self._slope_table, loads), np.shape(loads)).copy()
 
     # -- flows and costs -------------------------------------------------------
 
@@ -238,14 +234,6 @@ class CongestionGame:
 
     def player_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-
-def _horner(table: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    """sum_j table[:, j] * loads**j per edge, from the leading coefficient down."""
-    acc = table[:, -1]
-    for j in range(table.shape[1] - 2, -1, -1):
-        acc = acc * loads + table[:, j]
-    return acc
 
 
 def reduce_paths(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import CongestionGame, _horner
+from .costs import horner
+from .game import CongestionGame
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,10 @@ class _EdgeSeparableObjective:
         ]
 
     def value_from_loads(self, loads: np.ndarray) -> float:
-        return float((_horner(self.table, loads) * loads).sum())
+        return float((horner(self.table, loads) * loads).sum())
 
     def edge_gradient(self, loads: np.ndarray) -> np.ndarray:
-        return _horner(self.dtable, loads)
+        return horner(self.dtable, loads)
 
     def line_derivative_poly(self, loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
         """Coefficients (ascending in t) of d/dt G(x + t*d) along load direction dloads."""
@@ -106,11 +107,11 @@ def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
     """Unique sign change of a nondecreasing polynomial on [0, t_max]."""
 
     descending = coeffs[::-1]
-    horner = descending.tolist()
+    leading_first = descending.tolist()
 
     def ev(t: float) -> float:
         y = 0.0
-        for c in horner:
+        for c in leading_first:
             y = y * t + c
         return y
 

@@ -74,7 +74,7 @@ def _sample_profile():
 def _choices() -> list[list[int]]:
     game, flat = _sample_profile()
     rng = np.random.default_rng(12)
-    return [list(sample_choices(rng, game, flat).choices) for _ in range(64)]
+    return [sample_choices(rng, game, flat).tolist() for _ in range(64)]
 
 
 def _monte_carlo() -> dict:

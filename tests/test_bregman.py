@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from congames import (
     ConfigurationError,
+    CongestionGame,
     DivergenceDomainError,
     EntropyGeometry,
     EuclideanGeometry,
     FeasibleSet,
+    PolynomialCost,
     make_geometry,
-    project_simplex,
 )
+from congames.bregman import project_simplex_rows
 
 EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
@@ -126,7 +128,7 @@ def test_project_simplex_against_sort_oracle():
     rng = np.random.default_rng(3)
     for _ in range(200):
         p = rng.normal(size=5)
-        z = project_simplex(p, 1.0)
+        z = project_simplex_rows(p[None], 1.0)[0]
         assert math.isclose(z.sum(), 1.0, abs_tol=1e-12)
         assert np.all(z >= 0.0)
         # KKT: active coordinates share one multiplier, inactive have z = 0
@@ -252,3 +254,36 @@ def test_entropy_step_needs_positive_iterate():
     fs = FeasibleSet(size=2, mass=1.0)
     with pytest.raises(DivergenceDomainError):
         ENTROPY.mirror_step(fs, np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.1)
+
+
+# -- the padded step ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_padded_step_with_binding_floor_matches_one_row_steps(kind):
+    # players with 4, 2 and 3 paths; the second path of players 0 and 2 is so
+    # expensive that the floor binds there, between free entries
+    links = [frozenset([e]) for e in range(4)]
+    game = CongestionGame(
+        n=3,
+        edges=tuple(PolynomialCost((0.5,)) for _ in range(4)),
+        paths=(tuple(links), tuple(links[:2]), tuple(links[1:])),
+    )
+    mass, floor = 1.0 / game.n, 0.1 / game.n
+    etas = np.array([0.5, 0.7, 0.9])
+    x = game.uniform_profile().flat
+    g = np.array([0.1, 5.0, 0.2, 0.3, 0.4, 0.1, 0.2, 4.0, 0.1])
+    geo = make_geometry(kind)
+
+    Z = geo.padded_step(game.path_mask, etas, mass, floor)(game.padded(x), game.padded(g))
+
+    for i in range(game.n):
+        sl = game.player_slice(i)
+        fs = FeasibleSet(size=game.sizes[i], mass=mass, floor=floor)
+        row = Z[i, : game.sizes[i]]
+        assert np.allclose(row, geo.mirror_step(fs, x[sl], g[sl], float(etas[i])), rtol=0.0, atol=1e-15)
+        assert np.all(row >= floor)
+        assert math.isclose(row.sum(), mass, rel_tol=0.0, abs_tol=1e-15)
+    assert Z[0, 1] == floor and Z[2, 1] == floor
+    assert np.all(np.delete(Z[0], 1) > floor) and Z[2, 0] > floor and Z[2, 2] > floor
+    assert np.all(Z[~game.path_mask] == 0.0)

@@ -221,12 +221,30 @@ def test_cli_rejects_bad_bulletin_flags(g1_path, flags, message, capsys):
         ("bandit-gd", ["--steps", "10"]),
         ("bulletin-gd", ["--episodes", "2"]),
         ("bulletin-mu", ["--episodes", "2", "--eps", "1e-4"]),
+        ("bulletin-gd", ["--lambda-cap", "99", "--nu", "-7", "--eps", "1e-4"]),
+        ("bulletin-mu", ["--nu", "8"]),
     ],
 )
 def test_cli_rejects_flags_the_algorithm_ignores(algo, flags, capsys):
     assert main(["--gen", "n=3,m=3,d=3,deg=1", "--algo", algo, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {flags[0]} does not apply to --algo {algo}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "algo, flags, message",
+    [
+        ("bandit-gd", ["--nu", "inf"], "error: nu must be a finite number, at least 1"),
+        ("bandit-mu", ["--nu", "nan"], "error: nu must be a finite number, at least 1"),
+        ("bandit-gd", ["--lambda-cap", "-1"], "error: --lambda-cap must be a positive finite number"),
+        ("bandit-mu", ["--lambda-cap", "nan"], "error: --lambda-cap must be a positive finite number"),
+    ],
+)
+def test_cli_rejects_bad_bandit_flags(algo, flags, message, capsys):
+    assert main(["--gen", "n=3,m=3,d=3,deg=1", "--algo", algo, "--episodes", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
     assert captured.out == ""
 
 
