@@ -11,6 +11,10 @@ learning rate, using the estimate in place of the exact gradient.
 Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
 (PCG64); each pick is the inverse CDF of her frozen strategy at the uniform
 (GuideTable); own-path costs of at most 2 edges add exactly, in any order.
+Visits and cost sums are added by one bincount per `batch` steps, over that
+batch's picks in player-major step order, into the episode totals.  Within a
+batch the kernel computes picks and own-path costs in tiles of steps sized for
+the cache; tiles only block the work and change no bit.
 """
 
 from __future__ import annotations
@@ -89,9 +93,11 @@ class GuideTable:
 
     def picks(self, u: np.ndarray) -> np.ndarray:
         """Flat row indices for uniforms of shape (rows, draws)."""
-        s = self.guide[(u * self.k).astype(np.intp) + self.rows]
+        s = (u * self.k).astype(np.intp)
+        s += self.rows
+        s = np.take(self.guide, s)
         for _ in range(self.passes):
-            s += self.cdf[s] <= u
+            s += np.take(self.cdf, s) <= u
         return s
 
 
@@ -137,6 +143,11 @@ def estimate_gradient(
     return est, fallback
 
 
+# The choice log stores each pick's index within the player's own paths.
+_LOG_DTYPE = np.int16
+_LOG_PATHS = np.iinfo(_LOG_DTYPE).max + 1
+
+
 def _estimator_accuracy(game: CongestionGame) -> float:
     """epsilon = 4*b*m_path/n, the accuracy target of each episode's gradient estimate."""
     return 4.0 * game.b * game.m_path / game.n
@@ -169,6 +180,13 @@ class BanditConfig:
     def derive(self, game: CongestionGame) -> BanditParams:
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
+        if self.batch < 1:
+            raise ConfigurationError(f"batch must be at least 1 step, got {self.batch}")
+        if self.record_choices and game.d > _LOG_PATHS:
+            raise ConfigurationError(
+                f"record_choices logs path indices as int16, so at most {_LOG_PATHS} "
+                f"paths per player; this game has a player with {game.d}"
+            )
         if not 1.0 <= self.nu < math.inf:
             raise ConfigurationError("nu must be a finite number, at least 1")
         if not (0.0 < self.lam < 1.0 / game.d):
@@ -313,10 +331,17 @@ def _edge_counts(game: CongestionGame, picks: np.ndarray):
     """Players per step and edge for flat picks (n, steps), as counts (steps, m+1)
     with the padding column m zeroed, and the keys t*(m+1) + e of each pick's edges."""
     m = game.m
-    keys = np.take(game.edge_ids, picks, axis=0) + (np.arange(picks.shape[1]) * (m + 1))[:, None]
+    keys = np.take(game.edge_ids, picks, axis=0)
+    keys += (np.arange(picks.shape[1]) * (m + 1))[:, None]
     counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * (m + 1)).reshape(-1, m + 1)
     counts[:, m] = 0
     return keys, counts
+
+
+# The episode kernel works through each batch in tiles of steps whose
+# (n, tile, m_path) edge keys hold at most _TILE_ENTRIES entries, so a tile's
+# keys, counts and costs stay in cache whatever the game.
+_TILE_ENTRIES = 32768
 
 
 def _simulate_episode(game, flat, streams, steps, batch, record):
@@ -328,20 +353,35 @@ def _simulate_episode(game, flat, streams, steps, batch, record):
     costs, edge_rows = costs.ravel(), np.arange(m + 1) * (n + 1)
     visits = np.zeros(game.dim, dtype=np.int64)
     sums = np.zeros(game.dim)
-    log = np.empty((steps, n), dtype=np.int16) if record else None
+    log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
+    starts = game.offsets[:-1, None]
 
+    width = min(batch, steps)
+    tile = max(1, _TILE_ENTRIES // (n * game.m_path))
+    u = np.empty((n, width))
+    picks = np.empty((n, width), dtype=np.intp)
+    own = np.empty((n, width))
     for done in range(0, steps, batch):
         size = min(batch, steps - done)
-        picks = sampler.picks(np.stack([stream.random(size) for stream in streams]))
-        keys, counts = _edge_counts(game, picks)
-        step_costs = costs[counts + edge_rows].ravel()
-        own = step_costs[keys[..., 0]]
-        for col in range(1, keys.shape[2]):  # edges in ascending order
-            own += step_costs[keys[..., col]]
-        visits += np.bincount(picks.ravel(), minlength=game.dim)
-        sums += np.bincount(picks.ravel(), weights=own.ravel(), minlength=game.dim)
-        if record:
-            log[done : done + size] = (picks - game.offsets[:-1, None]).T
+        for row, stream in zip(u, streams):
+            stream.random(out=row[:size])
+        for lo in range(0, size, tile):
+            hi = min(lo + tile, size)
+            p = picks[:, lo:hi] = sampler.picks(u[:, lo:hi])
+            keys, counts = _edge_counts(game, p)
+            counts += edge_rows
+            step_costs = np.take(costs, counts)
+            tile_own = np.take(step_costs, keys[..., 0])
+            for col in range(1, keys.shape[2]):  # edges in ascending order
+                tile_own += np.take(step_costs, keys[..., col])
+            own[:, lo:hi] = tile_own
+            if record:
+                log[done + lo : done + hi] = (p - starts).T
+        # One bincount per batch over the steps in player-major order, as
+        # without tiles, so the cost sums do not depend on the tile length.
+        flat_picks = picks[:, :size].ravel()
+        visits += np.bincount(flat_picks, minlength=game.dim)
+        sums += np.bincount(flat_picks, weights=own[:, :size].ravel(), minlength=game.dim)
     return visits, sums, log
 
 

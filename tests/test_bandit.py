@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from congames import (
     run_bandit,
     sample_choices,
 )
+from congames import bandit
 from congames.bandit import GuideTable
 from conftest import random_feasible
 
@@ -129,6 +131,15 @@ def test_guide_table_equals_clipped_searchsorted(cdfs, data):
         want = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         assert np.array_equal(picks[i] - start, want)
         start += cdf.size
+
+
+def test_guide_table_picks_on_noncontiguous_slice():
+    rng = np.random.default_rng(3)
+    table = GuideTable([np.cumsum(rng.dirichlet(np.ones(k))) for k in (1, 3, 7)], draws=1000)
+    u = rng.random((3, 1000))
+    tile = u[:, 123:611]
+    assert not tile.flags.c_contiguous
+    assert np.array_equal(table.picks(tile), table.picks(np.ascontiguousarray(tile)))
 
 
 # -- episode lengths ----------------------------------------------------------------
@@ -344,6 +355,50 @@ def test_config_validation():
         BanditConfig(lam=0.1, eta=float("nan")).derive(game)
     with pytest.raises(ConfigurationError, match="episode"):
         BanditConfig(lam=0.1, episodes=0).derive(game)
+    links = parallel_links_game(3, [[1.0]] * 3)
+    for batch in (0, -1):
+        with pytest.raises(ConfigurationError, match=f"batch must be at least 1 step, got {batch}"):
+            euclidean_preset(links, batch=batch).derive(links)
+
+
+def test_choice_log_rejects_path_indices_beyond_int16():
+    # One player with 32,769 paths (subsets of 16 edges): index 32,768 does not
+    # fit the int16 log.  The check comes first, before any game-sized work.
+    paths = tuple(
+        frozenset(e for e in range(16) if mask >> e & 1) for mask in range(1, 32_770)
+    )
+    game = CongestionGame(n=1, edges=parallel_links_game(1, [[1.0]] * 16).edges, paths=(paths,))
+    with pytest.raises(ConfigurationError, match="at most 32768 paths per player"):
+        BanditConfig(lam=1e-6, record_choices=True).derive(game)
+
+
+TILE_GAMES = {
+    "links": lambda: parallel_links_game(10, [[1.0]] * 10),
+    "gen302": lambda: generate_random_game(n=16, m=8, d=3, seed=302),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILE_GAMES))
+def test_episode_kernel_tile_invariance(monkeypatch, name):
+    """Tiles of 1 step, 7 steps or a whole batch give the same visits, the same
+    cost-sum bits and the same choice log; the batch does not divide the episode."""
+    game = TILE_GAMES[name]()
+    flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
+    steps, batch = 2500, 768
+
+    def run(tile):
+        monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
+        streams = [
+            np.random.Generator(np.random.PCG64(ss))
+            for ss in np.random.SeedSequence(7).spawn(game.n)
+        ]
+        visits, sums, log = bandit._simulate_episode(game, flat, streams, steps, batch, True)
+        return visits.tolist(), [v.hex() for v in sums], hashlib.sha256(log.tobytes()).hexdigest()
+
+    whole = run(batch)
+    assert sum(whole[0]) == game.n * steps
+    for tile in (1, 7, 10 * batch):
+        assert run(tile) == whole
 
 
 def test_presets_satisfy_theta_precondition():
