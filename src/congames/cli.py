@@ -179,7 +179,11 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
     reference = _reference(game)
     report = run_bulletin(game, config, reference=reference)
     avg_min = min_average_cost(game)
-    max_min = min_max_cost(game) if (game.symmetric and eps_max is not None) else None
+    max_min = (
+        min_max_cost(game, reference=reference)
+        if (game.symmetric and eps_max is not None)
+        else None
+    )
     minima = OracleMinima(potential=reference, average=avg_min, maximum=max_min)
 
     avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)

@@ -13,15 +13,24 @@ an upper bound on the true suboptimality by convexity, valid regardless of
 how the point was found.
 
 A vertex of the joint polytope picks one path per player.  The active set is
-an int array V of shape (k, n), each row a vertex as per-player path indices,
-with weights w of shape (k,), both in insertion order.  One gather scores every
-active vertex, the best response is one argmin over a (n, d) array padded with
-+inf, and the iterate is rebuilt from (V, w) every 64 steps.  The arithmetic is
-fixed down to the bit: ties between away vertices go to the lexicographically
-smallest, the weight total is summed left to right, and the rebuild adds the
-vertices up in row order.  Outputs (flat, value, certificate, iterations,
-converged) are pinned by tests/test_minimize_golden.py; the CLI's phi_gap
-column subtracts the value, so a last-bit change there changes CSV bytes.
+an int array V of shape (k, n), each row a vertex as the flat coordinates of
+its n paths, with weights w of shape (k,), both in insertion order.  One gather
+scores every active vertex, the best response is one argmin over a (n, d) array
+padded with +inf, and the iterate is rebuilt from (V, w) every 64 steps.  The
+arithmetic is fixed down to the bit: ties between away vertices go to the
+lexicographically smallest, the weight total is summed left to right, and the
+rebuild adds the vertices up in row order.  Outputs (flat, value, certificate,
+iterations, converged) are pinned by tests/test_minimize_golden.py; the CLI's
+phi_gap column subtracts the value, so a last-bit change there changes CSV
+bytes.
+
+That fixes the line search too.  Its step t is the smallest real eigenvalue in
+[0, t_max] of the companion matrix np.roots would build for the derivative
+polynomial, computed by the same np.linalg.eigvals call, so t equals the
+np.roots answer bit for bit without np.roots' wrapper (bisection remains the
+fallback when no eigenvalue lands inside).  The two search directions,
+vertex - x and x - vertex, add the same terms as combination(...) - x but write
+the vertex's n entries in place; np.add.at only rebuilds x from (V, w).
 
 The maximum individual cost is piecewise smooth, not edge-separable; its
 minimizer uses an epigraph formulation solved by SLSQP.  scipy is imported only
@@ -30,6 +39,7 @@ by min_max_cost, so the rest of the package needs numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +91,15 @@ class _EdgeSeparableObjective:
     def line_derivative_poly(self, loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
         """Coefficients (ascending in t) of d/dt G(x + t*d) along load direction dloads."""
         P = len(self.taylor)
-        inner = np.zeros((P, loads.size))
-        lpow = np.ones_like(loads)  # loads**j
-        for j, coef in enumerate(self.taylor):
-            inner[: P - j] += coef * lpow
+        inner = self.taylor[0] + 0.0  # sum_j taylor[j] * loads**j, from 0.0 up
+        lpow = loads  # loads**j
+        for j in range(1, P):
+            inner[: P - j] += self.taylor[j] * lpow
             lpow = lpow * loads
         dpow = np.empty_like(inner)  # dloads**(q+1), includes the outer chain factor
         dpow[0] = dloads
         for q in range(1, P):
-            dpow[q] = dpow[q - 1] * dloads
+            np.multiply(dpow[q - 1], dloads, out=dpow[q])
         return (dpow * inner).sum(axis=1)
 
 
@@ -106,8 +116,7 @@ def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
 def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
     """Unique sign change of a nondecreasing polynomial on [0, t_max]."""
 
-    descending = coeffs[::-1]
-    leading_first = descending.tolist()
+    leading_first = coeffs[::-1].tolist()
 
     def ev(t: float) -> float:
         y = 0.0
@@ -119,11 +128,23 @@ def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
         return t_max
     if ev(0.0) >= 0.0:
         return 0.0
-    roots = np.roots(descending)  # strips leading zeros; not constant, by the signs above
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    inside = real[(real >= -1e-12) & (real <= t_max * (1 + 1e-12))]
-    if inside.size:
-        return float(np.clip(inside.min(), 0.0, t_max))
+    # np.roots' companion matrix and its eigvals call, without the wrapper: strip
+    # leading zeros, row 0 is -p[1:] / p[0], ones on the subdiagonal.  ev(0) < 0
+    # means a nonzero constant term, so there are no zero roots to append.
+    first = next(i for i, c in enumerate(leading_first) if c != 0.0)
+    lead, rest = leading_first[first], leading_first[first + 1 :]
+    inside = []
+    if rest:
+        companion = np.eye(len(rest), k=-1)
+        companion[0] = [-c / lead for c in rest]
+        high = t_max * (1 + 1e-12)
+        inside = [
+            r.real
+            for r in np.linalg.eigvals(companion).tolist()
+            if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= high
+        ]
+    if inside:
+        return min(max(min(inside), 0.0), t_max)
     lo, hi = 0.0, t_max  # bisection fallback; derivative is monotone
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -147,22 +168,21 @@ def minimize_edge_separable(
 
     def best_response(g: np.ndarray) -> np.ndarray:
         padded[mask] = g
-        return padded.argmin(axis=1)
+        return padded.argmin(axis=1) + starts
 
     def scores(g: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return g[V + starts].sum(axis=1) / n
+        return g[V].sum(axis=1) / n
 
     def combination(V: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_k w[k] * vertex(V[k]), added up in row order."""
         x = np.zeros(game.dim)
-        np.add.at(x, V + starts, np.broadcast_to((w * unit)[:, None], V.shape))
+        np.add.at(x, V, np.broadcast_to((w * unit)[:, None], V.shape))
         return x
 
-    one = np.ones(1)
     # Seed the active set with the best-response vertex at the uniform profile;
     # the iterate must be an exact convex combination of active vertices.
     V = best_response(inc @ objective.edge_gradient(game.uniform_profile().flat @ inc))[None]
-    w = one.copy()
+    w = np.ones(1)
     x = combination(V, w)
 
     gap = np.inf
@@ -181,11 +201,13 @@ def minimize_edge_separable(
         away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
 
         fw_step = gap >= float(s[away]) - gx or len(w) == 1
-        if fw_step:
-            direction = combination(fw, one) - x
+        if fw_step:  # vertex - x
+            direction = 0.0 - x  # not -x: 0.0 - 0.0 is +0.0, as in combination(fw) - x
+            direction[fw[0]] += unit
             t_max = 1.0
-        else:
-            direction = x - combination(V[away : away + 1], one)
+        else:  # x - vertex
+            direction = x.copy()
+            direction[V[away]] -= unit
             w_away = float(w[away])
             t_max = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0
 
@@ -226,12 +248,18 @@ def minimize_edge_separable(
     )
 
 
+def _check_oracle_args(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def reference_minimizer(
     game: CongestionGame, tol: float = 1e-10, max_iter: int = 200_000
 ) -> CertifiedMinimum:
     """q = argmin Phi over the joint polytope, with a duality-gap certificate."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_oracle_args(tol, max_iter)
     return minimize_edge_separable(game, potential_objective(game), tol, max_iter)
 
 
@@ -239,8 +267,7 @@ def min_average_cost(
     game: CongestionGame, tol: float = 1e-10, max_iter: int = 200_000
 ) -> CertifiedMinimum:
     """x* = argmin C_A; C_A is convex since y*c_e(y) has nonnegative coefficients."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_oracle_args(tol, max_iter)
     return minimize_edge_separable(game, average_cost_objective(game), tol, max_iter)
 
 
@@ -250,8 +277,14 @@ class MaxCostMinimum:
     value: float
 
 
-def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> MaxCostMinimum:
-    """x_hat = argmin C_M via the epigraph form  min t  s.t.  c_s(x) <= t."""
+def min_max_cost(
+    game: CongestionGame, tol: float = 1e-12, reference: CertifiedMinimum | None = None
+) -> MaxCostMinimum:
+    """x_hat = argmin C_M via the epigraph form  min t  s.t.  c_s(x) <= t.
+
+    SLSQP starts from the uniform profile and from the potential minimizer
+    `reference`, which is solved at tol=1e-9 when the caller has none.
+    """
     # scipy.optimize adds about 0.3 s to start-up, and nothing else needs it.
     from scipy import optimize
 
@@ -298,10 +331,10 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> MaxCostMinimum:
     ]
     bounds = [(0.0, 1.0 / game.n)] * game.dim + [(0.0, None)]
 
+    if reference is None:
+        reference = reference_minimizer(game, tol=1e-9)
     best = None
-    starts = [game.uniform_profile().flat]
-    starts.append(reference_minimizer(game, tol=1e-9).flat)
-    for x0 in starts:
+    for x0 in (game.uniform_profile().flat, reference.flat):
         y0 = np.concatenate([x0, [game.max_cost(x0)]])
         res = optimize.minimize(
             objective,

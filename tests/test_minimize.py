@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import congames.minimize
 from congames import (
     CongestionGame,
     PolynomialCost,
@@ -16,6 +19,8 @@ from congames import (
     parallel_links_game,
     reference_minimizer,
 )
+from congames.cli import main
+from congames.minimize import _poly_root_in
 from conftest import random_feasible
 
 
@@ -136,6 +141,17 @@ def test_bad_tolerance_rejected(g1):
         min_average_cost(g1, tol=-1.0)
 
 
+@pytest.mark.parametrize("oracle", [reference_minimizer, min_average_cost])
+@pytest.mark.parametrize(
+    "bad", [{"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}, {"max_iter": -5}]
+)
+def test_bad_oracle_arguments_rejected(oracle, bad):
+    # tol=nan used to stop after 2 iterations unconverged, max_iter=-5 after none
+    game = generate_random_game(seed=1, n=4, m=5, d=3)
+    with pytest.raises(ValueError):
+        oracle(game, **bad)
+
+
 def test_iteration_cap_reports_best_found():
     game = generate_random_game(seed=12, n=4, m=6, d=3)
     capped = reference_minimizer(game, tol=1e-12, max_iter=3)
@@ -144,3 +160,179 @@ def test_iteration_cap_reports_best_found():
     full = reference_minimizer(game)
     # the certificate still upper-bounds the true suboptimality
     assert capped.value - (full.value - full.certificate) <= capped.certificate + 1e-12
+
+
+def test_max_cost_warm_start_from_callers_reference(monkeypatch):
+    game = generate_random_game(seed=2, n=3, m=5, d=3, symmetric=True)
+    own = min_max_cost(game)
+    reference = reference_minimizer(game, tol=1e-9)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("min_max_cost solved the potential again")
+
+    monkeypatch.setattr(congames.minimize, "reference_minimizer", no_solve)
+    given_ref = min_max_cost(game, reference=reference)
+    assert given_ref.value == own.value
+    assert given_ref.flat.tobytes() == own.flat.tobytes()
+
+
+def test_cli_solves_potential_once_for_max_cost(monkeypatch, tmp_path, capsys):
+    solves = []
+    solve = congames.minimize.minimize_edge_separable
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(congames.minimize, "minimize_edge_separable", counted)
+    args = "--gen n=12,m=12,d=6,deg=2,sym=1,seed=202 --algo bulletin-mu --sigma 0.25"
+    assert main(args.split() + ["--out", str(tmp_path / "run.csv")]) == 0
+    assert "maximum-cost-ratio" in capsys.readouterr().out
+    assert len(solves) == 2  # the potential and the average cost; SLSQP reuses the first
+
+
+# -- line search --------------------------------------------------------------
+
+
+def _np_roots_line_search(coeffs: np.ndarray, t_max: float) -> float:
+    """The line search as it was before np.roots was unwrapped, kept as the oracle."""
+    descending = coeffs[::-1]
+    leading_first = descending.tolist()
+
+    def ev(t: float) -> float:
+        y = 0.0
+        for c in leading_first:
+            y = y * t + c
+        return y
+
+    if ev(t_max) <= 0.0:
+        return t_max
+    if ev(0.0) >= 0.0:
+        return 0.0
+    roots = np.roots(descending)
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    inside = real[(real >= -1e-12) & (real <= t_max * (1 + 1e-12))]
+    if inside.size:
+        return float(np.clip(inside.min(), 0.0, t_max))
+    lo, hi = 0.0, t_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ev(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _step_or_error(search, coeffs: np.ndarray, t_max: float) -> str:
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float(search(coeffs, t_max)).hex()
+    except np.linalg.LinAlgError:  # -p[1:] / p[0] overflowed for a subnormal p[0]
+        return "LinAlgError"
+
+
+def _same_step(coeffs, t_max: float) -> float:
+    coeffs = np.array(coeffs, dtype=float)
+    step = _step_or_error(_poly_root_in, coeffs, t_max)
+    assert step == _step_or_error(_np_roots_line_search, coeffs, t_max)
+    return float.fromhex(step) if step != "LinAlgError" else math.nan
+
+
+def _eigen_window(coeffs, t_max: float) -> list[float]:
+    """Real np.roots roots in the window the line search accepts."""
+    roots = np.roots(np.array(coeffs, dtype=float)[::-1])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    return sorted(real[(real >= -1e-12) & (real <= t_max * (1 + 1e-12))].tolist())
+
+
+def _hexes(*values: str) -> list[float]:
+    return [float.fromhex(v) for v in values]
+
+
+@st.composite
+def nondecreasing_with_root(draw):
+    """c0 + c1 t + ... with c_p >= 0 for p >= 1 and a sign change inside (0, t_max),
+    padded with up to two zero leading coefficients."""
+    degree = draw(st.integers(1, 3))
+    t_max = draw(st.floats(1e-3, 10.0))
+    root = t_max * draw(st.floats(1e-3, 0.999))
+    higher = draw(st.lists(st.floats(0.0, 1e3), min_size=degree - 1, max_size=degree - 1))
+    higher.append(draw(st.floats(1e-3, 1e3)))
+    c0 = -sum(c * root ** (p + 1) for p, c in enumerate(higher))
+    return [c0, *higher] + [0.0] * draw(st.integers(0, 2)), t_max
+
+
+@given(case=nondecreasing_with_root())
+@settings(max_examples=300, deadline=None)
+def test_line_search_matches_np_roots_on_nondecreasing(case):
+    coeffs, t_max = case
+    t = _same_step(coeffs, t_max)
+    assert 0.0 < t < t_max
+
+
+@given(
+    scale=st.floats(1e-3, 1e3),
+    root=st.floats(1e-3, 0.999),
+    re=st.floats(-2.0, 2.0),
+    im=st.floats(1e-3, 3.0),
+    t_max=st.floats(1e-3, 10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_line_search_matches_np_roots_on_complex_pairs(scale, root, re, im, t_max):
+    roots = [root * t_max, re + 1j * im, re - 1j * im]
+    coeffs = scale * np.polynomial.polynomial.polyfromroots(roots).real
+    assert np.iscomplexobj(np.roots(coeffs[::-1]))
+    _same_step(coeffs, t_max)
+
+
+@given(
+    coeffs=st.lists(st.floats(-1e3, 1e3) | st.just(0.0), min_size=1, max_size=5),
+    t_max=st.floats(1e-6, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+@example(coeffs=[-1.0, 2.0, 2.225073858507203e-309], t_max=1.0)  # both raise
+def test_line_search_matches_np_roots_on_any_coefficients(coeffs, t_max):
+    _same_step(coeffs, t_max)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0.0, 1.0], [0.0, -1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [-0.0, 2.0, 0.0, 0.0]],
+)
+def test_line_search_zero_constant_term_is_a_root_at_zero(coeffs):
+    assert _same_step(coeffs, 1.0) == 0.0
+
+
+def test_line_search_clips_an_eigenvalue_past_t_max():
+    coeffs = _hexes(
+        "-0x1.b078ea1811fefp+3", "0x1.dfef0bb9fa1abp+2",
+        "0x1.0843b26da629bp+4", "0x1.282e86721e904p+2",
+    )
+    t_max = float.fromhex("0x1.52810b582a0e2p-1")
+    assert _eigen_window(coeffs, t_max)[0] > t_max  # rounding put the root past t_max
+    assert _same_step(coeffs, t_max) == t_max
+
+
+def test_line_search_bisects_when_no_eigenvalue_lands_inside():
+    # a triple root just below t_max: its eigenvalues scatter by about 1e-5
+    coeffs = _hexes(
+        "-0x1.c1970e1882897p-3", "0x1.dc34ee80dc3a2p+0",
+        "-0x1.504422e6cc5f7p+2", "0x1.3c99562c58038p+2",
+    )
+    t_max = float.fromhex("0x1.6a8986188e2e2p-2")
+    assert _eigen_window(coeffs, t_max) == []
+    t = _same_step(coeffs, t_max)
+    assert 0.0 < t < t_max
+
+
+def test_line_search_seed302_stall_unchanged():
+    # The last line search of reference_minimizer on generate_random_game(seed=302,
+    # n=16, m=8, d=3): a 1.9e-73 leading coefficient makes the eigenvalues
+    # [6.5e67, 145, 0], so the step is the spurious 0 and the solver stops
+    # unconverged.  Pinned as equal to the np.roots path, stall included.
+    coeffs = _hexes(
+        "-0x1.0cf1c161b8b60p-13", "0x1.db723a463d6b9p-10",
+        "-0x1.a3bcc71848e16p-17", "0x1.5e4d9d497ebc3p-242",
+    )
+    assert _same_step(coeffs, float.fromhex("0x1.4ea0cf375d143p-2")) == 0.0
