@@ -171,9 +171,9 @@ def test_max_cost_warm_start_from_callers_reference(monkeypatch):
         raise AssertionError("min_max_cost solved the potential again")
 
     monkeypatch.setattr(congames.minimize, "reference_minimizer", no_solve)
-    given_ref = min_max_cost(game, reference=reference)
-    assert given_ref.value == own.value
-    assert given_ref.flat.tobytes() == own.flat.tobytes()
+    reused = min_max_cost(game, reference=reference)
+    assert reused.value == own.value
+    assert reused.flat.tobytes() == own.flat.tobytes()
 
 
 def test_cli_solves_potential_once_for_max_cost(monkeypatch, tmp_path, capsys):
