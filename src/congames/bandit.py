@@ -15,6 +15,11 @@ Visits and cost sums are added by one bincount per `batch` steps, over that
 batch's picks in player-major step order, into the episode totals.  Within a
 batch the kernel computes picks and own-path costs in tiles of steps sized for
 the cache; tiles only block the work and change no bit.
+
+The mixed equilibrium gap takes E[c_s(X)] exactly from each edge's load law
+(`expected_path_costs`) or estimates it by seeded Monte Carlo in the kernel's
+cache-sized tiles, without a (samples x paths) matrix (`_sampled_path_cost_sums`
+states its bit contract).  Both read edge costs from the kernel's c_e(k/n) table.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import numpy as np
 from .bregman import ConfigurationError, FeasibleSet, make_geometry, resolve_learning_rates
 from .game import SUPPORT_TOL, CongestionGame
 from .minimize import CertifiedMinimum, reference_minimizer
-
-ENUMERATION_CAP = 1_000_000
 
 
 def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> np.ndarray:
@@ -338,29 +341,42 @@ def _edge_counts(game: CongestionGame, picks: np.ndarray):
     return keys, counts
 
 
-# The episode kernel works through each batch in tiles of steps whose
-# (n, tile, m_path) edge keys hold at most _TILE_ENTRIES entries, so a tile's
-# keys, counts and costs stay in cache whatever the game.
+# The episode kernel and the Monte-Carlo gap work through each batch in tiles
+# of steps (samples) whose (n, tile, m_path) edge keys hold at most
+# _TILE_ENTRIES entries, so a tile's keys, counts and costs stay in cache
+# whatever the game.
 _TILE_ENTRIES = 32768
 
 
-def _simulate_episode(game, flat, streams, steps, batch, record):
+def _tile_steps(game: CongestionGame) -> int:
+    return max(1, _TILE_ENTRIES // (game.n * game.m_path))
+
+
+def _load_cost_table(game: CongestionGame) -> np.ndarray:
+    """c_e(k * (1/n)) at row e, column k = 0..n, plus a zero row m for the padding
+    edge: bit-equal to edge_costs at the loads k * (1/n) that k players make."""
+    n, m = game.n, game.m
+    table = np.zeros((m + 1, n + 1))
+    table[:m] = game.edge_costs(np.outer(np.arange(n + 1) * (1.0 / n), np.ones(m))).T
+    return table
+
+
+def _episode_buffers(n: int, width: int):
+    """A batch's uniforms, flat picks and own-path costs, (n, width) each."""
+    return np.empty((n, width)), np.empty((n, width), dtype=np.intp), np.empty((n, width))
+
+
+def _simulate_episode(game, flat, streams, steps, batch, record, buffers=None):
     n, m = game.n, game.m
     sampler = _sampler(game, flat, draws=steps)
-    # c_e(k * (1/n)) for k = 0..n, bit-equal to edge_costs at the sampled loads k * (1/n)
-    costs = np.zeros((m + 1, n + 1))
-    costs[:m] = game.edge_costs(np.outer(np.arange(n + 1) * (1.0 / n), np.ones(m))).T
-    costs, edge_rows = costs.ravel(), np.arange(m + 1) * (n + 1)
+    costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
     visits = np.zeros(game.dim, dtype=np.int64)
     sums = np.zeros(game.dim)
     log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
     starts = game.offsets[:-1, None]
 
-    width = min(batch, steps)
-    tile = max(1, _TILE_ENTRIES // (n * game.m_path))
-    u = np.empty((n, width))
-    picks = np.empty((n, width), dtype=np.intp)
-    own = np.empty((n, width))
+    tile = _tile_steps(game)
+    u, picks, own = buffers or _episode_buffers(n, min(batch, steps))
     for done in range(0, steps, batch):
         size = min(batch, steps - done)
         for row, stream in zip(u, streams):
@@ -407,6 +423,10 @@ def run_bandit(
     records: list[EpisodeRecord] = []
     choice_logs: list[np.ndarray] | None = [] if config.record_choices else None
     previous = np.zeros(game.dim)
+    # One set of batch buffers for the whole run, as wide as the longest episode
+    # needs, so their pages are touched once rather than once per episode.
+    longest = config.episode_steps(game, config.episodes)
+    buffers = _episode_buffers(game.n, min(config.batch, longest))
 
     for tau in range(1, config.episodes + 1):
         exact = game.path_costs(x)
@@ -418,7 +438,7 @@ def run_bandit(
         else:
             steps = config.episode_steps(game, tau)
             visits, sums, log = _simulate_episode(
-                game, x, streams, steps, config.batch, config.record_choices
+                game, x, streams, steps, config.batch, config.record_choices, buffers
             )
             estimate, fallback = estimate_gradient(visits, sums, previous)
             if choice_logs is not None:
@@ -471,28 +491,71 @@ class MixedDeltaResult:
     samples: int = 0
 
 
-def expected_path_costs(game: CongestionGame, flat: np.ndarray, batch: int = 8192) -> np.ndarray:
-    """Exact E[c_s(X)] for all paths by enumerating the joint choice distribution."""
-    total = math.prod(game.sizes)
-    if total > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration would exceed {ENUMERATION_CAP} outcomes; use monte-carlo mode"
-        )
-    probs = _choice_probs(game, flat)
-    expected = np.zeros(game.dim)
-    for start in range(0, total, batch):
-        picks = np.unravel_index(np.arange(start, min(start + batch, total)), game.sizes)
-        weight = np.ones(picks[0].size)
-        for i in range(game.n - 1, -1, -1):
-            weight *= probs[i][picks[i]]
-        expected += weight @ _outcome_path_costs(game, game.offsets[:-1, None] + picks)
-    return expected
+def expected_path_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
+    """Exact E[c_s(X)] for all paths under independent player choices.
+
+    Player j is on edge e with probability p_{j,e}, her choice probability
+    summed over her paths through e, so the number of players on e is
+    Poisson-binomial; its law over 0..n follows from the recursion over
+    players (Hong 2013), O(n^2) per edge.  E[c_s] is the sum over the edges of
+    s of that law against c_e(k/n).
+    """
+    n = game.n
+    probs = np.concatenate(_choice_probs(game, flat))
+    on_edge = np.add.reduceat(probs[:, None] * game.incidence, game.offsets[:-1], axis=0)
+    pmf = np.zeros((game.m, n + 1))
+    pmf[:, 0] = 1.0
+    for p in np.minimum(on_edge, 1.0)[:, :, None]:
+        pmf[:, 1:] = pmf[:, 1:] * (1.0 - p) + pmf[:, :-1] * p
+        pmf[:, :1] *= 1.0 - p
+    return game.incidence @ (pmf * _load_cost_table(game)[: game.m]).sum(axis=1)
 
 
-def _outcome_path_costs(game: CongestionGame, picks: np.ndarray) -> np.ndarray:
-    """Cost of every path in each joint outcome: flat picks (n, k) -> (k, dim)."""
-    _, counts = _edge_counts(game, picks)
-    return game.edge_costs(counts[:, : game.m] * (1.0 / game.n)) @ game.incidence.T
+# Monte-Carlo uniforms are drawn as one (n, _MC_BATCH) block per batch.
+_MC_BATCH = 16384
+
+
+def _sampled_path_cost_sums(
+    game: CongestionGame, flat: np.ndarray, samples: int, seed: int
+) -> np.ndarray:
+    """Every path's cost summed over `samples` seeded joint outcomes.
+
+    Each tile of samples counts its edge loads, reads the edge costs from the
+    c_e(k/n) table and adds each path's edge costs in ascending edge order
+    into a C-ordered (tile, dim) block; one reduction over axis 0 adds those
+    rows in sample order to the running sum, carried in as row 0 (an
+    F-ordered block would be summed pairwise).  Each batch's sum is then added
+    to the total.  This is bit for bit the old per-batch sum of
+    (edge costs) @ incidence.T without that (batch, dim) matrix, wherever the
+    BLAS product adds each path's edges in ascending order: with OpenBLAS
+    0.3.31 on x86-64, for batches of two or more samples on games of fewer
+    than 32 edges, which covers every pinned run.  A batch of one sample went
+    through a matrix-vector product, and on 32 or more edges the product
+    splits each path's sum depending on the batch size; there paths of 3 or
+    more edges may differ in the last bit.
+    """
+    n, m = game.n, game.m
+    rng = np.random.default_rng(seed)
+    sampler = _sampler(game, flat, draws=samples)
+    costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
+    ids = game.edge_ids.T
+    tile = min(_tile_steps(game), samples)
+    block = np.empty((tile + 1, game.dim))
+    acc = np.zeros(game.dim)
+    for done in range(0, samples, _MC_BATCH):
+        u = rng.random((n, min(_MC_BATCH, samples - done)))
+        block[0] = 0.0
+        for lo in range(0, u.shape[1], tile):
+            rows = block[1 : min(tile, u.shape[1] - lo) + 1]
+            _, counts = _edge_counts(game, sampler.picks(u[:, lo : lo + tile]))
+            counts += edge_rows
+            step_costs = np.take(costs, counts)
+            np.take(step_costs, ids[0], axis=1, out=rows)
+            for col in ids[1:]:  # edges in ascending order; the padding adds 0
+                rows += np.take(step_costs, col, axis=1)
+            block[0] = block[: len(rows) + 1].sum(axis=0)
+        acc += block[0]
+    return acc
 
 
 def mixed_delta_gap(
@@ -503,20 +566,19 @@ def mixed_delta_gap(
     seed: int = 0,
     support_tol: float = SUPPORT_TOL,
 ) -> MixedDeltaResult:
-    """Equilibrium gap in mixed strategies: spreads of E[c_s(X)] over used paths."""
+    """Equilibrium gap in mixed strategies: spreads of E[c_s(X)] over used paths.
+
+    mode "enumerate" computes E[c_s(X)] exactly from each edge's load law
+    (`expected_path_costs`), at any size; "monte-carlo" averages `samples`
+    joint outcomes drawn from default_rng(seed).
+    """
     flat = game.check_vector(flat)
     if mode == "enumerate":
         expected, samples = expected_path_costs(game, flat), 0
     elif mode == "monte-carlo":
         if samples < 1:
             raise ValueError("monte-carlo mode needs at least one sample")
-        rng = np.random.default_rng(seed)
-        sampler = _sampler(game, flat, draws=samples)
-        acc = np.zeros(game.dim)
-        for done in range(0, samples, 16384):
-            picks = sampler.picks(rng.random((game.n, min(16384, samples - done))))
-            acc += _outcome_path_costs(game, picks).sum(axis=0)
-        expected = acc / samples
+        expected = _sampled_path_cost_sums(game, flat, samples, seed) / samples
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
     return MixedDeltaResult(

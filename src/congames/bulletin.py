@@ -112,7 +112,7 @@ class BulletinReport:
 # The diagnostics pass runs every _CHUNK_STEPS steps, fewer when one chunk of
 # padded (n, d) profiles would exceed _CHUNK_ENTRIES entries: its buffers and
 # temporaries then stay within a few hundred kB whatever the game.
-_CHUNK_STEPS = 64
+_CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 8192
 
 

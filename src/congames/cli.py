@@ -86,6 +86,8 @@ class ExperimentSpec:
             raise ConfigurationError("--sigma must be a positive finite number")
         if self.lambda_cap is not None and not 0.0 < self.lambda_cap < math.inf:
             raise ConfigurationError("--lambda-cap must be a positive finite number")
+        if self.seed < 0:
+            raise ConfigurationError("--seed must be a nonnegative integer")
 
 
 @dataclass
@@ -103,13 +105,20 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    out.write_text("\n".join(lines) + "\n")
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write the columns as CSV rows: integer columns as %d, the others as %.12g,
+    the text `_fmt` gives for each value."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
+    lines = [",".join(header), *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise _out_error(path, exc) from exc
+
+
+def _out_error(path: str, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write --out {path}: {exc}")
 
 
 def _load_game(spec: ExperimentSpec) -> CongestionGame:
@@ -188,8 +197,8 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
 
     avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)
     cert_gaps = report.certified_gaps
-    rows = zip(
-        range(len(report.phi)),
+    columns = (
+        np.arange(len(report.phi)),
         report.phi,
         cert_gaps,
         report.delta_gaps,
@@ -202,7 +211,7 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         _write_csv(
             spec.out,
             ["step", "phi", "phi_gap", "delta_gap", "c_avg", "c_max", "ratio_avg", "bound_avg"],
-            rows,
+            columns,
         )
 
     assertions: list[tuple[str, bool, str]] = []
@@ -286,35 +295,24 @@ def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> Experi
     report = run_bandit(game, config, reference=reference)
     params = report.params
 
-    enum_size = math.prod(game.sizes)
-    rows = []
-    for idx, rec in enumerate(report.records):
-        if enum_size <= _ENUM_CSV_CAP:
-            mixed = mixed_delta_gap(game, rec.profile, mode="enumerate")
-        else:
-            mixed = mixed_delta_gap(
-                game,
-                rec.profile,
-                mode="monte-carlo",
-                samples=_MC_SAMPLES,
-                seed=spec.seed * 100_003 + rec.tau,
-            )
-        rows.append(
-            (
-                rec.tau,
-                rec.steps,
-                rec.phi,
-                report.certified_gaps[idx],
-                rec.grad_error,
-                mixed.delta,
-                params.threshold,
-            )
-        )
     if spec.out:
+        mode = "enumerate" if math.prod(game.sizes) <= _ENUM_CSV_CAP else "monte-carlo"
+        deltas = [
+            mixed_delta_gap(game, r.profile, mode, _MC_SAMPLES, spec.seed * 100_003 + r.tau).delta
+            for r in report.records
+        ]
         _write_csv(
             spec.out,
             ["episode", "steps", "phi", "phi_gap", "max_est_error", "delta_mixed", "theorem_threshold"],
-            rows,
+            (
+                [rec.tau for rec in report.records],
+                [rec.steps for rec in report.records],
+                report.phis,
+                report.certified_gaps,
+                report.grad_errors,
+                deltas,
+                np.full(len(deltas), params.threshold),
+            ),
         )
 
     gaps = report.certified_gaps
@@ -373,6 +371,11 @@ def _finish(spec: ExperimentSpec, summary: dict, assertions) -> ExperimentResult
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     spec.validate()
+    if spec.out:
+        try:
+            Path(spec.out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _out_error(spec.out, exc) from exc
     game = _load_game(spec)
     log.info(
         "game: n=%d m=%d d=%d k=%d a=%g b=%g symmetric=%s",

@@ -27,10 +27,12 @@ bytes.
 That fixes the line search too.  Its step t is the smallest real eigenvalue in
 [0, t_max] of the companion matrix np.roots would build for the derivative
 polynomial, computed by the same np.linalg.eigvals call, so t equals the
-np.roots answer bit for bit without np.roots' wrapper (bisection remains the
-fallback when no eigenvalue lands inside).  The two search directions,
-vertex - x and x - vertex, add the same terms as combination(...) - x but write
-the vertex's n entries in place; np.add.at only rebuilds x from (V, w).
+np.roots answer bit for bit without np.roots' wrapper.  Bisection remains the
+fallback when no eigenvalue lands inside, and when a subnormal leading
+coefficient overflows the companion matrix so that eigvals raises (np.roots
+raised there).  The two search directions, vertex - x and x - vertex, add the
+same terms as combination(...) - x but write the vertex's n entries in place;
+np.add.at only rebuilds x from (V, w).
 
 The maximum individual cost is piecewise smooth, not edge-separable; its
 minimizer uses an epigraph formulation solved by SLSQP.  scipy is imported only
@@ -138,11 +140,11 @@ def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
         companion = np.eye(len(rest), k=-1)
         companion[0] = [-c / lead for c in rest]
         high = t_max * (1 + 1e-12)
-        inside = [
-            r.real
-            for r in np.linalg.eigvals(companion).tolist()
-            if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= high
-        ]
+        try:
+            roots = np.linalg.eigvals(companion).tolist()
+        except np.linalg.LinAlgError:  # a subnormal lead overflows row 0 to inf
+            roots = []
+        inside = [r.real for r in roots if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= high]
     if inside:
         return min(max(min(inside), 0.0), t_max)
     lo, hi = 0.0, t_max  # bisection fallback; derivative is monotone

@@ -253,10 +253,34 @@ def test_expectation_bias_general_small_game():
     assert np.all(bias >= -1e-12) and np.all(bias <= cap + 1e-12)
 
 
-def test_enumeration_cap_suggests_monte_carlo():
-    game = parallel_links_game(12, [[1.0]] * 4)  # 4^12 outcomes
-    with pytest.raises(ValueError, match="monte-carlo"):
-        expected_path_costs(game, game.uniform_profile().flat)
+def test_exact_expectation_needs_no_enumeration_cap():
+    # 4^12 joint outcomes, beyond any enumeration; with linear costs
+    # E[c_s(X)] = c_s(x), so the per-edge load laws must give it exactly.
+    game = parallel_links_game(12, [[1.0], [0.5], [0.25], [0.75]])
+    rng = np.random.default_rng(8)
+    for x in (game.uniform_profile().flat, random_feasible(game, rng)):
+        bias = expected_path_costs(game, x) - game.path_costs(x)
+        assert np.abs(bias).max() <= 1e-12
+
+
+EXACT_GAMES = [
+    lambda: parallel_links_game(3, [[0.5, 0.5], [0.2, 0.3, 0.4]]),
+    lambda: generate_random_game(seed=21, n=4, m=6, d=3),
+    lambda: generate_random_game(seed=22, n=3, m=9, d=4, max_path_len=4),
+    lambda: generate_random_game(seed=23, n=5, m=5, d=2, degree=4, symmetric=True),
+    lambda: CongestionGame(n=2, edges=parallel_links_game(1, [[1.0]] * 3).edges,
+                           paths=((frozenset({0, 1, 2}),), (frozenset({0}), frozenset({1, 2})))),
+]
+
+
+@pytest.mark.parametrize("make", EXACT_GAMES)
+def test_exact_expectation_matches_brute_force(make):
+    game = make()
+    rng = np.random.default_rng(9)
+    for x in (game.uniform_profile().flat, random_feasible(game, rng), random_feasible(game, rng)):
+        expected = expected_path_costs(game, x)
+        assert np.allclose(expected, brute_force_expected_costs(game, x), rtol=0.0, atol=1e-12)
+        assert mixed_delta_gap(game, x).expected_costs.tolist() == expected.tolist()
 
 
 # -- run_bandit ----------------------------------------------------------------------
@@ -467,6 +491,75 @@ def test_mixed_delta_monte_carlo_agrees():
         mixed_delta_gap(game, x, mode="grid")
     with pytest.raises(ValueError, match="at least one sample"):
         mixed_delta_gap(game, x, mode="monte-carlo", samples=0)
+
+
+def _sampled_costs(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """Each 16,384-sample batch's edge costs, drawn as the Monte-Carlo mode draws them."""
+    rng = np.random.default_rng(seed)
+    sampler = bandit._sampler(game, flat, draws=samples)
+    for done in range(0, samples, 16384):
+        picks = sampler.picks(rng.random((game.n, min(16384, samples - done))))
+        _, counts = bandit._edge_counts(game, picks)
+        yield game.edge_costs(counts[:, : game.m] * (1.0 / game.n))
+
+
+def _matrix_monte_carlo(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """The Monte-Carlo estimate as it was before tiling, kept as the oracle: a
+    (batch, dim) path-cost matrix per batch, summed over samples."""
+    acc = np.zeros(game.dim)
+    for costs in _sampled_costs(game, flat, samples, seed):
+        acc += (costs @ game.incidence.T).sum(axis=0)
+    return acc / samples
+
+
+def _ascending_monte_carlo(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """The same sum spelled out: each path's edge costs in ascending edge order,
+    the samples of a batch one after another (cumsum), then batch by batch."""
+    acc = np.zeros(game.dim)
+    for costs in _sampled_costs(game, flat, samples, seed):
+        paths = np.empty((len(costs), game.dim))
+        for s, edges in enumerate(game.incidence.astype(bool)):
+            first, *rest = np.flatnonzero(edges)
+            paths[:, s] = costs[:, first]
+            for e in rest:
+                paths[:, s] += costs[:, e]
+        acc += np.cumsum(paths, axis=0)[-1]
+    return acc / samples
+
+
+MC_GAMES = {
+    "gen302": lambda: generate_random_game(n=16, m=8, d=3, seed=302),
+    "m30": lambda: generate_random_game(n=7, m=30, d=4, seed=33),
+    "len5": lambda: generate_random_game(n=5, m=16, d=5, seed=32, max_path_len=5),
+    "links": lambda: parallel_links_game(7, [[0.5, 0.3], [0.9], [0.2, 0.2, 0.2]]),
+    "m60": lambda: generate_random_game(n=6, m=60, d=4, seed=31),
+}
+
+
+@pytest.mark.parametrize("tile", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(MC_GAMES))
+def test_monte_carlo_tiles_match_matrix_path_bit_for_bit(monkeypatch, name, tile):
+    """The tiled sum equals the ascending-order sum in every bit, for one batch,
+    a short tile, a carry into a second batch and several batches.  It equals
+    the old (batch, dim) matrix path too where BLAS adds each path's edges in
+    ascending order; on 32 or more edges OpenBLAS splits each path's sum in a
+    way that depends on the batch size, so there the two agree to rounding."""
+    game = MC_GAMES[name]()
+    if tile is not None:
+        monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
+    flat = random_feasible(game, np.random.default_rng(17))
+    for samples in (2, 1023, 16386, 40000):
+        if tile is not None and samples > 16386:
+            continue
+        mc = mixed_delta_gap(game, flat, "monte-carlo", samples, samples).expected_costs
+        mc = [v.hex() for v in mc]
+        assert mc == [v.hex() for v in _ascending_monte_carlo(game, flat, samples, samples)]
+        old = _matrix_monte_carlo(game, flat, samples, seed=samples)
+        if game.m < 32:
+            assert mc == [v.hex() for v in old], samples
+        else:
+            assert np.allclose([float.fromhex(v) for v in mc], old, rtol=1e-15, atol=0.0)
+    assert game.m_path >= 3 or name == "links"
 
 
 def test_mixed_delta_theory_ceiling():

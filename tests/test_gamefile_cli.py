@@ -11,7 +11,7 @@ from congames import (
     parse_game_text,
     render_game,
 )
-from congames.cli import ExperimentSpec, _load_game, main, parse_gen_string
+from congames.cli import ExperimentSpec, _fmt, _load_game, _write_csv, main, parse_gen_string
 
 G1_TEXT = """\
 # two parallel edges, one player
@@ -266,3 +266,43 @@ def test_cli_warns_on_unconverged_reference(tmp_path, capsys):
     assert "warning" not in captured.out and "warning" not in out.read_text()
     assert main(["--gen", "n=3,m=3,d=3,deg=1", *args, "--nu", "1"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("algo", ["bulletin-gd", "bandit-gd"])
+def test_cli_rejects_out_under_a_file_before_running(algo, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "run.csv"
+    args = ["--gen", "n=3,m=3,d=3,deg=1", "--algo", algo, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --out {out}: [Errno 17] File exists: '{blocker}'\n"
+    assert captured.out == ""  # nothing ran
+
+
+def test_cli_reports_an_unwritable_out_path(tmp_path, capsys):
+    args = ["--gen", "n=3,m=3,d=3,deg=1", "--algo", "bandit-gd", "--episodes", "1"]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --out {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("algo", ["bulletin-gd", "bandit-mu"])
+def test_cli_rejects_negative_seed(algo, capsys):
+    assert main(["--gen", "n=3,m=3,d=3,deg=1", "--algo", algo, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be a nonnegative integer\n"
+    assert captured.out == ""
+
+
+def test_csv_rows_format_as_fmt(tmp_path):
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e16, 1e-300, 5e-324, 0.1, 2.0 / 3.0],
+        rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40),
+    ])
+    ints = np.arange(len(floats)) * 7 - 3
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), ["k", "x", "y"], (ints, floats, floats.tolist()))
+    expected = ["k,x,y"] + [f"{_fmt(k)},{_fmt(x)},{_fmt(x)}" for k, x in zip(ints, floats)]
+    assert out.read_text() == "\n".join(expected) + "\n"

@@ -233,10 +233,35 @@ def _step_or_error(search, coeffs: np.ndarray, t_max: float) -> str:
 
 
 def _same_step(coeffs, t_max: float) -> float:
+    """_poly_root_in's step: the old routine's bits where that routine returns, and
+    where it raised, a step in [0, t_max] across which the polynomial changes sign."""
     coeffs = np.array(coeffs, dtype=float)
-    step = _step_or_error(_poly_root_in, coeffs, t_max)
-    assert step == _step_or_error(_np_roots_line_search, coeffs, t_max)
-    return float.fromhex(step) if step != "LinAlgError" else math.nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        step = _poly_root_in(coeffs, t_max)
+    old = _step_or_error(_np_roots_line_search, coeffs, t_max)
+    if old == "LinAlgError":
+        assert 0.0 <= step <= t_max
+        assert _brackets_sign_change(coeffs, step, t_max)
+    else:
+        assert step.hex() == old
+    return step
+
+
+def _brackets_sign_change(coeffs: np.ndarray, t: float, t_max: float) -> bool:
+    """p < 0 just below t and p >= 0 just above it: the neighbouring floats, or the
+    bisection's final bracket width t_max / 2**200 where that is wider."""
+    leading_first = coeffs[::-1].tolist()
+
+    def ev(t: float) -> float:
+        y = 0.0
+        for c in leading_first:
+            y = y * t + c
+        return y
+
+    width = t_max * 2.0**-199
+    below = max(min(t - width, math.nextafter(t, -math.inf)), 0.0)
+    above = min(max(t + width, math.nextafter(t, math.inf)), t_max)
+    return ev(below) < 0.0 <= ev(above)
 
 
 def _eigen_window(coeffs, t_max: float) -> list[float]:
@@ -291,9 +316,17 @@ def test_line_search_matches_np_roots_on_complex_pairs(scale, root, re, im, t_ma
     t_max=st.floats(1e-6, 10.0),
 )
 @settings(max_examples=300, deadline=None)
-@example(coeffs=[-1.0, 2.0, 2.225073858507203e-309], t_max=1.0)  # both raise
+@example(coeffs=[-1.0, 2.0, 2.225073858507203e-309], t_max=1.0)  # np.roots raises
 def test_line_search_matches_np_roots_on_any_coefficients(coeffs, t_max):
     _same_step(coeffs, t_max)
+
+
+def test_line_search_bisects_past_a_subnormal_leading_coefficient():
+    # -p[1:] / p[0] overflows to inf, so eigvals raises, as np.roots did; the
+    # bisection fallback finds the root 0.5 of -1 + 2t instead.
+    coeffs = [-1.0, 2.0, 2.225073858507203e-309]
+    assert _step_or_error(_np_roots_line_search, np.array(coeffs), 1.0) == "LinAlgError"
+    assert _same_step(coeffs, 1.0) == 0.5
 
 
 @pytest.mark.parametrize(
