@@ -361,12 +361,7 @@ def _load_cost_table(game: CongestionGame) -> np.ndarray:
     return table
 
 
-def _episode_buffers(n: int, width: int):
-    """A batch's uniforms, flat picks and own-path costs, (n, width) each."""
-    return np.empty((n, width)), np.empty((n, width), dtype=np.intp), np.empty((n, width))
-
-
-def _simulate_episode(game, flat, streams, steps, batch, record, buffers=None):
+def _simulate_episode(game, flat, streams, steps, batch, record):
     n, m = game.n, game.m
     sampler = _sampler(game, flat, draws=steps)
     costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
@@ -376,7 +371,10 @@ def _simulate_episode(game, flat, streams, steps, batch, record, buffers=None):
     starts = game.offsets[:-1, None]
 
     tile = _tile_steps(game)
-    u, picks, own = buffers or _episode_buffers(n, min(batch, steps))
+    width = min(batch, steps)
+    u = np.empty((n, width))
+    picks = np.empty((n, width), dtype=np.intp)
+    own = np.empty((n, width))
     for done in range(0, steps, batch):
         size = min(batch, steps - done)
         for row, stream in zip(u, streams):
@@ -423,10 +421,6 @@ def run_bandit(
     records: list[EpisodeRecord] = []
     choice_logs: list[np.ndarray] | None = [] if config.record_choices else None
     previous = np.zeros(game.dim)
-    # One set of batch buffers for the whole run, as wide as the longest episode
-    # needs, so their pages are touched once rather than once per episode.
-    longest = config.episode_steps(game, config.episodes)
-    buffers = _episode_buffers(game.n, min(config.batch, longest))
 
     for tau in range(1, config.episodes + 1):
         exact = game.path_costs(x)
@@ -438,7 +432,7 @@ def run_bandit(
         else:
             steps = config.episode_steps(game, tau)
             visits, sums, log = _simulate_episode(
-                game, x, streams, steps, config.batch, config.record_choices, buffers
+                game, x, streams, steps, config.batch, config.record_choices
             )
             estimate, fallback = estimate_gradient(visits, sums, previous)
             if choice_logs is not None:

@@ -538,12 +538,12 @@ MC_GAMES = {
 
 @pytest.mark.parametrize("tile", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(MC_GAMES))
-def test_monte_carlo_tiles_match_matrix_path_bit_for_bit(monkeypatch, name, tile):
+def test_monte_carlo_tiles_bit_for_bit(monkeypatch, name, tile):
     """The tiled sum equals the ascending-order sum in every bit, for one batch,
-    a short tile, a carry into a second batch and several batches.  It equals
-    the old (batch, dim) matrix path too where BLAS adds each path's edges in
-    ascending order; on 32 or more edges OpenBLAS splits each path's sum in a
-    way that depends on the batch size, so there the two agree to rounding."""
+    a short tile, a carry into a second batch and several batches.  It agrees
+    with the old (batch, dim) matrix path to rounding: that product's order of
+    addition is the BLAS kernel's choice, which varies with the edge count, the
+    batch size and the CPU."""
     game = MC_GAMES[name]()
     if tile is not None:
         monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
@@ -555,10 +555,7 @@ def test_monte_carlo_tiles_match_matrix_path_bit_for_bit(monkeypatch, name, tile
         mc = [v.hex() for v in mc]
         assert mc == [v.hex() for v in _ascending_monte_carlo(game, flat, samples, samples)]
         old = _matrix_monte_carlo(game, flat, samples, seed=samples)
-        if game.m < 32:
-            assert mc == [v.hex() for v in old], samples
-        else:
-            assert np.allclose([float.fromhex(v) for v in mc], old, rtol=1e-15, atol=0.0)
+        assert np.allclose([float.fromhex(v) for v in mc], old, rtol=1e-15, atol=0.0)
     assert game.m_path >= 3 or name == "links"
 
 
