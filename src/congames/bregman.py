@@ -194,17 +194,21 @@ class EntropyGeometry:
 
         Shifting each row of eta * G by its minimum, padding included, keeps
         exp from underflowing; the shift cancels when the row is rescaled.
+        exp(min - Z) equals exp(-(Z - min)) bit for bit: the two exponents
+        differ at most in the sign of a zero.
         """
-        etas = np.reshape(etas, (-1, 1))
+        rates = np.broadcast_to(np.reshape(etas, (-1, 1)), mask.shape).copy()
 
         def step(X, G):
-            Z = etas * G
-            Z -= Z.min(axis=1, keepdims=True)
-            W = X * np.exp(-Z)
+            W = np.multiply(rates, G)
+            np.subtract(np.minimum.reduce(W, axis=1, keepdims=True), W, out=W)
+            np.exp(W, out=W)
+            np.multiply(W, X, out=W)
             if floor:
                 return _pin_to_floor(W, mask, mass, floor)
-            W *= mass / W.sum(axis=1, keepdims=True)
-            return W
+            scale = np.add.reduce(W, axis=1, keepdims=True)
+            np.divide(mass, scale, out=scale)
+            return np.multiply(W, scale, out=W)
 
         return step
 

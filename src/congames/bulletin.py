@@ -11,6 +11,7 @@ checked step by step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class BulletinConfig:
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
         """Per-player learning rates, after rejecting a bad step cap or target gap."""
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise ConfigurationError(f"step cap must be an integer, got {self.max_steps!r}")
         if self.max_steps < 0:
             raise ConfigurationError("step cap must be nonnegative")
         if self.target_gap is not None and not 0.0 < self.target_gap < math.inf:
@@ -111,9 +114,12 @@ class BulletinReport:
 
 # The diagnostics pass runs every _CHUNK_STEPS steps, fewer when one chunk of
 # padded (n, d) profiles would exceed _CHUNK_ENTRIES entries: its buffers and
-# temporaries then stay within a few hundred kB whatever the game.
+# temporaries then stay within a few hundred kB whatever the game.  Within a
+# chunk the potential, the average cost and the stop rule run once per block
+# of _STOP_BLOCK steps.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 8192
+_STOP_BLOCK = 32
 
 
 def run_bulletin(
@@ -123,16 +129,22 @@ def run_bulletin(
 ) -> BulletinReport:
     """Iterate the update x_i <- mirror_step(x_i, grad_i Phi, eta_i).
 
-    The loop does only what the dynamics and the stop rule need: loads, edge
-    costs, path costs, the potential, the average cost and the mirror step,
-    in the padded (n, d) layout.  It copies each iterate and its path costs
-    into a chunk buffer; a diagnostics pass turns a full chunk, and the last
-    one, into the equilibrium gaps, maximum costs and cumulative costs of all
-    its steps at once.  The stop rule reads only the potential, so the step
-    count does not depend on the chunking, and every report field is bit for
-    bit what a per-step evaluation gives: gaps and maxima take only max, min
-    and one subtraction, the average cost stays one dot product per step, and
-    the cumulative costs add their per-step rows in step order.
+    Each step does only what the next step needs, in the padded (n, d)
+    layout: loads, edge costs, path costs and the mirror step, keeping the
+    iterate, its loads, edge costs and path costs in chunk buffers.  Once per
+    block of _STOP_BLOCK steps the potentials and average costs of the whole
+    block are computed from the stored loads and edge costs, and the stop
+    rule finds the block's first step within the target.  The run is cut
+    there: the up to _STOP_BLOCK - 1 steps already taken past it are
+    discarded, and the final iterate is the stored one of that step.  A
+    diagnostics pass turns a full chunk, and the last one, into the
+    equilibrium gaps, maximum costs and cumulative costs of all its steps at
+    once.  The step count does not depend on the blocks or chunks, and every
+    report field is bit for bit what a per-step evaluation gives: the
+    potential of a step is the sum of its own row of edge primitives, the
+    average cost one dot product per row, gaps and maxima take only max, min
+    and one subtraction, and the cumulative costs add their per-step rows in
+    step order.
     """
     etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
@@ -160,52 +172,63 @@ def run_bulletin(
     inc = game.incidence
     mass = 1.0 / game.n
     mask = game.path_mask
+    sel = np.flatnonzero(mask)
     X = game.padded(x0)
     step = geometry.padded_step(mask, etas, mass)
     target = config.target_gap
+    last = config.max_steps
 
-    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, config.max_steps + 1))
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, last + 1))
     Xs = np.empty((rows, *X.shape))
     PCs = np.zeros((rows, *X.shape))  # the padding stays 0; the entropy step reads it
+    Ls = np.empty((rows, game.m))
+    Es = np.empty((rows, game.m))
+    phis = np.empty(rows)
+    avgs = np.empty(rows)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
-    phis: list[float] = []
-    avgs: list[float] = []
 
     stopped = False
-    j = 0
-    for _ in range(config.max_steps + 1):
-        flat = X[mask]
-        loads = flat @ inc
-        ecosts = game.edge_costs(loads)
+    j = done = 0  # next chunk row; rows before done have their potentials
+    for t in range(last + 1):
+        flat = X.take(sel)
+        loads = np.matmul(flat, inc, out=Ls[j])
+        ecosts = Es[j] = game.edge_costs(loads)
         PC = PCs[j]
-        PC[mask] = inc @ ecosts
-        phi = float(game.edge_primitives(loads).sum())
-        phis.append(phi)
-        avgs.append(float(loads @ ecosts))
+        PC.put(sel, inc @ ecosts)
         Xs[j] = X
         j += 1
 
-        if target is not None and phi - reference.value + reference.certificate <= target:
-            stopped = True
-            break
-        if len(phis) > config.max_steps:
-            break
-        if j == rows:
-            diagnostics.add(Xs, PCs, phis[-rows:])
-            j = 0
+        if j - done == _STOP_BLOCK or j == rows or t == last:
+            L, E = Ls[done:j], Es[done:j]
+            phis[done:j] = game.edge_primitives(L).sum(axis=1)
+            avgs[done:j] = np.matmul(L[:, None, :], E[:, :, None])[:, 0, 0]
+            if target is not None:
+                hits = np.flatnonzero(
+                    phis[done:j] - reference.value + reference.certificate <= target
+                )
+                if hits.size:
+                    j = done + int(hits[0]) + 1
+                    stopped = True
+                    break
+            if t == last:
+                break
+            done = j
+            if j == rows:
+                diagnostics.add(Xs, PCs, phis, avgs)
+                j = done = 0
 
         X = step(X, PC)
         if not entropy:
             X *= mass / X.sum(axis=1, keepdims=True)  # kill thresholding round-off
-    diagnostics.add(Xs[:j], PCs[:j], phis[len(phis) - j :])
+    diagnostics.add(Xs[:j], PCs[:j], phis[:j], avgs[:j])
 
     return BulletinReport(
         game=game,
         reference=reference,
         etas=etas,
-        phi=np.asarray(phis),
-        avg_costs=np.asarray(avgs),
-        x_final=X[mask].copy(),
+        phi=np.concatenate(diagnostics.phis),
+        avg_costs=np.concatenate(diagnostics.avgs),
+        x_final=Xs[j - 1][mask],
         gamma_measured=float(gamma),
         target_gap=config.target_gap,
         stopped_at_target=stopped,
@@ -224,6 +247,8 @@ class _Diagnostics:
     def __init__(self, game: CongestionGame, reference: CertifiedMinimum, record_profiles: bool):
         self.game = game
         self.reference = reference
+        self.phis: list[np.ndarray] = []
+        self.avgs: list[np.ndarray] = []
         self.deltas: list[np.ndarray] = []
         self.theorem_deltas: list[np.ndarray] = []
         self.maxs: list[np.ndarray] = []
@@ -231,10 +256,13 @@ class _Diagnostics:
         self.cum_unit = np.zeros(game.n)
         self.cum_paths = np.zeros(game.dim)
 
-    def add(self, X: np.ndarray, PC: np.ndarray, phi: list[float]) -> None:
-        """Steps with padded profiles X and path costs PC, both (k, n, d), and potentials phi."""
+    def add(self, X: np.ndarray, PC: np.ndarray, phi: np.ndarray, avg: np.ndarray) -> None:
+        """Steps with padded profiles X and path costs PC, both (k, n, d), potentials phi
+        and average costs avg; the chunk buffers are reused, so everything kept is a copy."""
         game, mask = self.game, self.game.path_mask
-        cert_gaps = np.asarray(phi) - self.reference.value + self.reference.certificate
+        self.phis.append(phi.copy())
+        self.avgs.append(avg.copy())
+        cert_gaps = phi - self.reference.value + self.reference.certificate
         floors = np.stack(
             [np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps, SUPPORT_TOL)]
         )

@@ -148,6 +148,32 @@ def _reference(game: CongestionGame) -> CertifiedMinimum:
     return reference
 
 
+# What each --gen key sets, for error messages; sym and seed are checked apart.
+_GEN_KEYS = {
+    "n": "player count",
+    "m": "edge count",
+    "d": "path count",
+    "deg": "cost degree",
+    "len": "path length cap",
+    "sym": None,
+    "seed": None,
+}
+
+
+def _check_gen_value(key: str, value: str) -> None:
+    """Reject a --gen value the generator cannot take, naming its key."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise ConfigurationError(f"--gen {key}={value}: not an integer") from None
+    if key == "sym" and number not in (0, 1):
+        raise ConfigurationError(f"--gen sym={value}: sym must be 0 or 1")
+    if key == "seed" and number < 0:
+        raise ConfigurationError(f"--gen seed={value}: seed must be a nonnegative integer")
+    if _GEN_KEYS[key] and number < 1:
+        raise ConfigurationError(f"--gen {key}={value}: {_GEN_KEYS[key]} must be at least 1")
+
+
 def parse_gen_string(text: str) -> dict:
     gen: dict = {}
     for part in text.split(","):
@@ -157,8 +183,9 @@ def parse_gen_string(text: str) -> dict:
         if "=" not in part:
             raise ConfigurationError(f"--gen entries look like key=value, got {part!r}")
         key, value = part.split("=", 1)
-        if key not in {"n", "m", "d", "deg", "sym", "seed", "len"}:
+        if key not in _GEN_KEYS:
             raise ConfigurationError(f"unknown --gen key {key!r}")
+        _check_gen_value(key, value)
         gen[key] = value
     for key in ("n", "m", "d"):
         if key not in gen:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from congames import (
     BulletinConfig,
     CongestionGame,
     ConfigurationError,
+    EuclideanGeometry,
     OracleMinima,
     PolynomialCost,
     delta_equilibrium_gap,
@@ -151,6 +153,9 @@ def test_learning_rate_gate():
         ({"target_gap": math.inf}, "target gap must be a positive finite number"),
         ({"target_gap": 0.0}, "target gap must be a positive finite number"),
         ({"max_steps": -1}, "step cap must be nonnegative"),
+        ({"max_steps": 2.5}, "step cap must be an integer, got 2.5"),
+        ({"max_steps": 100.0}, "step cap must be an integer, got 100.0"),
+        ({"max_steps": True}, "step cap must be an integer, got True"),
     ],
 )
 def test_bad_config_rejected_before_any_step(kwargs, message, monkeypatch):
@@ -166,6 +171,122 @@ def test_zero_step_cap_evaluates_the_start_only(g1):
     assert rep.steps == 0
     assert rep.phi.tolist() == [3 / 16]
     assert rep.delta_gaps.tolist() == [0.25]
+
+
+def _per_step_run(game, config, reference):
+    """The bulletin loop one step at a time: every report field of the step
+    evaluated before the stop rule reads the potential, and the multiplicative
+    update written out as exp(-(Z - min Z)).
+    """
+    etas = config.resolve_etas(game)
+    mask, inc, mass = game.path_mask, game.incidence, 1.0 / game.n
+    X = game.padded(game.uniform_profile().flat if config.x0 is None else config.x0)
+    euclidean_step = EuclideanGeometry().padded_step(mask, etas, mass)
+    rates = np.reshape(etas, (-1, 1))
+    fields = ("phi", "avg_costs", "delta_gaps", "theorem_delta_gaps", "max_costs", "profiles")
+    out = {name: [] for name in fields}
+    cum_unit, cum_paths = np.zeros(game.n), np.zeros(game.dim)
+    stopped = False
+    for t in range(config.max_steps + 1):
+        flat = X[mask]
+        loads = flat @ inc
+        ecosts = game.edge_costs(loads)
+        PC = np.zeros(X.shape)
+        PC[mask] = inc @ ecosts
+        phi = float(game.edge_primitives(loads).sum())
+        cert_gap = phi - reference.value + reference.certificate
+        out["phi"].append(phi)
+        out["avg_costs"].append(float(loads @ ecosts))
+        out["delta_gaps"].append(delta_equilibrium_gap(game, flat))
+        out["theorem_delta_gaps"].append(theorem_delta_gap(game, flat, cert_gap))
+        out["max_costs"].append(game.max_cost(flat))
+        out["profiles"].append(flat)
+        cum_unit = cum_unit + game.n * (PC * X).sum(axis=1)
+        cum_paths = cum_paths + PC[mask]
+        if config.target_gap is not None and cert_gap <= config.target_gap:
+            stopped = True
+            break
+        if t == config.max_steps:
+            break
+        if config.geometry == "euclidean":
+            X = euclidean_step(X, PC)
+            X *= mass / X.sum(axis=1, keepdims=True)
+        else:
+            Z = rates * PC
+            Z -= Z.min(axis=1, keepdims=True)
+            X = X * np.exp(-Z)
+            X *= mass / X.sum(axis=1, keepdims=True)
+    out = {name: np.array(values) for name, values in out.items()}
+    out.update(cum_unit_costs=cum_unit, cum_path_costs=cum_paths, x_final=X[mask])
+    return out, stopped
+
+
+# (max_steps, step the target is hit at or None, chunk rows or None, record_profiles)
+BLOCK_CASES = {
+    "hit-at-start": (100, 0, None, False),
+    "hit-last-step-of-block": (100, 31, None, True),
+    "hit-first-step-of-next-block": (100, 32, None, False),
+    "hit-in-second-chunk": (100, 47, 40, True),
+    "cap-mid-block": (40, None, None, False),
+    "cap-mid-block-unreached-target": (40, math.inf, None, False),
+    "cap-0": (0, None, None, False),
+    "cap-1": (1, None, None, True),
+    "one-row-chunks-hit": (100, 37, 1, True),
+    "one-row-chunks-cap": (9, None, 1, False),
+    "five-row-chunks-hit": (100, 32, 5, False),
+}
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_loop_matches_per_step_loop(kind, case, monkeypatch, reference_cache):
+    import congames.bulletin as bulletin
+
+    max_steps, hit, chunk_rows, record = BLOCK_CASES[case]
+    game = generate_random_game(seed=103, n=4, m=6, d=3)
+    ref = reference_cache(game)
+    if chunk_rows is not None:
+        monkeypatch.setattr(bulletin, "_CHUNK_ENTRIES", chunk_rows * game.n * game.d)
+    target = None
+    if hit == math.inf:
+        target = 1e-300  # below any certified gap: the cap ends the run
+    elif hit is not None:
+        free, _ = _per_step_run(game, BulletinConfig(geometry=kind, max_steps=max_steps), ref)
+        target = free["phi"][hit] - ref.value + ref.certificate
+    cfg = BulletinConfig(
+        geometry=kind, max_steps=max_steps, target_gap=target, record_profiles=record
+    )
+    expected, stopped = _per_step_run(game, cfg, ref)
+    # the case stops where its name says
+    assert len(expected["phi"]) - 1 == (max_steps if hit in (None, math.inf) else hit)
+    assert stopped == (hit not in (None, math.inf))
+
+    rep = run_bulletin(game, cfg, reference=ref)
+    assert rep.steps == len(expected["phi"]) - 1
+    assert rep.stopped_at_target == stopped
+    if not record:
+        assert rep.profiles is None
+        del expected["profiles"]
+    for name, value in expected.items():
+        got = getattr(rep, name)
+        assert got.shape == value.shape, name
+        assert got.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_steps_past_the_stop_are_silent(kind, capsys, reference_cache):
+    # the acceptance pool to a 1e-6 certified gap; each run also takes up to
+    # 31 discarded steps past its stop, which must warn and print nothing
+    pool = [
+        generate_random_game(seed=100 + i, n=(2, 4, 8)[i % 3], m=3 + i % 6, d=2 + i % 3)
+        for i in range(20)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for game in pool:
+            cfg = BulletinConfig(geometry=kind, target_gap=1e-6, max_steps=100_000)
+            assert run_bulletin(game, cfg, reference=reference_cache(game)).stopped_at_target
+    assert capsys.readouterr() == ("", "")
 
 
 def test_entropy_needs_positive_start(g1):

@@ -172,6 +172,25 @@ def test_cli_gen_string_validation():
     assert gen == {"n": "2", "m": "3", "d": "2", "deg": "2", "sym": "1"}
 
 
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ("n=x,m=3,d=3", "--gen n=x: not an integer"),
+        ("n=3,m=3,d=3,seed=-1", "--gen seed=-1: seed must be a nonnegative integer"),
+        ("n=3,m=3,d=3,seed=1.5", "--gen seed=1.5: not an integer"),
+        ("n=3,m=3,d=3,sym=7", "--gen sym=7: sym must be 0 or 1"),
+        ("n=3,m=3,d=3,sym=yes", "--gen sym=yes: not an integer"),
+        ("n=0,m=3,d=3", "--gen n=0: player count must be at least 1"),
+        ("n=3,m=3,d=3,deg=0", "--gen deg=0: cost degree must be at least 1"),
+    ],
+)
+def test_cli_gen_values_checked_per_key(gen, message, capsys):
+    assert main(["--gen", gen, "--algo", "bulletin-gd", "--eps", "1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_rejects_bad_log_level(g1_path, monkeypatch, capsys):
     monkeypatch.setenv("CONGESTION_LOG_LEVEL", "loud")
     code = main(["--game", g1_path, "--algo", "bulletin-gd", "--eps", "1e-4"])
