@@ -11,10 +11,11 @@ learning rate, using the estimate in place of the exact gradient.
 Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
 (PCG64); each pick is the inverse CDF of her frozen strategy at the uniform
 (GuideTable); own-path costs of at most 2 edges add exactly, in any order.
-Visits and cost sums are added by one bincount per `batch` steps, over that
-batch's picks in player-major step order, into the episode totals.  Within a
-batch the kernel computes picks and own-path costs in tiles of steps sized for
-the cache; tiles only block the work and change no bit.
+The kernel works in tiles of steps sized for the cache.  Per tile it adds the
+visits as integer counts, which no order changes, and the own-path costs with
+np.add.at onto a per-batch partial sum: each path belongs to one player, so its
+costs add in step order.  The partial sums join the episode totals once per
+batch of _BATCH steps; the cost-sum bits depend on that unit, not on the tile.
 
 The mixed equilibrium gap takes E[c_s(X)] exactly from each edge's load law
 (`expected_path_costs`) or estimates it by seeded Monte Carlo in the kernel's
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +96,12 @@ class GuideTable:
         self.guide, self.rows = hist.cumsum(), bases[:, None]
         self.passes = int(hist.reshape(-1, k + 2)[:, 1 : k + 1].max())
 
-    def picks(self, u: np.ndarray) -> np.ndarray:
-        """Flat row indices for uniforms of shape (rows, draws)."""
-        s = (u * self.k).astype(np.intp)
+    def picks(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat row indices for uniforms of shape (rows, draws), in out if given."""
+        s = np.empty(u.shape, dtype=np.intp) if out is None else out
+        np.multiply(u, self.k, out=s, casting="unsafe")  # truncates, as astype does
         s += self.rows
-        s = np.take(self.guide, s)
+        s[...] = np.take(self.guide, s)
         for _ in range(self.passes):
             s += np.take(self.cdf, s) <= u
         return s
@@ -175,16 +178,15 @@ class BanditConfig:
     nu: float = 8.0
     exact_gradient: bool = False
     record_choices: bool = False
-    batch: int = 16384
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
         return resolve_learning_rates(self.eta, game.n, game.smoothness_params().lam)
 
     def derive(self, game: CongestionGame) -> BanditParams:
+        if isinstance(self.episodes, bool) or not isinstance(self.episodes, numbers.Integral):
+            raise ConfigurationError(f"episode count must be an integer, got {self.episodes!r}")
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
-        if self.batch < 1:
-            raise ConfigurationError(f"batch must be at least 1 step, got {self.batch}")
         if self.record_choices and game.d > _LOG_PATHS:
             raise ConfigurationError(
                 f"record_choices logs path indices as int16, so at most {_LOG_PATHS} "
@@ -321,30 +323,25 @@ class BanditReport:
     def grad_errors(self) -> np.ndarray:
         return np.asarray([r.grad_error for r in self.records])
 
-    def save_replay(self, path) -> None:
-        """Persist the per-episode choice log for deterministic re-analysis."""
-        if self.choices is None:
-            raise ValueError("run was not configured with record_choices=True")
-        np.savez_compressed(
-            path, **{f"episode_{r.tau}": c for r, c in zip(self.records, self.choices)}
-        )
 
-
-def _edge_counts(game: CongestionGame, picks: np.ndarray):
+def _edge_counts(game: CongestionGame, picks: np.ndarray, keys: np.ndarray | None = None):
     """Players per step and edge for flat picks (n, steps), as counts (steps, m+1)
-    with the padding column m zeroed, and the keys t*(m+1) + e of each pick's edges."""
+    with the padding column m zeroed, and the keys t*(m+1) + e of each pick's
+    edges, written into keys (n, steps, m_path) if given."""
     m = game.m
-    keys = np.take(game.edge_ids, picks, axis=0)
+    keys = np.take(game.edge_ids, picks, axis=0, out=keys, mode="clip")
     keys += (np.arange(picks.shape[1]) * (m + 1))[:, None]
     counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * (m + 1)).reshape(-1, m + 1)
     counts[:, m] = 0
     return keys, counts
 
 
-# The episode kernel and the Monte-Carlo gap work through each batch in tiles
-# of steps (samples) whose (n, tile, m_path) edge keys hold at most
-# _TILE_ENTRIES entries, so a tile's keys, counts and costs stay in cache
-# whatever the game.
+# Visits and cost sums add up per batch of _BATCH steps, and the Monte-Carlo
+# gap draws its uniforms one batch of samples at a time; the cost-sum bits
+# depend on this unit.  Both work through each batch in tiles of steps
+# (samples) whose (n, tile, m_path) edge keys hold at most _TILE_ENTRIES
+# entries, so a tile's keys, counts and costs stay in cache whatever the game.
+_BATCH = 16384
 _TILE_ENTRIES = 32768
 
 
@@ -361,41 +358,46 @@ def _load_cost_table(game: CongestionGame) -> np.ndarray:
     return table
 
 
-def _simulate_episode(game, flat, streams, steps, batch, record):
+def _simulate_episode(game, flat, streams, steps, record):
     n, m = game.n, game.m
     sampler = _sampler(game, flat, draws=steps)
     costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
     visits = np.zeros(game.dim, dtype=np.int64)
-    sums = np.zeros(game.dim)
+    sums, partial = np.zeros(game.dim), np.empty(game.dim)
     log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
     starts = game.offsets[:-1, None]
 
-    tile = _tile_steps(game)
-    width = min(batch, steps)
-    u = np.empty((n, width))
-    picks = np.empty((n, width), dtype=np.intp)
-    own = np.empty((n, width))
-    for done in range(0, steps, batch):
-        size = min(batch, steps - done)
-        for row, stream in zip(u, streams):
-            stream.random(out=row[:size])
-        for lo in range(0, size, tile):
-            hi = min(lo + tile, size)
-            p = picks[:, lo:hi] = sampler.picks(u[:, lo:hi])
-            keys, counts = _edge_counts(game, p)
+    # One set of tile buffers serves the whole episode.  Fresh arrays every tile
+    # would each time be returned to the system and page-faulted again.
+    # (mode="clip" lets take write straight into out; every index is in range.)
+    tile = min(_tile_steps(game), _BATCH, steps)
+    u, own_buf = np.empty((n, tile)), np.empty((n, tile))
+    picks_buf = np.empty((n, tile), dtype=np.intp)
+    keys_buf = np.empty((n, tile, game.m_path), dtype=np.intp)
+    costs_buf = np.empty(tile * (m + 1))
+    for done in range(0, steps, _BATCH):
+        end = min(done + _BATCH, steps)
+        partial[:] = 0.0
+        for lo in range(done, end, tile):
+            width = min(tile, end - lo)
+            for row, stream in zip(u, streams):
+                stream.random(out=row[:width])
+            picks = sampler.picks(u[:, :width], out=picks_buf[:, :width])
+            keys, counts = _edge_counts(game, picks, keys_buf[:, :width])
             counts += edge_rows
-            step_costs = np.take(costs, counts)
-            tile_own = np.take(step_costs, keys[..., 0])
+            step_costs = np.take(costs, counts.ravel(), out=costs_buf[: counts.size], mode="clip")
+            own = np.take(step_costs, keys[..., 0], out=own_buf[:, :width], mode="clip")
             for col in range(1, keys.shape[2]):  # edges in ascending order
-                tile_own += np.take(step_costs, keys[..., col])
-            own[:, lo:hi] = tile_own
+                own += np.take(step_costs, keys[..., col])
+            flat_picks = picks.ravel()
+            visits += np.bincount(flat_picks, minlength=game.dim)
+            # Each path belongs to one player, so add.at adds its costs in step
+            # order, as one bincount over the batch in player-major order would.
+            # (A 1-d index takes numpy's fast path for add.at.)
+            np.add.at(partial, flat_picks, own.ravel())
             if record:
-                log[done + lo : done + hi] = (p - starts).T
-        # One bincount per batch over the steps in player-major order, as
-        # without tiles, so the cost sums do not depend on the tile length.
-        flat_picks = picks[:, :size].ravel()
-        visits += np.bincount(flat_picks, minlength=game.dim)
-        sums += np.bincount(flat_picks, weights=own[:, :size].ravel(), minlength=game.dim)
+                log[lo : lo + width] = (picks - starts).T
+        sums += partial
     return visits, sums, log
 
 
@@ -431,9 +433,7 @@ def run_bandit(
             estimate, fallback = exact.copy(), np.zeros(game.dim, dtype=bool)
         else:
             steps = config.episode_steps(game, tau)
-            visits, sums, log = _simulate_episode(
-                game, x, streams, steps, config.batch, config.record_choices
-            )
+            visits, sums, log = _simulate_episode(game, x, streams, steps, config.record_choices)
             estimate, fallback = estimate_gradient(visits, sums, previous)
             if choice_logs is not None:
                 choice_logs.append(log)
@@ -505,10 +505,6 @@ def expected_path_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
     return game.incidence @ (pmf * _load_cost_table(game)[: game.m]).sum(axis=1)
 
 
-# Monte-Carlo uniforms are drawn as one (n, _MC_BATCH) block per batch.
-_MC_BATCH = 16384
-
-
 def _sampled_path_cost_sums(
     game: CongestionGame, flat: np.ndarray, samples: int, seed: int
 ) -> np.ndarray:
@@ -536,8 +532,8 @@ def _sampled_path_cost_sums(
     tile = min(_tile_steps(game), samples)
     block = np.empty((tile + 1, game.dim))
     acc = np.zeros(game.dim)
-    for done in range(0, samples, _MC_BATCH):
-        u = rng.random((n, min(_MC_BATCH, samples - done)))
+    for done in range(0, samples, _BATCH):
+        u = rng.random((n, min(_BATCH, samples - done)))
         block[0] = 0.0
         for lo in range(0, u.shape[1], tile):
             rows = block[1 : min(tile, u.shape[1] - lo) + 1]

@@ -10,8 +10,8 @@ exactly over a scaled simplex {z >= floor, sum z = mass}, the Euclidean case
 by a sorted-threshold projection and the entropy case by a finite active-set
 loop on the multiplicative closed form.  Each geometry has one
 implementation of its step, `padded_step`, which steps every player at once
-in the padded (n, d) layout of `CongestionGame.padded`; `mirror_step` and
-`project` are its one-player calls.
+in the padded (n, d) layout of `CongestionGame.padded`; `mirror_step` is its
+one-player call.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ class FeasibleSet:
         if slack < 0.0:
             raise ConfigurationError("size * floor exceeds mass")
 
-    def contains(self, z: np.ndarray, tol: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=float)
-        return (
-            z.shape == (self.size,)
-            and bool(np.all(z >= self.floor - tol))
-            and abs(z.sum() - self.mass) <= tol
-        )
-
-    def vertices(self) -> np.ndarray:
-        """Extreme points: all free mass on one coordinate, floor elsewhere."""
-        free = self.mass - self.size * self.floor
-        verts = np.full((self.size, self.size), self.floor)
-        verts[np.diag_indices(self.size)] += free
-        return verts
-
 
 def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
     """Rates of n players: eta (scalar or one per player), default 1/lam, each in (0, 1/lam]."""
@@ -114,17 +99,10 @@ class EuclideanGeometry:
         d = u - v
         return float(0.5 * d @ d)
 
-    def grad_regularizer(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float)
-
     def gamma(self, fs: FeasibleSet) -> float:
         # Gamma * divergence <= ||u - v||^2 <= 2 * divergence holds with Gamma = 2
         # on any set, both sides with equality.
         return 2.0
-
-    def project(self, fs: FeasibleSet, p: np.ndarray) -> np.ndarray:
-        """The Bregman projection of p: the mirror step from p with a zero gradient."""
-        return self.mirror_step(fs, p, np.zeros(fs.size), 1.0)
 
     def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         _check_step_args(fs, x, g, eta)
@@ -164,12 +142,6 @@ class EntropyGeometry:
         active = u > 0.0
         return float(np.sum(u[active] * np.log(u[active] / v[active])))
 
-    def grad_regularizer(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0):
-            raise DivergenceDomainError("entropy gradient needs strictly positive input")
-        return np.log(u)
-
     def gamma(self, fs: FeasibleSet) -> float:
         # On a floored set with entries >= Lambda/n the KL divergence satisfies
         # (Lambda/n) * divergence <= ||u - v||^2, i.e. Gamma equals the floor.
@@ -178,10 +150,6 @@ class EntropyGeometry:
                 "entropy geometry has no two-sided divergence bound on unfloored sets"
             )
         return fs.floor
-
-    def project(self, fs: FeasibleSet, p: np.ndarray) -> np.ndarray:
-        """The Bregman projection of p: the mirror step from p with a zero gradient."""
-        return self.mirror_step(fs, p, np.zeros(fs.size), 1.0)
 
     def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         _check_step_args(fs, x, g, eta)

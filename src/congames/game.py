@@ -204,16 +204,8 @@ class CongestionGame:
         ecosts = self.edge_costs(self.edge_loads(flat))
         return self.incidence @ ecosts
 
-    def path_cost(self, flat: np.ndarray, player: int, path: int) -> float:
-        if not (0 <= player < self.n) or not (0 <= path < self.sizes[player]):
-            raise GameStructureError(f"no path {path} for player {player}")
-        return float(self.path_costs(flat)[self.offsets[player] + path])
-
     def potential(self, flat: np.ndarray) -> float:
         return float(self.edge_primitives(self.edge_loads(flat)).sum())
-
-    def potential_gradient(self, flat: np.ndarray) -> np.ndarray:
-        return self.path_costs(flat)
 
     def average_cost(self, flat: np.ndarray) -> float:
         """C_A(x) = sum_e load_e * c_e(load_e)."""
@@ -289,18 +281,6 @@ class FlowProfile:
                 raise GameStructureError(
                     f"player {i} mass {mass} deviates from 1/n by more than {tol}"
                 )
-
-    def renormalized(self) -> FlowProfile:
-        """Clip negatives from arithmetic drift and rescale each block to mass 1/n."""
-        flat = np.maximum(self.flat, 0.0).copy()
-        for i in range(self.game.n):
-            sl = self.game.player_slice(i)
-            block = flat[sl]
-            total = block.sum()
-            if total <= 0.0:
-                raise GameStructureError(f"player {i} has no mass to renormalize")
-            flat[sl] = block * (1.0 / self.game.n / total)
-        return FlowProfile(self.game, flat)
 
     @property
     def potential(self) -> float:

@@ -312,7 +312,7 @@ def test_zero_noise_mode_passes_descent_checks():
         assert descent_step_check(prev, nxt, rep.reference.value, p.theta, p.delta)
 
 
-def test_bandit_determinism_and_replay(tmp_path):
+def test_bandit_determinism_and_replay():
     game = parallel_links_game(3, [[1.0]] * 3)
     cfg = euclidean_preset(game, episodes=2, seed=42, nu=1.0, record_choices=True)
     rep1 = run_bandit(game, cfg)
@@ -320,9 +320,6 @@ def test_bandit_determinism_and_replay(tmp_path):
     assert np.array_equal(rep1.phis, rep2.phis)
     for a, b in zip(rep1.choices, rep2.choices):
         assert np.array_equal(a, b)
-    rep1.save_replay(tmp_path / "replay.npz")
-    loaded = np.load(tmp_path / "replay.npz")
-    assert np.array_equal(loaded["episode_1"], rep1.choices[0])
     # replayed choice vectors reproduce the recorded visit counts
     counts = np.bincount(rep1.choices[0][:, 0], minlength=3)
     assert np.array_equal(counts, rep1.records[0].visits[:3])
@@ -379,10 +376,17 @@ def test_config_validation():
         BanditConfig(lam=0.1, eta=float("nan")).derive(game)
     with pytest.raises(ConfigurationError, match="episode"):
         BanditConfig(lam=0.1, episodes=0).derive(game)
-    links = parallel_links_game(3, [[1.0]] * 3)
-    for batch in (0, -1):
-        with pytest.raises(ConfigurationError, match=f"batch must be at least 1 step, got {batch}"):
-            euclidean_preset(links, batch=batch).derive(links)
+
+
+def test_episode_count_must_be_an_integer():
+    # range() takes no 2.5, and True would pass for one episode.
+    game = parallel_links_game(3, [[1.0]] * 3)
+    for episodes in (2.5, True):
+        cfg = euclidean_preset(game, episodes=episodes)
+        with pytest.raises(ConfigurationError, match=f"episode count must be an integer, got {episodes!r}"):
+            cfg.derive(game)
+        with pytest.raises(ConfigurationError, match="episode count must be an integer"):
+            run_bandit(game, cfg)
 
 
 def test_choice_log_rejects_path_indices_beyond_int16():
@@ -402,27 +406,61 @@ TILE_GAMES = {
 }
 
 
+def reference_episode(game, flat, streams, steps, batch):
+    """The episode kernel written out without tiles: per batch, each player's
+    uniforms in one draw, picks by inverse CDF, own-path costs from edge_costs
+    at the step's loads (edges in ascending order), then one bincount for the
+    visits and one for the cost sums over the batch in player-major order."""
+    cdfs = [p.cumsum() for p in bandit._choice_probs(game, flat)]
+    starts = game.offsets[:-1, None]
+    visits = np.zeros(game.dim, dtype=np.int64)
+    sums = np.zeros(game.dim)
+    logs = []
+    for done in range(0, steps, batch):
+        size = min(batch, steps - done)
+        u = np.stack([stream.random(size) for stream in streams])
+        picks = starts + np.stack(
+            [np.minimum(np.searchsorted(c, row, "right"), len(c) - 1) for c, row in zip(cdfs, u)]
+        )
+        loads = game.incidence[picks].sum(axis=0) * (1.0 / game.n)  # (size, m)
+        costs = np.hstack([game.edge_costs(loads), np.zeros((size, 1))])  # padding edge m
+        ids, t = game.edge_ids[picks], np.arange(size)
+        own = costs[t, ids[..., 0]]
+        for col in range(1, game.m_path):
+            own = own + costs[t, ids[..., col]]
+        visits += np.bincount(picks.ravel(), minlength=game.dim)
+        sums += np.bincount(picks.ravel(), weights=own.ravel(), minlength=game.dim)
+        logs.append((picks - starts).T)
+    return visits, sums, np.concatenate(logs).astype(np.int16)
+
+
 @pytest.mark.parametrize("name", sorted(TILE_GAMES))
 def test_episode_kernel_tile_invariance(monkeypatch, name):
-    """Tiles of 1 step, 7 steps or a whole batch give the same visits, the same
-    cost-sum bits and the same choice log; the batch does not divide the episode."""
+    """Tiles of 1 step, 7 steps or a whole batch give the reference kernel's
+    visits, cost-sum bits and choice log; the batch does not divide the episode,
+    and the choice log changes nothing when it is not recorded."""
     game = TILE_GAMES[name]()
     flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
     steps, batch = 2500, 768
+    monkeypatch.setattr(bandit, "_BATCH", batch)
 
-    def run(tile):
-        monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
-        streams = [
+    def streams():
+        return [
             np.random.Generator(np.random.PCG64(ss))
             for ss in np.random.SeedSequence(7).spawn(game.n)
         ]
-        visits, sums, log = bandit._simulate_episode(game, flat, streams, steps, batch, True)
+
+    def digest(visits, sums, log):
         return visits.tolist(), [v.hex() for v in sums], hashlib.sha256(log.tobytes()).hexdigest()
 
-    whole = run(batch)
-    assert sum(whole[0]) == game.n * steps
+    expected = digest(*reference_episode(game, flat, streams(), steps, batch))
+    assert sum(expected[0]) == game.n * steps
     for tile in (1, 7, 10 * batch):
-        assert run(tile) == whole
+        monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
+        assert digest(*bandit._simulate_episode(game, flat, streams(), steps, True)) == expected
+    visits, sums, log = bandit._simulate_episode(game, flat, streams(), steps, False)
+    assert log is None
+    assert (visits.tolist(), [v.hex() for v in sums]) == expected[:2]
 
 
 def test_presets_satisfy_theta_precondition():

@@ -97,7 +97,7 @@ def test_run_loop_step_matches_mirror_step(kind):
 
     geo = make_geometry(kind)
     x0, x1 = rep.profiles[0], rep.profiles[1]
-    grad = game.potential_gradient(x0)
+    grad = game.path_costs(x0)
     for i in range(game.n):
         sl = game.player_slice(i)
         fs = FeasibleSet(size=game.sizes[i], mass=1.0 / game.n)

@@ -71,22 +71,15 @@ def test_dimension_mismatch_is_structural_error(g1):
 
 def test_identity_edge_half_load():
     game = parallel_links_game(1, [[1.0]])
-    assert math.isclose(game.path_cost(np.array([1.0]), 0, 0), 1.0)
+    assert math.isclose(game.path_costs(np.array([1.0]))[0], 1.0)
     game2 = parallel_links_game(2, [[1.0], [1.0]])
     x = np.array([0.5, 0.0, 0.0, 0.5])
-    assert math.isclose(game2.path_cost(x, 0, 0), 0.5)
+    assert math.isclose(game2.path_costs(x)[0], 0.5)
 
 
 def test_g1_path_costs(g1):
     assert np.allclose(g1.path_costs(np.array([0.5, 0.5])), [0.25, 0.5], atol=1e-15)
     assert np.allclose(g1.path_costs(np.array([2 / 3, 1 / 3])), [1 / 3, 1 / 3], atol=1e-15)
-
-
-def test_path_cost_bad_index(g1):
-    with pytest.raises(GameStructureError):
-        g1.path_cost(np.array([0.5, 0.5]), 0, 2)
-    with pytest.raises(GameStructureError):
-        g1.path_cost(np.array([0.5, 0.5]), 1, 0)
 
 
 # -- potential -------------------------------------------------------------------
@@ -124,24 +117,17 @@ def test_potential_floor():
 # -- gradient --------------------------------------------------------------------
 
 
-def test_gradient_equals_path_costs_bitwise(g1):
-    x = np.array([0.41, 0.59])
-    grad = g1.potential_gradient(x)
-    for s in range(2):
-        assert grad[s] == g1.path_cost(x, 0, s)
-
-
 def test_gradient_zero_load_paths():
     game = parallel_links_game(1, [[1.0], [0.5]])
     x = np.array([1.0, 0.0])
-    assert game.potential_gradient(x)[1] == 0.0
+    assert game.path_costs(x)[1] == 0.0
 
 
 def test_gradient_matches_central_differences():
     game = generate_random_game(seed=9, n=3, m=5, d=3)
     rng = np.random.default_rng(9)
     flat = random_feasible(game, rng)
-    grad = game.potential_gradient(flat)
+    grad = game.path_costs(flat)
     h = 1e-5
     for idx in range(game.dim):
         bump = np.zeros(game.dim)
@@ -155,7 +141,7 @@ def test_gradient_sup_norm_bound():
     beta = game.smoothness_params().beta
     rng = np.random.default_rng(13)
     for _ in range(100):
-        grad = game.potential_gradient(random_feasible(game, rng))
+        grad = game.path_costs(random_feasible(game, rng))
         assert np.abs(grad).max() <= beta + 1e-12
 
 
@@ -243,7 +229,7 @@ def test_smoothness_wrt_divergences():
     rng = np.random.default_rng(71)
     for _ in range(200):
         x, y = random_feasible(game, rng), random_feasible(game, rng)
-        linear = game.potential(x) + game.potential_gradient(x) @ (y - x)
+        linear = game.potential(x) + game.path_costs(x) @ (y - x)
         for geo in (EuclideanGeometry(), EntropyGeometry()):
             if geo.kind == "negative-entropy":
                 x_pos = np.maximum(x, 1e-12)
@@ -267,7 +253,7 @@ def test_directional_curvature_bound():
     for _ in range(200):
         x, y = random_feasible(game, rng), random_feasible(game, rng)
         z = y - x
-        probe = z @ (game.potential_gradient(x + h * z) - game.potential_gradient(x)) / h
+        probe = z @ (game.path_costs(x + h * z) - game.path_costs(x)) / h
         assert probe <= lam * (z @ z) + 1e-6
 
 
@@ -297,13 +283,6 @@ def test_flow_profile_validation(g1):
         FlowProfile(g1, np.array([0.6, 0.5])).validate()
     with pytest.raises(GameStructureError):
         FlowProfile(g1, np.array([-0.1, 1.1])).validate()
-
-
-def test_flow_profile_renormalize(g1):
-    drifted = FlowProfile(g1, np.array([0.5 + 3e-13, 0.5 - 1e-13]))
-    fixed = drifted.renormalized()
-    fixed.validate()
-    assert math.isclose(fixed.flat.sum(), 1.0, abs_tol=1e-15)
 
 
 def test_uniform_profile_feasible():
