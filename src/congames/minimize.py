@@ -14,25 +14,34 @@ how the point was found.
 
 A vertex of the joint polytope picks one path per player.  The active set is
 an int array V of shape (k, n), each row a vertex as the flat coordinates of
-its n paths, with weights w of shape (k,), both in insertion order.  One gather
-scores every active vertex, the best response is one argmin over a (n, d) array
-padded with +inf, and the iterate is rebuilt from (V, w) every 64 steps.  The
-arithmetic is fixed down to the bit: ties between away vertices go to the
-lexicographically smallest, the weight total is summed left to right, and the
-rebuild adds the vertices up in row order.  Outputs (flat, value, certificate,
-iterations, converged) are pinned by tests/test_minimize_golden.py; the CLI's
-phi_gap column subtracts the value, so a last-bit change there changes CSV
-bytes.
+its n paths, with weights w of shape (k,), both in insertion order, and a dict
+from each row's bytes to its index, so the Frank-Wolfe vertex is found in O(n);
+V, w and the dict are filtered and rebuilt only when a weight drops to 1e-15.
+One gather scores every active vertex, the best response is one argmin over a
+(n, d) array padded with +inf, and the iterate is rebuilt from (V, w) every 64
+steps.  The arithmetic is fixed down to the bit: ties between away vertices go
+to the lexicographically smallest, the weight total is summed left to right,
+and the rebuild adds the vertices up in row order.  Outputs (flat, value,
+certificate, iterations, converged) are pinned by
+tests/test_minimize_golden.py; the CLI's phi_gap column subtracts the value, so
+a last-bit change there changes CSV bytes.
 
 That fixes the line search too.  Its step t is the smallest real eigenvalue in
 [0, t_max] of the companion matrix np.roots would build for the derivative
-polynomial, computed by the same np.linalg.eigvals call, so t equals the
-np.roots answer bit for bit without np.roots' wrapper.  Bisection remains the
-fallback when no eigenvalue lands inside, and when a subnormal leading
-coefficient overflows the companion matrix so that eigvals raises (np.roots
-raised there).  The two search directions, vertex - x and x - vertex, add the
-same terms as combination(...) - x but write the vertex's n entries in place;
-np.add.at only rebuilds x from (V, w).
+polynomial, computed by the LAPACK gufunc np.linalg.eigvals wraps
+(numpy.linalg._umath_linalg.eigvals, signature "d->D") under that wrapper's
+error state, so t equals the np.roots answer bit for bit.  Bisection remains
+the fallback when no eigenvalue lands inside, when row 0 of the matrix is not
+finite (a subnormal leading coefficient overflows it; eigvals and np.roots
+raised there), and when LAPACK does not converge (the invalid flag, raised as
+FloatingPointError; eigvals raised LinAlgError).  The two search directions,
+vertex - x and x - vertex, add the same terms as combination(...) - x but
+write the vertex's n entries in place; np.add.at only rebuilds x from (V, w).
+
+Each call owns its scratch: the companion matrices (one per size, ones on the
+subdiagonal set once, row 0 rewritten per line search), the line-derivative
+terms and the search direction.  Nothing is kept between calls, so solves on
+different threads share no state.
 
 The maximum individual cost is piecewise smooth, not edge-separable; its
 minimizer uses an epigraph formulation solved by SLSQP.  scipy is imported only
@@ -42,9 +51,12 @@ by min_max_cost, so the rest of the package needs numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .costs import horner
 from .game import CongestionGame
@@ -90,19 +102,27 @@ class _EdgeSeparableObjective:
     def edge_gradient(self, loads: np.ndarray) -> np.ndarray:
         return horner(self.dtable, loads)
 
-    def line_derivative_poly(self, loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
-        """Coefficients (ascending in t) of d/dt G(x + t*d) along load direction dloads."""
-        P = len(self.taylor)
-        inner = self.taylor[0] + 0.0  # sum_j taylor[j] * loads**j, from 0.0 up
-        lpow = loads  # loads**j
-        for j in range(1, P):
-            inner[: P - j] += self.taylor[j] * lpow
-            lpow = lpow * loads
-        dpow = np.empty_like(inner)  # dloads**(q+1), includes the outer chain factor
-        dpow[0] = dloads
-        for q in range(1, P):
-            np.multiply(dpow[q - 1], dloads, out=dpow[q])
-        return (dpow * inner).sum(axis=1)
+    def line_derivative(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """line_derivative_poly(loads, dloads): coefficients (ascending in t) of
+        d/dt G(x + t*d) along load direction dloads.  Its arrays belong to one
+        solve: each call overwrites them and returns a fresh result."""
+        P, m = len(self.taylor), self.table.shape[0]
+        inner, dpow, lpow = np.empty((P, m)), np.empty((P, m)), np.empty(m)
+
+        def line_derivative_poly(loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
+            np.add(self.taylor[0], 0.0, out=inner)  # sum_j taylor[j] * loads**j from 0.0
+            power = loads  # loads**j
+            for j in range(1, P):
+                term = np.multiply(self.taylor[j], power, out=dpow[: P - j])
+                inner[: P - j] += term
+                if j + 1 < P:
+                    power = np.multiply(power, loads, out=lpow)
+            dpow[0] = dloads  # dloads**(q+1), includes the outer chain factor
+            for q in range(1, P):
+                np.multiply(dpow[q - 1], dloads, out=dpow[q])
+            return np.multiply(dpow, inner, out=dpow).sum(axis=1)
+
+        return line_derivative_poly
 
 
 def potential_objective(game: CongestionGame) -> _EdgeSeparableObjective:
@@ -115,46 +135,63 @@ def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
     return _EdgeSeparableObjective(game, np.pad(game._coef_table, ((0, 0), (1, 0))))
 
 
+def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
+    """poly_root_in(coeffs, t_max) for coefficient vectors up to this degree: the
+    unique sign change of a nondecreasing polynomial on [0, t_max].  Its companion
+    matrices belong to one solve: each call rewrites one of them."""
+    # np.roots' companion matrix of size k is np.eye(k, k=-1) with row 0 set to
+    # -p[1:] / p[0] once leading zeros are stripped; only row 0 changes per call.
+    companions = [np.eye(k, k=-1) for k in range(degree + 1)]
+
+    def poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
+        leading_first = coeffs[::-1].tolist()
+
+        def ev(t: float) -> float:
+            y = 0.0
+            for c in leading_first:
+                y = y * t + c
+            return y
+
+        if ev(t_max) <= 0.0:
+            return t_max
+        if ev(0.0) >= 0.0:
+            return 0.0
+        # ev(0) < 0 means a nonzero constant term, so there are no zero roots to
+        # append as np.roots would.
+        first = next(i for i, c in enumerate(leading_first) if c != 0.0)
+        lead, rest = leading_first[first], leading_first[first + 1 :]
+        row = [-c / lead for c in rest]
+        inside = []
+        # A subnormal lead overflows row 0 to inf (np.linalg.eigvals raised on a
+        # non-finite matrix), and LAPACK's non-convergence sets the invalid flag
+        # (eigvals raised on that too): both leave no eigenvalue and bisect.
+        if rest and all(map(math.isfinite, row)):
+            companion = companions[len(rest)]
+            companion[0] = row
+            try:
+                with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
+                    roots = _eigvals(companion, signature="d->D").tolist()
+            except FloatingPointError:
+                roots = []
+            high = t_max * (1 + 1e-12)
+            inside = [r.real for r in roots if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= high]
+        if inside:
+            return min(max(min(inside), 0.0), t_max)
+        lo, hi = 0.0, t_max  # bisection fallback; derivative is monotone
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if ev(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return poly_root_in
+
+
 def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
     """Unique sign change of a nondecreasing polynomial on [0, t_max]."""
-
-    leading_first = coeffs[::-1].tolist()
-
-    def ev(t: float) -> float:
-        y = 0.0
-        for c in leading_first:
-            y = y * t + c
-        return y
-
-    if ev(t_max) <= 0.0:
-        return t_max
-    if ev(0.0) >= 0.0:
-        return 0.0
-    # np.roots' companion matrix and its eigvals call, without the wrapper: strip
-    # leading zeros, row 0 is -p[1:] / p[0], ones on the subdiagonal.  ev(0) < 0
-    # means a nonzero constant term, so there are no zero roots to append.
-    first = next(i for i, c in enumerate(leading_first) if c != 0.0)
-    lead, rest = leading_first[first], leading_first[first + 1 :]
-    inside = []
-    if rest:
-        companion = np.eye(len(rest), k=-1)
-        companion[0] = [-c / lead for c in rest]
-        high = t_max * (1 + 1e-12)
-        try:
-            roots = np.linalg.eigvals(companion).tolist()
-        except np.linalg.LinAlgError:  # a subnormal lead overflows row 0 to inf
-            roots = []
-        inside = [r.real for r in roots if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= high]
-    if inside:
-        return min(max(min(inside), 0.0), t_max)
-    lo, hi = 0.0, t_max  # bisection fallback; derivative is monotone
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ev(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _line_search(len(coeffs) - 1)(coeffs, t_max)
 
 
 def minimize_edge_separable(
@@ -165,11 +202,14 @@ def minimize_edge_separable(
 ) -> CertifiedMinimum:
     inc = game.incidence
     n, starts, unit = game.n, game.offsets[:-1], 1.0 / game.n
-    mask = game.path_mask
     padded = np.full((n, game.d), np.inf)  # per-player path values, +inf beyond a block
+    sel = np.flatnonzero(game.path_mask)  # where g goes in padded
+    line_derivative_poly = objective.line_derivative()
+    poly_root_in = _line_search(len(objective.taylor) - 1)
+    direction = np.empty(game.dim)
 
     def best_response(g: np.ndarray) -> np.ndarray:
-        padded[mask] = g
+        padded.put(sel, g)
         return padded.argmin(axis=1) + starts
 
     def scores(g: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -185,6 +225,7 @@ def minimize_edge_separable(
     # the iterate must be an exact convex combination of active vertices.
     V = best_response(inc @ objective.edge_gradient(game.uniform_profile().flat @ inc))[None]
     w = np.ones(1)
+    rows = {V[0].tobytes(): 0}  # vertex bytes -> its row in V
     x = combination(V, w)
 
     gap = np.inf
@@ -192,48 +233,53 @@ def minimize_edge_separable(
     for it in range(1, max_iter + 1):
         loads = x @ inc
         g = inc @ objective.edge_gradient(loads)
-        fw = best_response(g)[None]
+        fw = best_response(g)
         gx = float(g @ x)
-        gap = gx - float(scores(g, fw)[0])
+        gap = gx - float(g[fw].sum() / n)
         if gap <= tol:
             break
 
         s = scores(g, V)  # the away vertex scores highest, ties to the smallest row
-        ties = np.flatnonzero(s == s.max())
+        ties = (s == s.max()).nonzero()[0]
         away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
 
         fw_step = gap >= float(s[away]) - gx or len(w) == 1
         if fw_step:  # vertex - x
-            direction = 0.0 - x  # not -x: 0.0 - 0.0 is +0.0, as in combination(fw) - x
-            direction[fw[0]] += unit
+            np.subtract(0.0, x, out=direction)  # not -x: 0.0 - 0.0 is +0.0
+            direction[fw] += unit
             t_max = 1.0
         else:  # x - vertex
-            direction = x.copy()
+            direction[:] = x
             direction[V[away]] -= unit
             w_away = float(w[away])
             t_max = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0
 
         dloads = direction @ inc
-        t = _poly_root_in(objective.line_derivative_poly(loads, dloads), t_max)
+        t = poly_root_in(line_derivative_poly(loads, dloads), t_max)
         if t <= 0.0:
             break  # numerically stalled; certificate below still stands
 
         if fw_step:
             w *= 1.0 - t
-            hit = np.flatnonzero((V == fw).all(axis=1))
-            if hit.size:
-                w[hit[0]] += t
+            key = fw.tobytes()
+            hit = rows.get(key)
+            if hit is not None:
+                w[hit] += t
             else:
-                V = np.concatenate([V, fw])
+                rows[key] = len(w)
+                V = np.concatenate([V, fw[None]])
                 w = np.append(w, t)
         else:
             w *= 1.0 + t
             w[away] -= t
         keep = w > 1e-15
-        V, w = V[keep], w[keep]
+        if not keep.all():
+            V, w = V[keep], w[keep]
+            rows = {v.tobytes(): k for k, v in enumerate(V)}
         w /= sum(w.tolist())  # left to right: np.sum's pairwise order changes bits
 
-        x = x + t * direction
+        direction *= t
+        x += direction  # the bits of x + t * direction
         if it % 64 == 0:  # resync from the convex combination to kill drift
             x = combination(V, w)
 
@@ -250,9 +296,15 @@ def minimize_edge_separable(
     )
 
 
-def _check_oracle_args(tol: float, max_iter: int) -> None:
-    if not (math.isfinite(tol) and tol > 0):
+def _check_tol(tol: float) -> None:
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def _check_oracle_args(tol: float, max_iter: int) -> None:
+    _check_tol(tol)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
@@ -287,6 +339,7 @@ def min_max_cost(
     SLSQP starts from the uniform profile and from the potential minimizer
     `reference`, which is solved at tol=1e-9 when the caller has none.
     """
+    _check_tol(tol)
     # scipy.optimize adds about 0.3 s to start-up, and nothing else needs it.
     from scipy import optimize
 

@@ -1,7 +1,11 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -143,13 +147,70 @@ def test_bad_tolerance_rejected(g1):
 
 @pytest.mark.parametrize("oracle", [reference_minimizer, min_average_cost])
 @pytest.mark.parametrize(
-    "bad", [{"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}, {"max_iter": -5}]
+    "bad",
+    [
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"max_iter": 0},
+        {"max_iter": -5},
+        {"tol": True},
+        {"max_iter": 2.5},
+        {"max_iter": math.inf},
+        {"max_iter": True},
+    ],
 )
 def test_bad_oracle_arguments_rejected(oracle, bad):
-    # tol=nan used to stop after 2 iterations unconverged, max_iter=-5 after none
+    # tol=nan used to stop after 2 iterations unconverged, max_iter=-5 after none;
+    # max_iter=2.5 and inf failed inside range(), max_iter=True ran one iteration
+    # and tol=True was taken as 1.0
     game = generate_random_game(seed=1, n=4, m=5, d=3)
-    with pytest.raises(ValueError):
+    (value,) = bad.values()
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
         oracle(game, **bad)
+
+
+@pytest.mark.parametrize("oracle", [reference_minimizer, min_average_cost])
+def test_numpy_integer_iteration_cap_accepted(oracle):
+    game = generate_random_game(seed=12, n=4, m=6, d=3)
+    capped = oracle(game, tol=1e-12, max_iter=np.int64(3))
+    plain = oracle(game, tol=1e-12, max_iter=3)
+    assert capped.iterations == plain.iterations == 3
+    assert capped.flat.tobytes() == plain.flat.tobytes()
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True])
+def test_max_cost_tolerance_rejected(tol):
+    # these went straight to SLSQP's ftol: tol=-1 returned 0.4485320848006 on this
+    # game where the default tolerance gives 0.4485320843302
+    game = generate_random_game(seed=2, n=3, m=5, d=3, symmetric=True)
+    with pytest.raises(ValueError, match=re.escape(repr(tol))):
+        min_max_cost(game, tol=tol)
+
+
+def test_oracles_share_no_state_between_threads(monkeypatch):
+    # two games of one shape, so any scratch kept between solves would collide
+    games = [generate_random_game(seed=s, n=8, m=8, d=4, degree=3) for s in (3, 4)]
+    calls = [(oracle, game) for game in games for oracle in (reference_minimizer, min_average_cost)]
+
+    def fingerprint(result):
+        return result.flat.tobytes(), result.value, result.certificate, result.iterations
+
+    sequential = [fingerprint(oracle(game)) for oracle, game in calls]
+    eigvals = congames.minimize._eigvals
+
+    def yielding_eigvals(a, signature):
+        time.sleep(0)  # let the other thread run between writing a companion and reading it
+        return eigvals(a, signature=signature)
+
+    monkeypatch.setattr(congames.minimize, "_eigvals", yielding_eigvals)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda call: fingerprint(call[0](call[1])), calls * 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential * 2
 
 
 def test_iteration_cap_reports_best_found():
@@ -369,3 +430,47 @@ def test_line_search_seed302_stall_unchanged():
         "-0x1.a3bcc71848e16p-17", "0x1.5e4d9d497ebc3p-242",
     )
     assert _same_step(coeffs, float.fromhex("0x1.4ea0cf375d143p-2")) == 0.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, t_max",
+    [
+        ([-1.0, 2.0, 2.225073858507203e-309], 1.0),  # row 0 overflows: bisection
+        ([-2e300, 1.5e300, 0.5e300, 1e300], 2.0),  # finite, near the top of the range
+    ],
+)
+def test_line_search_lapack_call_warns_nothing(coeffs, t_max):
+    coeffs = np.array(coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _poly_root_in(coeffs, t_max)
+    old = _step_or_error(_np_roots_line_search, coeffs, t_max)
+    if old == "LinAlgError":  # np.roots raised; the routine before this one bisected
+        assert step == 0.5
+    else:
+        assert step.hex() == old
+    assert _brackets_sign_change(coeffs, step, t_max)
+
+
+def test_line_search_skips_lapack_on_a_non_finite_row(monkeypatch):
+    def unreachable(a, signature):
+        raise AssertionError("eigenvalues of a non-finite companion matrix")
+
+    monkeypatch.setattr(congames.minimize, "_eigvals", unreachable)
+    assert _poly_root_in(np.array([-1.0, 2.0, 2.225073858507203e-309]), 1.0) == 0.5
+
+
+def test_line_search_bisects_when_eigenvalues_do_not_converge(monkeypatch):
+    # LAPACK's non-convergence reaches numpy as the invalid flag; the public eigvals
+    # raised LinAlgError on it and the step came from the bisection.
+    def no_convergence(a, signature):
+        np.zeros(1) / np.zeros(1)  # sets the invalid flag, as a failed LAPACK call does
+        return np.full(len(a), 0.25, dtype=complex)  # inside the window, not a root
+
+    coeffs = np.array([-1.0, 1.0, 1.0, 1.0])
+    monkeypatch.setattr(congames.minimize, "_eigvals", no_convergence)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _poly_root_in(coeffs, 1.0)
+    assert step != 0.25
+    assert _brackets_sign_change(coeffs, step, 1.0)
