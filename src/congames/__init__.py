@@ -46,7 +46,6 @@ from .bulletin import (
 from .costs import CostValidationError, PolynomialCost, validate_cost
 from .game import (
     CongestionGame,
-    FlowProfile,
     GameStructureError,
     SmoothnessParams,
     parallel_links_game,
@@ -78,7 +77,6 @@ __all__ = [
     "EpisodeRecord",
     "EuclideanGeometry",
     "FeasibleSet",
-    "FlowProfile",
     "GameFileError",
     "GameStructureError",
     "MaxCostMinimum",

@@ -49,7 +49,7 @@ def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     probs = game.n * game.check_vector(flat)
     starts = game.offsets[:-1]
     totals = np.add.reduceat(probs, starts)
-    bad = np.abs(totals - 1.0) > 1e-9
+    bad = ~(np.abs(totals - 1.0) <= 1e-9)  # a non-finite entry makes its total nan or inf
     if bad.any() or probs.min() < -1e-12:
         i = int(np.argmax(bad | (np.minimum.reduceat(probs, starts) < -1e-12)))
         raise ValueError(f"player {i} choice probabilities sum to {totals[i]}")
@@ -414,7 +414,7 @@ def run_bandit(
         reference = reference_minimizer(game)
 
     step = geometry.padded_step(game.path_mask, etas, 1.0 / game.n, config.lam / game.n)
-    x = restrict_profile(game, game.uniform_profile().flat, config.lam)
+    x = restrict_profile(game, game.uniform_profile(), config.lam)
     streams = [
         np.random.Generator(np.random.PCG64(ss))
         for ss in np.random.SeedSequence(config.seed).spawn(game.n)

@@ -222,7 +222,6 @@ def _check_step_args(fs: FeasibleSet, x, g, eta: float) -> None:
 _GEOMETRIES = {
     "euclidean": EuclideanGeometry,
     "negative-entropy": EntropyGeometry,
-    "entropy": EntropyGeometry,
 }
 
 

@@ -20,7 +20,6 @@ from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import (
     SUPPORT_TOL,
     CongestionGame,
-    FlowProfile,
     padded_equilibrium_gaps,
     reduce_paths,
 )
@@ -151,10 +150,9 @@ def run_bulletin(
     entropy = geometry.kind == "negative-entropy"
 
     if config.x0 is None:
-        x0 = game.uniform_profile().flat
+        x0 = game.uniform_profile()
     else:
-        x0 = game.check_vector(config.x0)
-        FlowProfile(game, x0).validate(tol=1e-9)
+        x0 = game.check_profile(config.x0, tol=1e-9)
     if entropy and np.any(x0 <= 0.0):
         raise ConfigurationError(
             "entropy dynamics need a strictly positive start (use the uniform profile)"

@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,53 +47,21 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-@dataclass
-class ExperimentSpec:
-    algo: str
-    game_path: str | None = None
-    gen: dict | None = None
-    eps: float | None = None
-    sigma: float | None = None
-    eta: float | None = None
-    lambda_cap: float | None = None
-    nu: float | None = None
-    steps: int | None = None
-    episodes: int | None = None
-    seed: int = 0
-    out: str | None = None
-    enforce: bool = True
-
-    def validate(self) -> None:
-        if (self.game_path is None) == (self.gen is None):
-            raise ConfigurationError("exactly one game source (--game or --gen) required")
-        if self.algo not in {"bulletin-gd", "bulletin-mu", "bandit-gd", "bandit-mu"}:
-            raise ConfigurationError(f"unknown algorithm {self.algo!r}")
-        if self.algo.startswith("bandit"):
-            ignored = {"--eps": self.eps, "--sigma": self.sigma, "--steps": self.steps}
-        else:
-            ignored = {
-                "--episodes": self.episodes,
-                "--lambda-cap": self.lambda_cap,
-                "--nu": self.nu,
-            }
-        for flag, value in ignored.items():
-            if value is not None:
-                raise ConfigurationError(f"{flag} does not apply to --algo {self.algo}")
-        if self.eps is not None and self.sigma is not None:
-            raise ConfigurationError("--eps and --sigma are mutually exclusive")
-        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
-            raise ConfigurationError("--sigma must be a positive finite number")
-        if self.lambda_cap is not None and not 0.0 < self.lambda_cap < math.inf:
-            raise ConfigurationError("--lambda-cap must be a positive finite number")
-        if self.seed < 0:
-            raise ConfigurationError("--seed must be a nonnegative integer")
-
-
-@dataclass
-class ExperimentResult:
-    exit_code: int
-    summary: dict
-    assertions: list[tuple[str, bool, str]] = field(default_factory=list)
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject flags the algorithm ignores and out-of-range values argparse lets through."""
+    if args.algo.startswith("bandit"):
+        ignored = {"--eps": args.eps, "--sigma": args.sigma, "--steps": args.steps}
+    else:
+        ignored = {"--episodes": args.episodes, "--lambda-cap": args.lambda_cap, "--nu": args.nu}
+    for flag, value in ignored.items():
+        if value is not None:
+            raise ConfigurationError(f"{flag} does not apply to --algo {args.algo}")
+    if args.sigma is not None and not 0.0 < args.sigma < math.inf:
+        raise ConfigurationError("--sigma must be a positive finite number")
+    if args.lambda_cap is not None and not 0.0 < args.lambda_cap < math.inf:
+        raise ConfigurationError("--lambda-cap must be a positive finite number")
+    if args.seed < 0:
+        raise ConfigurationError("--seed must be a nonnegative integer")
 
 
 def _fmt(value) -> str:
@@ -121,18 +88,19 @@ def _out_error(path: str, exc: OSError) -> ConfigurationError:
     return ConfigurationError(f"cannot write --out {path}: {exc}")
 
 
-def _load_game(spec: ExperimentSpec) -> CongestionGame:
-    if spec.game_path is not None:
-        return parse_game(spec.game_path)
-    g = dict(spec.gen)
+def _load_game(args: argparse.Namespace) -> CongestionGame:
+    """Load the --game file, or generate the game `args.gen` (a `parse_gen_string` dict) describes."""
+    if args.game is not None:
+        return parse_game(args.game)
+    gen = args.gen
     return generate_random_game(
-        seed=int(g.pop("seed", spec.seed)),
-        n=int(g.pop("n")),
-        m=int(g.pop("m")),
-        d=int(g.pop("d")),
-        degree=int(g.pop("deg", 3)),
-        symmetric=bool(int(g.pop("sym", 0))),
-        max_path_len=int(g.pop("len")) if "len" in g else None,
+        seed=gen.get("seed", args.seed),
+        n=gen["n"],
+        m=gen["m"],
+        d=gen["d"],
+        degree=gen.get("deg", 3),
+        symmetric=bool(gen.get("sym", 0)),
+        max_path_len=gen.get("len"),
     )
 
 
@@ -160,8 +128,8 @@ _GEN_KEYS = {
 }
 
 
-def _check_gen_value(key: str, value: str) -> None:
-    """Reject a --gen value the generator cannot take, naming its key."""
+def _check_gen_value(key: str, value: str) -> int:
+    """The integer a --gen value gives; rejects one the generator cannot take, naming its key."""
     try:
         number = int(value)
     except ValueError:
@@ -172,10 +140,11 @@ def _check_gen_value(key: str, value: str) -> None:
         raise ConfigurationError(f"--gen seed={value}: seed must be a nonnegative integer")
     if _GEN_KEYS[key] and number < 1:
         raise ConfigurationError(f"--gen {key}={value}: {_GEN_KEYS[key]} must be at least 1")
+    return number
 
 
-def parse_gen_string(text: str) -> dict:
-    gen: dict = {}
+def parse_gen_string(text: str) -> dict[str, int]:
+    gen: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -185,31 +154,32 @@ def parse_gen_string(text: str) -> dict:
         key, value = part.split("=", 1)
         if key not in _GEN_KEYS:
             raise ConfigurationError(f"unknown --gen key {key!r}")
-        _check_gen_value(key, value)
-        gen[key] = value
+        if key in gen:
+            raise ConfigurationError(f"--gen {part}: repeated key")
+        gen[key] = _check_gen_value(key, value)
     for key in ("n", "m", "d"):
         if key not in gen:
             raise ConfigurationError(f"--gen needs {key}=")
     return gen
 
 
-def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> ExperimentResult:
-    geometry = "euclidean" if spec.algo.endswith("gd") else "negative-entropy"
+def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> int:
+    geometry = "euclidean" if args.algo.endswith("gd") else "negative-entropy"
     a, b, m = game.a, game.b, game.m
 
-    target = spec.eps
+    target = args.eps
     eps_avg = eps_max = None
-    if spec.sigma is not None:
-        eps_avg = a * spec.sigma / (2.0 * m)
+    if args.sigma is not None:
+        eps_avg = a * args.sigma / (2.0 * m)
         target = eps_avg
         if game.symmetric:
-            eps_max = a * spec.sigma**2 / (32.0 * m)
+            eps_max = a * args.sigma**2 / (32.0 * m)
             target = min(eps_avg, eps_max)
 
     config = BulletinConfig(
         geometry=geometry,
-        eta=spec.eta,
-        max_steps=spec.steps if spec.steps is not None else 200_000,
+        eta=args.eta,
+        max_steps=args.steps if args.steps is not None else 200_000,
         target_gap=target,
     )
     reference = _reference(game)
@@ -234,9 +204,9 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         report.avg_costs / avg_lower,
         average_ratio_bound(game, np.maximum(cert_gaps, 0.0)),
     )
-    if spec.out:
+    if args.out:
         _write_csv(
-            spec.out,
+            args.out,
             ["step", "phi", "phi_gap", "delta_gap", "c_avg", "c_max", "ratio_avg", "bound_avg"],
             columns,
         )
@@ -268,11 +238,11 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         )
 
     ratios = None
-    if spec.sigma is not None and report.stopped_at_target:
+    if args.sigma is not None and report.stopped_at_target:
         ratios = social_ratio_report(
             game, report.x_final, minima, epsilon=eps_avg, check_max=False
         )
-        bound = (b / a) * (1.0 + spec.sigma)
+        bound = (b / a) * (1.0 + args.sigma)
         assertions.append(
             (
                 "average-cost-ratio",
@@ -293,7 +263,7 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
             )
 
     summary = {
-        "algo": spec.algo,
+        "algo": args.algo,
         "steps": report.steps,
         "final_phi": float(report.phi[-1]),
         "final_gap": float(cert_gaps[-1]),
@@ -306,30 +276,30 @@ def _run_bulletin_experiment(spec: ExperimentSpec, game: CongestionGame) -> Expe
         summary["budget"] = report.theorem_budget(target)
     if ratios is not None:
         summary["ratio_avg"] = ratios.ratio_avg
-    return _finish(spec, summary, assertions)
+    return _finish(args, summary, assertions)
 
 
-def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> ExperimentResult:
-    preset = euclidean_preset if spec.algo.endswith("gd") else entropy_preset
-    given = {"lambda_cap": spec.lambda_cap, "nu": spec.nu, "episodes": spec.episodes}
+def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> int:
+    preset = euclidean_preset if args.algo.endswith("gd") else entropy_preset
+    given = {"lambda_cap": args.lambda_cap, "nu": args.nu, "episodes": args.episodes}
     config = preset(
         game,
-        eta=spec.eta,
-        seed=spec.seed,
+        eta=args.eta,
+        seed=args.seed,
         **{key: value for key, value in given.items() if value is not None},
     )
     reference = _reference(game)
     report = run_bandit(game, config, reference=reference)
     params = report.params
 
-    if spec.out:
+    if args.out:
         mode = "enumerate" if math.prod(game.sizes) <= _ENUM_CSV_CAP else "monte-carlo"
         deltas = [
-            mixed_delta_gap(game, r.profile, mode, _MC_SAMPLES, spec.seed * 100_003 + r.tau).delta
+            mixed_delta_gap(game, r.profile, mode, _MC_SAMPLES, args.seed * 100_003 + r.tau).delta
             for r in report.records
         ]
         _write_csv(
-            spec.out,
+            args.out,
             ["episode", "steps", "phi", "phi_gap", "max_est_error", "delta_mixed", "theorem_threshold"],
             (
                 [rec.tau for rec in report.records],
@@ -368,7 +338,7 @@ def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> Experi
     assertions.append(("exploration-floor", floor_ok, f"floor {floor:.6g}"))
 
     summary = {
-        "algo": spec.algo,
+        "algo": args.algo,
         "episodes": len(report.records),
         "final_phi": float(report.phis[-1]),
         "final_gap": float(gaps[-1]),
@@ -380,37 +350,20 @@ def _run_bandit_experiment(spec: ExperimentSpec, game: CongestionGame) -> Experi
         "tau0": params.tau0,
         "lambda": config.lam,
     }
-    return _finish(spec, summary, assertions)
+    return _finish(args, summary, assertions)
 
 
-def _finish(spec: ExperimentSpec, summary: dict, assertions) -> ExperimentResult:
+def _finish(args: argparse.Namespace, summary: dict, assertions) -> int:
+    """Print one line per assertion and the summary; return the exit code."""
     failed = [name for name, ok, _ in assertions if not ok]
     for name, ok, detail in assertions:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
     pairs = " ".join(f"{k}={_fmt(v)}" for k, v in summary.items() if not isinstance(v, str))
     print(f"summary: algo={summary['algo']} {pairs}")
-    exit_code = 1 if (failed and spec.enforce) else 0
     if failed:
         log.info("failed assertions: %s", ", ".join(failed))
-    return ExperimentResult(exit_code=exit_code, summary=summary, assertions=list(assertions))
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    spec.validate()
-    if spec.out:
-        try:
-            Path(spec.out).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _out_error(spec.out, exc) from exc
-    game = _load_game(spec)
-    log.info(
-        "game: n=%d m=%d d=%d k=%d a=%g b=%g symmetric=%s",
-        game.n, game.m, game.d, game.k, game.a, game.b, game.symmetric,
-    )
-    if spec.algo.startswith("bulletin"):
-        return _run_bulletin_experiment(spec, game)
-    return _run_bandit_experiment(spec, game)
+    return 1 if (failed and args.enforce) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,26 +401,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _setup_logging()
-        spec = ExperimentSpec(
-            algo=args.algo,
-            game_path=args.game,
-            gen=parse_gen_string(args.gen) if args.gen else None,
-            eps=args.eps,
-            sigma=args.sigma,
-            eta=args.eta,
-            lambda_cap=args.lambda_cap,
-            nu=args.nu,
-            steps=args.steps,
-            episodes=args.episodes,
-            seed=args.seed,
-            out=args.out,
-            enforce=args.enforce,
+        if args.gen is not None:
+            args.gen = parse_gen_string(args.gen)
+        _check_flags(args)
+        if args.out:
+            try:
+                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _out_error(args.out, exc) from exc
+        game = _load_game(args)
+        log.info(
+            "game: n=%d m=%d d=%d k=%d a=%g b=%g symmetric=%s",
+            game.n, game.m, game.d, game.k, game.a, game.b, game.symmetric,
         )
-        result = run_experiment(spec)
+        if args.algo.startswith("bulletin"):
+            return _run_bulletin_experiment(args, game)
+        return _run_bandit_experiment(args, game)
     except (ConfigurationError, GameFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return result.exit_code
 
 
 if __name__ == "__main__":

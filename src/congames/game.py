@@ -181,11 +181,9 @@ class CongestionGame:
 
     # -- flows and costs -------------------------------------------------------
 
-    def uniform_profile(self) -> FlowProfile:
-        flat = np.concatenate(
-            [np.full(sz, 1.0 / (self.n * sz)) for sz in self.sizes]
-        )
-        return FlowProfile(self, flat)
+    def uniform_profile(self) -> np.ndarray:
+        """The joint strategy splitting each player's 1/n evenly over her paths."""
+        return np.concatenate([np.full(sz, 1.0 / (self.n * sz)) for sz in self.sizes])
 
     def check_vector(self, flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
@@ -193,6 +191,22 @@ class CongestionGame:
             raise GameStructureError(
                 f"strategy vector has shape {flat.shape}, expected ({self.dim},)"
             )
+        return flat
+
+    def check_profile(self, flat: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        """flat as a float vector, after checking it is a joint strategy in K: finite,
+        no entry below -tol, and every player's block summing to 1/n within tol."""
+        flat = self.check_vector(flat)
+        if not np.isfinite(flat).all():
+            raise GameStructureError("flow has a non-finite entry")
+        if np.any(flat < -tol):
+            raise GameStructureError("flow has a negative entry")
+        for i in range(self.n):
+            mass = flat[self.player_slice(i)].sum()
+            if abs(mass - 1.0 / self.n) > tol:
+                raise GameStructureError(
+                    f"player {i} mass {mass} deviates from 1/n by more than {tol}"
+                )
         return flat
 
     def edge_loads(self, flat: np.ndarray) -> np.ndarray:
@@ -257,34 +271,6 @@ def padded_equilibrium_gaps(
     used = mask & (X > np.expand_dims(floor, (-2, -1)))
     worst = reduce_paths(np.maximum, np.where(used, costs, -np.inf))
     return np.maximum((worst - best).max(axis=-1), 0.0)
-
-
-@dataclass(frozen=True)
-class FlowProfile:
-    """Joint strategy x in K: per player a nonnegative vector summing to 1/n."""
-
-    game: CongestionGame
-    flat: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flat", self.game.check_vector(self.flat))
-
-    def player(self, i: int) -> np.ndarray:
-        return self.flat[self.game.player_slice(i)]
-
-    def validate(self, tol: float = FEASIBILITY_TOL) -> None:
-        if np.any(self.flat < -tol):
-            raise GameStructureError("flow has a negative entry")
-        for i in range(self.game.n):
-            mass = self.player(i).sum()
-            if abs(mass - 1.0 / self.game.n) > tol:
-                raise GameStructureError(
-                    f"player {i} mass {mass} deviates from 1/n by more than {tol}"
-                )
-
-    @property
-    def potential(self) -> float:
-        return self.game.potential(self.flat)
 
 
 def parallel_links_game(n: int, coefficient_lists) -> CongestionGame:

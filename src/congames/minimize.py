@@ -223,7 +223,7 @@ def minimize_edge_separable(
 
     # Seed the active set with the best-response vertex at the uniform profile;
     # the iterate must be an exact convex combination of active vertices.
-    V = best_response(inc @ objective.edge_gradient(game.uniform_profile().flat @ inc))[None]
+    V = best_response(inc @ objective.edge_gradient(game.uniform_profile() @ inc))[None]
     w = np.ones(1)
     rows = {V[0].tobytes(): 0}  # vertex bytes -> its row in V
     x = combination(V, w)
@@ -389,7 +389,7 @@ def min_max_cost(
     if reference is None:
         reference = reference_minimizer(game, tol=1e-9)
     best = None
-    for x0 in (game.uniform_profile().flat, reference.flat):
+    for x0 in (game.uniform_profile(), reference.flat):
         y0 = np.concatenate([x0, [game.max_cost(x0)]])
         res = optimize.minimize(
             objective,

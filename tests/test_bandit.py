@@ -98,6 +98,22 @@ def test_sample_choices_rejects_bad_distribution():
         sample_choices(np.random.default_rng(0), game, np.array([0.5, 0.6]))
 
 
+@pytest.mark.parametrize("block", [[np.nan, 0.5], [np.inf, 0.0], [np.inf, -np.inf]])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda game, x: sample_choices(np.random.default_rng(0), game, x),
+        lambda game, x: mixed_delta_gap(game, x),
+        lambda game, x: mixed_delta_gap(game, x, "monte-carlo", 10),
+    ],
+    ids=["sample_choices", "mixed_delta_enumerate", "mixed_delta_monte_carlo"],
+)
+def test_choice_distribution_rejects_non_finite_profiles(call, block):
+    game = parallel_links_game(2, [[1.0], [1.0]])
+    with pytest.raises(ValueError, match=r"player 1 choice probabilities sum to (nan|inf)"):
+        call(game, np.array([0.25, 0.25, *block]))
+
+
 @st.composite
 def cdf_rows(draw):
     """1-4 CDFs with zero-probability paths, tiny steps, and a last entry
@@ -176,7 +192,7 @@ def test_restrict_profile_example():
 
 def test_restrict_profile_uniform_fixed_point():
     game = parallel_links_game(3, [[1.0]] * 4)
-    x = game.uniform_profile().flat
+    x = game.uniform_profile()
     assert np.allclose(restrict_profile(game, x, 0.08), x, atol=1e-15)
 
 
@@ -189,7 +205,7 @@ def test_restrict_profile_vanishing_lambda():
 def test_restrict_profile_infeasible_floor():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ConfigurationError, match="floor"):
-        restrict_profile(game, game.uniform_profile().flat, 0.5)
+        restrict_profile(game, game.uniform_profile(), 0.5)
 
 
 def test_restrict_profile_l1_distance_bound():
@@ -258,7 +274,7 @@ def test_exact_expectation_needs_no_enumeration_cap():
     # E[c_s(X)] = c_s(x), so the per-edge load laws must give it exactly.
     game = parallel_links_game(12, [[1.0], [0.5], [0.25], [0.75]])
     rng = np.random.default_rng(8)
-    for x in (game.uniform_profile().flat, random_feasible(game, rng)):
+    for x in (game.uniform_profile(), random_feasible(game, rng)):
         bias = expected_path_costs(game, x) - game.path_costs(x)
         assert np.abs(bias).max() <= 1e-12
 
@@ -277,7 +293,7 @@ EXACT_GAMES = [
 def test_exact_expectation_matches_brute_force(make):
     game = make()
     rng = np.random.default_rng(9)
-    for x in (game.uniform_profile().flat, random_feasible(game, rng), random_feasible(game, rng)):
+    for x in (game.uniform_profile(), random_feasible(game, rng), random_feasible(game, rng)):
         expected = expected_path_costs(game, x)
         assert np.allclose(expected, brute_force_expected_costs(game, x), rtol=0.0, atol=1e-12)
         assert mixed_delta_gap(game, x).expected_costs.tolist() == expected.tolist()
@@ -291,7 +307,7 @@ def test_single_path_players_profile_constant():
     cfg = BanditConfig(lam=0.5, episodes=3, seed=0, nu=1.0, eta=0.1)
     rep = run_bandit(game, cfg)
     for rec in rep.records:
-        assert np.allclose(rec.profile, game.uniform_profile().flat)
+        assert np.allclose(rec.profile, game.uniform_profile())
 
 
 def test_zero_noise_mode_descends_monotonically():
@@ -521,7 +537,7 @@ def test_mixed_delta_single_player_single_path():
 
 def test_mixed_delta_monte_carlo_agrees():
     game = parallel_links_game(2, [[1.0], [0.5]])
-    x = restrict_profile(game, game.uniform_profile().flat, 0.2)
+    x = restrict_profile(game, game.uniform_profile(), 0.2)
     exact = mixed_delta_gap(game, x, mode="enumerate")
     mc = mixed_delta_gap(game, x, mode="monte-carlo", samples=200_000, seed=3)
     assert np.allclose(mc.expected_costs, exact.expected_costs, atol=0.01)

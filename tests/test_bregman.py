@@ -261,8 +261,9 @@ def test_bad_step_arguments():
         EUCLID.mirror_step(fs, np.array([0.5, 0.5]), np.array([1.0, 0.0]), -1.0)
     with pytest.raises(ConfigurationError):
         EUCLID.mirror_step(fs, np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0]), 0.1)
-    with pytest.raises(ConfigurationError):
-        make_geometry("hyperbolic")
+    for kind in ("hyperbolic", "entropy"):
+        with pytest.raises(ConfigurationError, match="unknown geometry"):
+            make_geometry(kind)
 
 
 def test_entropy_step_needs_positive_iterate():
@@ -286,7 +287,7 @@ def test_padded_step_with_binding_floor_matches_one_row_steps(kind):
     )
     mass, floor = 1.0 / game.n, 0.1 / game.n
     etas = np.array([0.5, 0.7, 0.9])
-    x = game.uniform_profile().flat
+    x = game.uniform_profile()
     g = np.array([0.1, 5.0, 0.2, 0.3, 0.4, 0.1, 0.2, 4.0, 0.1])
     geo = make_geometry(kind)
 

@@ -9,6 +9,7 @@ from congames import (
     CongestionGame,
     ConfigurationError,
     EuclideanGeometry,
+    GameStructureError,
     OracleMinima,
     PolynomialCost,
     delta_equilibrium_gap,
@@ -180,7 +181,7 @@ def _per_step_run(game, config, reference):
     """
     etas = config.resolve_etas(game)
     mask, inc, mass = game.path_mask, game.incidence, 1.0 / game.n
-    X = game.padded(game.uniform_profile().flat if config.x0 is None else config.x0)
+    X = game.padded(game.uniform_profile() if config.x0 is None else config.x0)
     euclidean_step = EuclideanGeometry().padded_step(mask, etas, mass)
     rates = np.reshape(etas, (-1, 1))
     fields = ("phi", "avg_costs", "delta_gaps", "theorem_delta_gaps", "max_costs", "profiles")
@@ -289,6 +290,15 @@ def test_steps_past_the_stop_are_silent(kind, capsys, reference_cache):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize(
+    "x0, message",
+    [([np.nan, 0.5], "non-finite"), ([np.inf, -np.inf], "non-finite"), ([0.6, 0.5], "mass")],
+)
+def test_run_bulletin_rejects_an_infeasible_start(g1, x0, message):
+    with pytest.raises(GameStructureError, match=message):
+        run_bulletin(g1, BulletinConfig(x0=np.array(x0), max_steps=5))
+
+
 def test_entropy_needs_positive_start(g1):
     cfg = BulletinConfig(geometry="negative-entropy", x0=np.array([1.0, 0.0]), max_steps=5)
     with pytest.raises(ConfigurationError, match="positive"):
@@ -368,7 +378,7 @@ def test_max_ratio_refused_on_asymmetric_game():
         maximum=min_max_cost(game),
     )
     with pytest.raises(ConfigurationError, match="symmetric"):
-        social_ratio_report(game, game.uniform_profile().flat, minima, check_max=True)
+        social_ratio_report(game, game.uniform_profile(), minima, check_max=True)
 
 
 # -- regret -----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from congames import (
     CongestionGame,
-    FlowProfile,
     GameStructureError,
     PolynomialCost,
     generate_random_game,
@@ -277,14 +276,17 @@ def test_game_rejects_empty_paths():
         CongestionGame(n=1, edges=(PolynomialCost((1.0,)),), paths=((frozenset({3}),),))
 
 
-def test_flow_profile_validation(g1):
-    FlowProfile(g1, np.array([0.5, 0.5])).validate()
+def test_check_profile_validation(g1):
+    assert g1.check_profile([0.5, 0.5]).tolist() == [0.5, 0.5]
     with pytest.raises(GameStructureError):
-        FlowProfile(g1, np.array([0.6, 0.5])).validate()
+        g1.check_profile(np.array([0.6, 0.5]))
     with pytest.raises(GameStructureError):
-        FlowProfile(g1, np.array([-0.1, 1.1])).validate()
+        g1.check_profile(np.array([-0.1, 1.1]))
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [0.5, np.nan]):
+        with pytest.raises(GameStructureError, match="non-finite"):
+            g1.check_profile(np.array(bad), tol=1e-9)
 
 
 def test_uniform_profile_feasible():
     game = generate_random_game(seed=61, n=5, m=6, d=4)
-    game.uniform_profile().validate()
+    game.check_profile(game.uniform_profile())

@@ -11,7 +11,7 @@ from congames import (
     parse_game_text,
     render_game,
 )
-from congames.cli import ExperimentSpec, _fmt, _load_game, _write_csv, main, parse_gen_string
+from congames.cli import _fmt, _load_game, _write_csv, build_parser, main, parse_gen_string
 
 G1_TEXT = """\
 # two parallel edges, one player
@@ -169,7 +169,7 @@ def test_cli_gen_string_validation():
     with pytest.raises(Exception):
         parse_gen_string("n=2,m=3,d=2,shape=tree")
     gen = parse_gen_string("n=2,m=3,d=2,deg=2,sym=1")
-    assert gen == {"n": "2", "m": "3", "d": "2", "deg": "2", "sym": "1"}
+    assert gen == {"n": 2, "m": 3, "d": 2, "deg": 2, "sym": 1}
 
 
 @pytest.mark.parametrize(
@@ -182,6 +182,7 @@ def test_cli_gen_string_validation():
         ("n=3,m=3,d=3,sym=yes", "--gen sym=yes: not an integer"),
         ("n=0,m=3,d=3", "--gen n=0: player count must be at least 1"),
         ("n=3,m=3,d=3,deg=0", "--gen deg=0: cost degree must be at least 1"),
+        ("n=2,m=3,d=2,n=5", "--gen n=5: repeated key"),
     ],
 )
 def test_cli_gen_values_checked_per_key(gen, message, capsys):
@@ -202,9 +203,13 @@ def test_cli_gen_path_length_cap(capsys):
     assert main(["--gen", "n=2,m=3,d=2,len=2", "--algo", "bulletin-gd", "--eps", "1e-4"]) == 0
     longest = {}
     for cap in ("", ",len=2"):
-        specs = [ExperimentSpec("bulletin-gd", gen=parse_gen_string(f"n=2,m=3,d=2,seed={s}{cap}"))
-                 for s in range(6)]
-        longest[cap] = max(_load_game(spec).m_path for spec in specs)
+        namespaces = [
+            build_parser().parse_args(["--gen", f"n=2,m=3,d=2,seed={s}{cap}", "--algo", "bulletin-gd"])
+            for s in range(6)
+        ]
+        for args in namespaces:
+            args.gen = parse_gen_string(args.gen)
+        longest[cap] = max(_load_game(args).m_path for args in namespaces)
     assert longest == {"": 3, ",len=2": 2}
     assert main(["--gen", "n=2,m=3,d=2,len=0", "--algo", "bulletin-gd", "--eps", "1e-4"]) == 2
     assert "path length cap must be at least 1" in capsys.readouterr().err
