@@ -34,13 +34,12 @@ from .bregman import (
 from .bulletin import (
     BulletinConfig,
     BulletinReport,
-    OracleMinima,
-    SocialRatioReport,
+    average_cost_ratio,
     delta_equilibrium_gap,
     equilibrium_gap_bound,
+    max_cost_ratio,
     regret,
     run_bulletin,
-    social_ratio_report,
     theorem_delta_gap,
 )
 from .costs import CostValidationError, PolynomialCost, validate_cost
@@ -81,10 +80,9 @@ __all__ = [
     "GameStructureError",
     "MaxCostMinimum",
     "MixedDeltaResult",
-    "OracleMinima",
     "PolynomialCost",
     "SmoothnessParams",
-    "SocialRatioReport",
+    "average_cost_ratio",
     "delta_equilibrium_gap",
     "descent_step_check",
     "entropy_preset",
@@ -95,6 +93,7 @@ __all__ = [
     "expected_path_costs",
     "generate_random_game",
     "make_geometry",
+    "max_cost_ratio",
     "min_average_cost",
     "min_max_cost",
     "mixed_delta_bound",
@@ -109,7 +108,6 @@ __all__ = [
     "run_bandit",
     "run_bulletin",
     "sample_choices",
-    "social_ratio_report",
     "theorem_delta_gap",
     "validate_cost",
 ]

@@ -48,7 +48,8 @@ def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     """Each player's choice distribution n * x_i; raises unless it sums to 1."""
     probs = game.n * game.check_vector(flat)
     starts = game.offsets[:-1]
-    totals = np.add.reduceat(probs, starts)
+    with np.errstate(invalid="ignore"):  # inf + -inf is nan, reported below
+        totals = np.add.reduceat(probs, starts)
     bad = ~(np.abs(totals - 1.0) <= 1e-9)  # a non-finite entry makes its total nan or inf
     if bad.any() or probs.min() < -1e-12:
         i = int(np.argmax(bad | (np.minimum.reduceat(probs, starts) < -1e-12)))
@@ -481,8 +482,6 @@ def descent_step_check(
 class MixedDeltaResult:
     delta: float
     expected_costs: np.ndarray  # E[c_s(X)] for every (player, path) row
-    mode: str
-    samples: int = 0
 
 
 def expected_path_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
@@ -564,19 +563,14 @@ def mixed_delta_gap(
     """
     flat = game.check_vector(flat)
     if mode == "enumerate":
-        expected, samples = expected_path_costs(game, flat), 0
+        expected = expected_path_costs(game, flat)
     elif mode == "monte-carlo":
         if samples < 1:
             raise ValueError("monte-carlo mode needs at least one sample")
         expected = _sampled_path_cost_sums(game, flat, samples, seed) / samples
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
-    return MixedDeltaResult(
-        delta=game.equilibrium_gap(flat, expected, support_tol),
-        expected_costs=expected,
-        mode=mode,
-        samples=samples,
-    )
+    return MixedDeltaResult(game.equilibrium_gap(flat, expected, support_tol), expected)
 
 
 def mixed_delta_bound(game: CongestionGame, gap: float) -> float:

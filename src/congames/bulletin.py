@@ -112,10 +112,10 @@ class BulletinReport:
 
 
 # The diagnostics pass runs every _CHUNK_STEPS steps, fewer when one chunk of
-# padded (n, d) profiles would exceed _CHUNK_ENTRIES entries: its buffers and
-# temporaries then stay within a few hundred kB whatever the game.  Within a
-# chunk the potential, the average cost and the stop rule run once per block
-# of _STOP_BLOCK steps.
+# padded (n, d) profiles or of (m,) loads would exceed _CHUNK_ENTRIES entries:
+# its buffers and temporaries then stay within a few hundred kB whatever the
+# game.  Within a chunk the potential, the average cost and the stop rule run
+# once per block of _STOP_BLOCK steps.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 8192
 _STOP_BLOCK = 32
@@ -176,7 +176,7 @@ def run_bulletin(
     target = config.target_gap
     last = config.max_steps
 
-    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, last + 1))
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // max(X.size, game.m), last + 1))
     Xs = np.empty((rows, *X.shape))
     PCs = np.zeros((rows, *X.shape))  # the padding stays 0; the entropy step reads it
     Ls = np.empty((rows, game.m))
@@ -299,6 +299,16 @@ def average_ratio_bound(game: CongestionGame, epsilon):
     return (game.b / a) * (1.0 + 2.0 * game.m * epsilon / a)
 
 
+def max_ratio_bound(game: CongestionGame, epsilon):
+    """C_M(x) / min C_M <= (b/a)(1 + 2*m*eps/a + delta*m/b) when Phi(x) <= min Phi + eps.
+
+    Symmetric games only; delta is the equilibrium-gap bound sqrt(8*b*m*eps),
+    and eps may be an array.
+    """
+    a, b, m = game.a, game.b, game.m
+    return (b / a) * (1.0 + 2.0 * m * epsilon / a + equilibrium_gap_bound(game, epsilon) * m / b)
+
+
 def theorem_delta_gap(
     game: CongestionGame,
     flat: np.ndarray,
@@ -322,76 +332,28 @@ def _heavy_floor(game: CongestionGame, gap, support_tol: float):
     return np.maximum(support_tol, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
 
 
-@dataclass(frozen=True)
-class OracleMinima:
-    potential: CertifiedMinimum
-    average: CertifiedMinimum
-    maximum: MaxCostMinimum | None = None
+def average_cost_ratio(
+    game: CongestionGame, flat: np.ndarray, average: CertifiedMinimum
+) -> float:
+    """C_A(x) against the certified lower bound on min C_A."""
+    flat = game.check_vector(flat)
+    return game.average_cost(flat) / (average.value - average.certificate)
 
 
-@dataclass(frozen=True)
-class SocialRatioReport:
-    epsilon: float
-    ratio_avg: float
-    bound_avg: float
-    avg_within_bound: bool
-    ratio_max: float | None = None
-    bound_max: float | None = None
-    max_within_bound: bool | None = None
-
-
-def social_ratio_report(
+def max_cost_ratio(
     game: CongestionGame,
     flat: np.ndarray,
-    minima: OracleMinima,
-    epsilon: float | None = None,
-    check_max: bool | None = None,
-) -> SocialRatioReport:
-    """Price-of-anarchy style ratios of x against the oracle optima.
-
-    epsilon defaults to the certified potential gap of x.  The maximum-cost
-    ratio is only defined for symmetric games; asking for it elsewhere is
-    refused because the guarantee does not apply.
-    """
+    average: CertifiedMinimum,
+    maximum: MaxCostMinimum,
+) -> float:
+    """C_M(x) against min C_M; refused on asymmetric games, which the guarantee does not cover."""
     flat = game.check_vector(flat)
-    if epsilon is None:
-        epsilon = max(
-            game.potential(flat) - minima.potential.value + minima.potential.certificate,
-            0.0,
-        )
-    a, b, m = game.a, game.b, game.m
-
-    avg_lower = minima.average.value - minima.average.certificate
-    ratio_avg = game.average_cost(flat) / avg_lower
-    bound_avg = average_ratio_bound(game, epsilon)
-    report = {
-        "epsilon": epsilon,
-        "ratio_avg": ratio_avg,
-        "bound_avg": bound_avg,
-        "avg_within_bound": ratio_avg <= bound_avg + 1e-9,
-    }
-
-    if check_max is None:
-        check_max = minima.maximum is not None
-    if check_max:
-        if not game.symmetric:
-            raise ConfigurationError(
-                "maximum-cost ratio guarantee only covers symmetric games"
-            )
-        if minima.maximum is None:
-            raise ConfigurationError("no maximum-cost oracle minimum supplied")
-        delta = equilibrium_gap_bound(game, epsilon)
-        # min C_M >= min C_A, so the certified average lower bound also
-        # guards the denominator against oracle slack.
-        denom = max(minima.maximum.value, avg_lower)
-        ratio_max = game.max_cost(flat) / denom
-        bound_max = (b / a) * (1.0 + 2.0 * m * epsilon / a + delta * m / b)
-        report.update(
-            ratio_max=ratio_max,
-            bound_max=bound_max,
-            max_within_bound=ratio_max <= bound_max + 1e-9,
-        )
-    return SocialRatioReport(**report)
+    if not game.symmetric:
+        raise ConfigurationError("maximum-cost ratio guarantee only covers symmetric games")
+    # min C_M >= min C_A, so the certified average lower bound also
+    # guards the denominator against oracle slack.
+    denom = max(maximum.value, average.value - average.certificate)
+    return game.max_cost(flat) / denom
 
 
 def regret(report: BulletinReport, player: int) -> float:

@@ -20,11 +20,12 @@ from .bandit import entropy_preset, euclidean_preset, mixed_delta_gap, run_bandi
 from .bregman import ConfigurationError
 from .bulletin import (
     BulletinConfig,
-    OracleMinima,
+    average_cost_ratio,
     average_ratio_bound,
     equilibrium_gap_bound,
+    max_cost_ratio,
+    max_ratio_bound,
     run_bulletin,
-    social_ratio_report,
 )
 from .game import CongestionGame
 from .gamefile import GameFileError, parse_game
@@ -62,6 +63,9 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ConfigurationError("--lambda-cap must be a positive finite number")
     if args.seed < 0:
         raise ConfigurationError("--seed must be a nonnegative integer")
+    for flag, path in (("--game", args.game), ("--out", args.out)):
+        if path == "":
+            raise ConfigurationError(f"{flag} needs a nonempty path")
 
 
 def _fmt(value) -> str:
@@ -168,13 +172,12 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     a, b, m = game.a, game.b, game.m
 
     target = args.eps
-    eps_avg = eps_max = None
+    eps_max = None
     if args.sigma is not None:
-        eps_avg = a * args.sigma / (2.0 * m)
-        target = eps_avg
+        target = a * args.sigma / (2.0 * m)
         if game.symmetric:
             eps_max = a * args.sigma**2 / (32.0 * m)
-            target = min(eps_avg, eps_max)
+            target = min(target, eps_max)
 
     config = BulletinConfig(
         geometry=geometry,
@@ -185,12 +188,6 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     reference = _reference(game)
     report = run_bulletin(game, config, reference=reference)
     avg_min = min_average_cost(game)
-    max_min = (
-        min_max_cost(game, reference=reference)
-        if (game.symmetric and eps_max is not None)
-        else None
-    )
-    minima = OracleMinima(potential=reference, average=avg_min, maximum=max_min)
 
     avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)
     cert_gaps = report.certified_gaps
@@ -237,28 +234,26 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
             )
         )
 
-    ratios = None
+    ratio_avg = None
     if args.sigma is not None and report.stopped_at_target:
-        ratios = social_ratio_report(
-            game, report.x_final, minima, epsilon=eps_avg, check_max=False
-        )
+        ratio_avg = average_cost_ratio(game, report.x_final, avg_min)
         bound = (b / a) * (1.0 + args.sigma)
         assertions.append(
             (
                 "average-cost-ratio",
-                ratios.ratio_avg <= bound + 1e-9,
-                f"ratio {ratios.ratio_avg:.6g} vs (b/a)(1+sigma) = {bound:.6g}",
+                ratio_avg <= bound + 1e-9,
+                f"ratio {ratio_avg:.6g} vs (b/a)(1+sigma) = {bound:.6g}",
             )
         )
         if eps_max is not None:
-            ratios_max = social_ratio_report(
-                game, report.x_final, minima, epsilon=eps_max, check_max=True
-            )
+            max_min = min_max_cost(game, reference=reference)
+            ratio_max = max_cost_ratio(game, report.x_final, avg_min, max_min)
+            bound_max = max_ratio_bound(game, eps_max)
             assertions.append(
                 (
                     "maximum-cost-ratio",
-                    bool(ratios_max.max_within_bound),
-                    f"ratio {ratios_max.ratio_max:.6g} vs bound {ratios_max.bound_max:.6g}",
+                    bool(ratio_max <= bound_max + 1e-9),
+                    f"ratio {ratio_max:.6g} vs bound {bound_max:.6g}",
                 )
             )
 
@@ -274,8 +269,8 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     if target is not None:
         summary["target_gap"] = target
         summary["budget"] = report.theorem_budget(target)
-    if ratios is not None:
-        summary["ratio_avg"] = ratios.ratio_avg
+    if ratio_avg is not None:
+        summary["ratio_avg"] = ratio_avg
     return _finish(args, summary, assertions)
 
 

@@ -15,19 +15,20 @@ import pytest
 from congames import (
     BanditConfig,
     BulletinConfig,
-    OracleMinima,
+    average_cost_ratio,
     descent_step_check,
     euclidean_preset,
     expected_path_costs,
     generate_random_game,
+    max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
     reference_minimizer,
     run_bandit,
     run_bulletin,
-    social_ratio_report,
 )
+from congames.bulletin import max_ratio_bound
 
 SIGMA = 0.25
 EPS = 1e-3
@@ -175,10 +176,9 @@ def test_criterion_5_social_cost_ratios(pools):
             BulletinConfig(target_gap=eps_a, max_steps=budget),
             reference=pools.refs[game],
         )
-        minima = OracleMinima(pools.refs[game], min_average_cost(game))
-        srr = social_ratio_report(game, rep.x_final, minima, epsilon=eps_a, check_max=False)
+        ratio = average_cost_ratio(game, rep.x_final, min_average_cost(game))
         bound = (game.b / game.a) * (1.0 + SIGMA)
-        avg_ok += rep.stopped_at_target and srr.ratio_avg <= bound + 1e-9
+        avg_ok += rep.stopped_at_target and ratio <= bound + 1e-9
 
     max_ok = 0
     for game in pools.symmetric:
@@ -190,11 +190,8 @@ def test_criterion_5_social_cost_ratios(pools):
             BulletinConfig(target_gap=eps_m, max_steps=budget),
             reference=pools.refs[game],
         )
-        minima = OracleMinima(
-            pools.refs[game], min_average_cost(game), min_max_cost(game)
-        )
-        srr = social_ratio_report(game, rep.x_final, minima, epsilon=eps_m, check_max=True)
-        max_ok += rep.stopped_at_target and bool(srr.max_within_bound)
+        ratio = max_cost_ratio(game, rep.x_final, min_average_cost(game), min_max_cost(game))
+        max_ok += rep.stopped_at_target and bool(ratio <= max_ratio_bound(game, eps_m) + 1e-9)
 
     report(
         5,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,20 +11,21 @@ from congames import (
     ConfigurationError,
     EuclideanGeometry,
     GameStructureError,
-    OracleMinima,
     PolynomialCost,
+    average_cost_ratio,
     delta_equilibrium_gap,
     equilibrium_gap_bound,
     generate_random_game,
+    max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
     reference_minimizer,
     regret,
     run_bulletin,
-    social_ratio_report,
     theorem_delta_gap,
 )
+from congames.bulletin import average_ratio_bound, max_ratio_bound
 
 
 def test_g1_gradient_descent_converges(g1, reference_cache):
@@ -235,6 +237,14 @@ BLOCK_CASES = {
     "one-row-chunks-hit": (100, 37, 1, True),
     "one-row-chunks-cap": (9, None, 1, False),
     "five-row-chunks-hit": (100, 32, 5, False),
+    "more-edges-than-entries-hit": (300, 250, None, False),
+    "more-edges-than-entries-cap": (300, None, None, True),
+}
+# (seed, n, m, d) of a case's game when it is not (103, 4, 6, 3): with more
+# edges than profile entries the edges size the chunks, 8192 // 40 = 204 rows
+BLOCK_GAMES = {
+    "more-edges-than-entries-hit": (1, 2, 40, 2),
+    "more-edges-than-entries-cap": (1, 2, 40, 2),
 }
 
 
@@ -244,10 +254,11 @@ def test_block_loop_matches_per_step_loop(kind, case, monkeypatch, reference_cac
     import congames.bulletin as bulletin
 
     max_steps, hit, chunk_rows, record = BLOCK_CASES[case]
-    game = generate_random_game(seed=103, n=4, m=6, d=3)
+    seed, n, m, d = BLOCK_GAMES.get(case, (103, 4, 6, 3))
+    game = generate_random_game(seed=seed, n=n, m=m, d=d)
     ref = reference_cache(game)
     if chunk_rows is not None:
-        monkeypatch.setattr(bulletin, "_CHUNK_ENTRIES", chunk_rows * game.n * game.d)
+        monkeypatch.setattr(bulletin, "_CHUNK_ENTRIES", chunk_rows * max(n * d, m))
     target = None
     if hit == math.inf:
         target = 1e-300  # below any certified gap: the cap ends the run
@@ -272,6 +283,20 @@ def test_block_loop_matches_per_step_loop(kind, case, monkeypatch, reference_cac
         got = getattr(rep, name)
         assert got.shape == value.shape, name
         assert got.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_chunk_buffers_bounded_on_many_edges(kind, reference_cache):
+    # one chunk of (m,) loads and edge costs at 1,001 rows would trace 32 MB here
+    game = generate_random_game(seed=1, n=2, m=2000, d=2)
+    ref = reference_cache(game)
+    tracemalloc.start()
+    try:
+        run_bulletin(game, BulletinConfig(geometry=kind, max_steps=1000), reference=ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
@@ -329,56 +354,57 @@ def test_delta_gap_cheapest_path_concentration():
 
 @pytest.fixture(scope="module")
 def g1_minima(g1):
-    return OracleMinima(
-        potential=reference_minimizer(g1),
-        average=min_average_cost(g1),
-        maximum=min_max_cost(g1),
-    )
+    return reference_minimizer(g1), min_average_cost(g1), min_max_cost(g1)
+
+
+def _certified_gap(game, flat, potential):
+    """Upper bound on Phi(x) - min Phi from the potential oracle's certificate."""
+    return max(game.potential(flat) - potential.value + potential.certificate, 0.0)
 
 
 def test_social_ratios_at_equilibrium(g1, g1_minima):
-    q = g1_minima.potential.flat
-    rep = social_ratio_report(g1, q, g1_minima)
-    assert math.isclose(rep.ratio_avg, 1.0, abs_tol=1e-6)
-    assert rep.avg_within_bound
-    assert math.isclose(rep.ratio_max, 1.0, abs_tol=1e-6)
-    assert rep.max_within_bound
+    potential, average, maximum = g1_minima
+    q = potential.flat
+    eps = _certified_gap(g1, q, potential)
+    ratio_avg = average_cost_ratio(g1, q, average)
+    assert math.isclose(ratio_avg, 1.0, abs_tol=1e-6)
+    assert ratio_avg <= average_ratio_bound(g1, eps) + 1e-9
+    ratio_max = max_cost_ratio(g1, q, average, maximum)
+    assert math.isclose(ratio_max, 1.0, abs_tol=1e-6)
+    assert ratio_max <= max_ratio_bound(g1, eps) + 1e-9
 
 
 def test_social_ratio_halfway_point(g1, g1_minima):
     # C_A = 3/8 vs C_A(x*) = 1/3 gives 9/8; eps = 3/16 - 1/6 = 1/48;
     # bound = (b/a)(1 + 2*m*eps/a) = 2 * (1 + 1/6) = 7/3.
+    potential, average, _ = g1_minima
     x = np.array([0.5, 0.5])
-    rep = social_ratio_report(g1, x, g1_minima, check_max=False)
-    assert math.isclose(rep.ratio_avg, 9 / 8, rel_tol=1e-8)
-    assert math.isclose(rep.epsilon, 1 / 48, abs_tol=1e-9)
-    assert math.isclose(rep.bound_avg, 7 / 3, rel_tol=1e-8)
-    assert rep.avg_within_bound
+    ratio_avg = average_cost_ratio(g1, x, average)
+    eps = _certified_gap(g1, x, potential)
+    bound_avg = average_ratio_bound(g1, eps)
+    assert math.isclose(ratio_avg, 9 / 8, rel_tol=1e-8)
+    assert math.isclose(eps, 1 / 48, abs_tol=1e-9)
+    assert math.isclose(bound_avg, 7 / 3, rel_tol=1e-8)
+    assert ratio_avg <= bound_avg + 1e-9
 
 
 def test_identical_links_ratios_are_one(identity_links):
     game = identity_links(2, 2)
-    minima = OracleMinima(
-        potential=reference_minimizer(game),
-        average=min_average_cost(game),
-        maximum=min_max_cost(game),
+    q = reference_minimizer(game).flat
+    average = min_average_cost(game)
+    assert math.isclose(average_cost_ratio(game, q, average), 1.0, abs_tol=1e-6)
+    assert math.isclose(
+        max_cost_ratio(game, q, average, min_max_cost(game)), 1.0, abs_tol=1e-6
     )
-    rep = social_ratio_report(game, minima.potential.flat, minima)
-    assert math.isclose(rep.ratio_avg, 1.0, abs_tol=1e-6)
-    assert math.isclose(rep.ratio_max, 1.0, abs_tol=1e-6)
 
 
 def test_max_ratio_refused_on_asymmetric_game():
     game = generate_random_game(seed=37, n=3, m=5, d=3)
     while game.symmetric:  # pragma: no cover - seed 37 is asymmetric
         game = generate_random_game(seed=38, n=3, m=5, d=3)
-    minima = OracleMinima(
-        potential=reference_minimizer(game),
-        average=min_average_cost(game),
-        maximum=min_max_cost(game),
-    )
+    average, maximum = min_average_cost(game), min_max_cost(game)
     with pytest.raises(ConfigurationError, match="symmetric"):
-        social_ratio_report(game, game.uniform_profile(), minima, check_max=True)
+        max_cost_ratio(game, game.uniform_profile(), average, maximum)
 
 
 # -- regret -----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import congames.cli
 from congames import (
     GameFileError,
     generate_random_game,
@@ -134,6 +135,19 @@ def test_cli_sigma_flow(g1_path, capsys):
     assert "[PASS] maximum-cost-ratio" in text  # G1 is symmetric
 
 
+def test_cli_skips_max_cost_oracle_when_the_target_is_missed(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("min_max_cost solved for a ratio that is not printed")
+
+    monkeypatch.setattr(congames.cli, "min_max_cost", refuse)
+    # a symmetric game 10 steps short of its sigma target
+    args = ["--gen", "n=4,m=6,d=3,sym=1", "--algo", "bulletin-gd", "--sigma", "0.25"]
+    assert main([*args, "--steps", "10"]) == 1  # the convergence budget fails
+    text = capsys.readouterr().out
+    assert "[FAIL] convergence-budget" in text
+    assert "maximum-cost-ratio" not in text
+
+
 def test_cli_generated_bandit_run(tmp_path, capsys):
     out = tmp_path / "bandit.csv"
     code = main(
@@ -228,10 +242,13 @@ def test_cli_rejects_zero_episodes(capsys):
         (["--eps", "nan"], "error: target gap must be a positive finite number"),
         (["--sigma", "nan"], "error: --sigma must be a positive finite number"),
         (["--steps", "-1"], "error: step cap must be nonnegative"),
+        (["--out", ""], "error: --out needs a nonempty path"),
+        (["--game", ""], "error: --game needs a nonempty path"),
     ],
 )
 def test_cli_rejects_bad_bulletin_flags(g1_path, flags, message, capsys):
-    assert main(["--game", g1_path, "--algo", "bulletin-gd", *flags]) == 2
+    game = [] if "--game" in flags else ["--game", g1_path]
+    assert main([*game, "--algo", "bulletin-gd", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
