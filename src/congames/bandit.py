@@ -10,12 +10,10 @@ learning rate, using the estimate in place of the exact gradient.
 
 Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
 (PCG64); each pick is the inverse CDF of her frozen strategy at the uniform
-(GuideTable); own-path costs of at most 2 edges add exactly, in any order.
-The kernel works in tiles of steps sized for the cache.  Per tile it adds the
-visits as integer counts, which no order changes, and the own-path costs with
-np.add.at onto a per-batch partial sum: each path belongs to one player, so its
-costs add in step order.  The partial sums join the episode totals once per
-batch of _BATCH steps; the cost-sum bits depend on that unit, not on the tile.
+(GuideTable).  The kernel counts integer events, one per (path, edge slot,
+load on that edge) that a pick makes, into one histogram per episode; visits
+and cost sums are functions of that histogram and the c_e(k/n) table, so no
+tile length changes a bit of them.
 
 The mixed equilibrium gap takes E[c_s(X)] exactly from each edge's load law
 (`expected_path_costs`) or estimates it by seeded Monte Carlo in the kernel's
@@ -116,8 +114,8 @@ def restrict_profile(game: CongestionGame, flat: np.ndarray, lam: float) -> np.n
     same floor, and moves the profile by at most 2 * |S_i| * Lambda / n in l1.
     """
     flat = game.check_vector(flat).copy()
-    if lam <= 0.0:
-        raise ConfigurationError("Lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ConfigurationError(f"Lambda must be a positive finite number, got {lam}")
     for i in range(game.n):
         size = game.sizes[i]
         if size * lam >= 1.0:
@@ -337,17 +335,18 @@ def _edge_counts(game: CongestionGame, picks: np.ndarray, keys: np.ndarray | Non
     return keys, counts
 
 
-# Visits and cost sums add up per batch of _BATCH steps, and the Monte-Carlo
-# gap draws its uniforms one batch of samples at a time; the cost-sum bits
-# depend on this unit.  Both work through each batch in tiles of steps
-# (samples) whose (n, tile, m_path) edge keys hold at most _TILE_ENTRIES
+# The Monte-Carlo gap draws its uniforms one batch of _BATCH samples at a time;
+# its sum bits depend on this unit.  It and the episode kernel work in tiles of
+# steps (samples) whose (n, tile, m_path) edge keys hold at most _TILE_ENTRIES
 # entries, so a tile's keys, counts and costs stay in cache whatever the game.
 _BATCH = 16384
 _TILE_ENTRIES = 32768
 
 
-def _tile_steps(game: CongestionGame) -> int:
-    return max(1, _TILE_ENTRIES // (game.n * game.m_path))
+def _tile_steps(game: CongestionGame, bins: int = 0) -> int:
+    """Steps per tile: cache-sized, but with at least `bins` (n, tile, m_path) entries."""
+    per_step = game.n * game.m_path
+    return max(1, _TILE_ENTRIES // per_step, -(-bins // per_step))
 
 
 def _load_cost_table(game: CongestionGame) -> np.ndarray:
@@ -360,45 +359,36 @@ def _load_cost_table(game: CongestionGame) -> np.ndarray:
 
 
 def _simulate_episode(game, flat, streams, steps, record):
-    n, m = game.n, game.m
+    n, m_path = game.n, game.m_path
     sampler = _sampler(game, flat, draws=steps)
-    costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
-    visits = np.zeros(game.dim, dtype=np.int64)
-    sums, partial = np.zeros(game.dim), np.empty(game.dim)
+    # Each pick of path s makes one event per edge slot j (padding slots see
+    # load 0 and cost 0), with key (s*m_path + j)*(n+1) + k at load k.
+    bases = np.arange(game.dim * m_path).reshape(-1, m_path) * (n + 1)
+    hist = np.zeros(game.dim * m_path * (n + 1), dtype=np.int64)
     log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
-    starts = game.offsets[:-1, None]
 
-    # One set of tile buffers serves the whole episode.  Fresh arrays every tile
-    # would each time be returned to the system and page-faulted again.
+    # A tile holds at least as many events as hist has bins, so its bincount
+    # costs no more than its events.  Its buffers serve the whole episode: fresh
+    # arrays every tile would be returned to the system and page-faulted again.
     # (mode="clip" lets take write straight into out; every index is in range.)
-    tile = min(_tile_steps(game), _BATCH, steps)
-    u, own_buf = np.empty((n, tile)), np.empty((n, tile))
-    picks_buf = np.empty((n, tile), dtype=np.intp)
-    keys_buf = np.empty((n, tile, game.m_path), dtype=np.intp)
-    costs_buf = np.empty(tile * (m + 1))
-    for done in range(0, steps, _BATCH):
-        end = min(done + _BATCH, steps)
-        partial[:] = 0.0
-        for lo in range(done, end, tile):
-            width = min(tile, end - lo)
-            for row, stream in zip(u, streams):
-                stream.random(out=row[:width])
-            picks = sampler.picks(u[:, :width], out=picks_buf[:, :width])
-            keys, counts = _edge_counts(game, picks, keys_buf[:, :width])
-            counts += edge_rows
-            step_costs = np.take(costs, counts.ravel(), out=costs_buf[: counts.size], mode="clip")
-            own = np.take(step_costs, keys[..., 0], out=own_buf[:, :width], mode="clip")
-            for col in range(1, keys.shape[2]):  # edges in ascending order
-                own += np.take(step_costs, keys[..., col])
-            flat_picks = picks.ravel()
-            visits += np.bincount(flat_picks, minlength=game.dim)
-            # Each path belongs to one player, so add.at adds its costs in step
-            # order, as one bincount over the batch in player-major order would.
-            # (A 1-d index takes numpy's fast path for add.at.)
-            np.add.at(partial, flat_picks, own.ravel())
-            if record:
-                log[lo : lo + width] = (picks - starts).T
-        sums += partial
+    tile = min(_tile_steps(game, hist.size), steps)
+    u, picks_buf = np.empty((n, tile)), np.empty((n, tile), dtype=np.intp)
+    keys_buf = np.empty((n, tile, m_path), dtype=np.intp)
+    events_buf = np.empty_like(keys_buf)
+    for lo in range(0, steps, tile):
+        width = min(tile, steps - lo)
+        for row, stream in zip(u, streams):
+            stream.random(out=row[:width])
+        picks = sampler.picks(u[:, :width], out=picks_buf[:, :width])
+        keys, counts = _edge_counts(game, picks, keys_buf[:, :width])
+        events = np.take(counts, keys, out=events_buf[:, :width], mode="clip")
+        events += np.take(bases, picks, axis=0, out=keys, mode="clip")
+        hist += np.bincount(events.ravel(), minlength=hist.size)
+        if record:
+            log[lo : lo + width] = (picks - game.offsets[:-1, None]).T
+    hist = hist.reshape(game.dim, m_path, n + 1)
+    visits = hist[:, 0].sum(axis=1)
+    sums = (hist * _load_cost_table(game)[game.edge_ids]).sum(axis=(1, 2))
     return visits, sums, log
 
 

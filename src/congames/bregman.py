@@ -59,10 +59,10 @@ class FeasibleSet:
 
 def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
     """Rates of n players: eta (scalar or one per player), default 1/lam, each in (0, 1/lam]."""
-    if eta is None:
-        etas = np.full(n, 1.0 / lam)
-    else:
-        etas = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).copy()
+    etas = np.asarray(1.0 / lam if eta is None else eta, dtype=float)
+    if etas.shape not in ((), (1,), (n,)):
+        raise ConfigurationError(f"learning rates of shape {etas.shape} for n = {n} players")
+    etas = np.broadcast_to(etas, (n,)).copy()
     if not np.all(np.isfinite(etas)):
         raise ConfigurationError("learning rate must be a finite number")
     if np.any(etas <= 0.0):

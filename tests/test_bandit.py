@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ def test_restrict_profile_infeasible_floor():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ConfigurationError, match="floor"):
         restrict_profile(game, game.uniform_profile(), 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf])
+def test_restrict_profile_rejects_bad_lambda(lam):
+    # NaN passes both "<= 0" and the floor test; it would spread over every entry
+    game = parallel_links_game(2, [[1.0], [1.0]])
+    with pytest.raises(ConfigurationError, match="Lambda must be a positive finite number"):
+        restrict_profile(game, game.uniform_profile(), lam)
 
 
 def test_restrict_profile_l1_distance_bound():
@@ -419,46 +428,44 @@ def test_choice_log_rejects_path_indices_beyond_int16():
 TILE_GAMES = {
     "links": lambda: parallel_links_game(10, [[1.0]] * 10),
     "gen302": lambda: generate_random_game(n=16, m=8, d=3, seed=302),
+    # 650 bins per player-step: the histogram rule enlarges the 512-step tile
+    "links64": lambda: parallel_links_game(64, [[1.0]] * 10),
 }
 
 
-def reference_episode(game, flat, streams, steps, batch):
-    """The episode kernel written out without tiles: per batch, each player's
+def reference_episode(game, flat, streams, steps):
+    """The episode kernel written out without tiles or histogram: each player's
     uniforms in one draw, picks by inverse CDF, own-path costs from edge_costs
     at the step's loads (edges in ascending order), then one bincount for the
-    visits and one for the cost sums over the batch in player-major order."""
+    visits and one for the cost sums in player-major order."""
     cdfs = [p.cumsum() for p in bandit._choice_probs(game, flat)]
     starts = game.offsets[:-1, None]
-    visits = np.zeros(game.dim, dtype=np.int64)
-    sums = np.zeros(game.dim)
-    logs = []
-    for done in range(0, steps, batch):
-        size = min(batch, steps - done)
-        u = np.stack([stream.random(size) for stream in streams])
-        picks = starts + np.stack(
-            [np.minimum(np.searchsorted(c, row, "right"), len(c) - 1) for c, row in zip(cdfs, u)]
-        )
-        loads = game.incidence[picks].sum(axis=0) * (1.0 / game.n)  # (size, m)
-        costs = np.hstack([game.edge_costs(loads), np.zeros((size, 1))])  # padding edge m
-        ids, t = game.edge_ids[picks], np.arange(size)
-        own = costs[t, ids[..., 0]]
-        for col in range(1, game.m_path):
-            own = own + costs[t, ids[..., col]]
-        visits += np.bincount(picks.ravel(), minlength=game.dim)
-        sums += np.bincount(picks.ravel(), weights=own.ravel(), minlength=game.dim)
-        logs.append((picks - starts).T)
-    return visits, sums, np.concatenate(logs).astype(np.int16)
+    u = np.stack([stream.random(steps) for stream in streams])
+    picks = starts + np.stack(
+        [np.minimum(np.searchsorted(c, row, "right"), len(c) - 1) for c, row in zip(cdfs, u)]
+    )
+    loads = game.incidence[picks].sum(axis=0) * (1.0 / game.n)  # (steps, m)
+    costs = np.hstack([game.edge_costs(loads), np.zeros((steps, 1))])  # padding edge m
+    ids, t = game.edge_ids[picks], np.arange(steps)
+    own = costs[t, ids[..., 0]]
+    for col in range(1, game.m_path):
+        own = own + costs[t, ids[..., col]]
+    visits = np.bincount(picks.ravel(), minlength=game.dim)
+    sums = np.bincount(picks.ravel(), weights=own.ravel(), minlength=game.dim)
+    return visits, sums, (picks - starts).T.astype(np.int16)
 
 
 @pytest.mark.parametrize("name", sorted(TILE_GAMES))
 def test_episode_kernel_tile_invariance(monkeypatch, name):
-    """Tiles of 1 step, 7 steps or a whole batch give the reference kernel's
-    visits, cost-sum bits and choice log; the batch does not divide the episode,
-    and the choice log changes nothing when it is not recorded."""
+    """Tiles of 1 step, 7 steps, the histogram rule's length or the whole
+    episode give the same visits, cost-sum bits and choice log; these match
+    the reference kernel (its float sums round per step, so to 1e-13), and
+    the choice log changes nothing when it is not recorded."""
     game = TILE_GAMES[name]()
     flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
-    steps, batch = 2500, 768
-    monkeypatch.setattr(bandit, "_BATCH", batch)
+    steps = 2500
+    bins = game.dim * game.m_path * (game.n + 1)
+    assert (bandit._tile_steps(game, bins) > bandit._tile_steps(game)) == (name == "links64")
 
     def streams():
         return [
@@ -469,14 +476,27 @@ def test_episode_kernel_tile_invariance(monkeypatch, name):
     def digest(visits, sums, log):
         return visits.tolist(), [v.hex() for v in sums], hashlib.sha256(log.tobytes()).hexdigest()
 
-    expected = digest(*reference_episode(game, flat, streams(), steps, batch))
-    assert sum(expected[0]) == game.n * steps
-    for tile in (1, 7, 10 * batch):
-        monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
-        assert digest(*bandit._simulate_episode(game, flat, streams(), steps, True)) == expected
+    got = digest(*bandit._simulate_episode(game, flat, streams(), steps, True))
+    visits, sums, log = reference_episode(game, flat, streams(), steps)
+    assert got[0] == visits.tolist() and sum(got[0]) == game.n * steps
+    assert got[2] == hashlib.sha256(log.tobytes()).hexdigest()
+    got_sums = np.array([float.fromhex(v) for v in got[1]])
+    assert np.all(np.abs(got_sums - sums) <= 1e-13 * np.abs(sums))
+    for tile in (1, 7, steps):
+        monkeypatch.setattr(bandit, "_tile_steps", lambda game, bins=0, tile=tile: tile)
+        assert digest(*bandit._simulate_episode(game, flat, streams(), steps, True)) == got
     visits, sums, log = bandit._simulate_episode(game, flat, streams(), steps, False)
     assert log is None
-    assert (visits.tolist(), [v.hex() for v in sums]) == expected[:2]
+    assert (visits.tolist(), [v.hex() for v in sums]) == got[:2]
+
+
+@pytest.mark.parametrize("eta", [np.array([0.1, 0.1]), np.full((3, 1), 0.1), np.zeros((0,))])
+def test_per_player_eta_of_wrong_shape_rejected(eta):
+    game = parallel_links_game(3, [[1.0], [1.0]])
+    shape = re.escape(str(eta.shape))
+    with pytest.raises(ConfigurationError, match=f"learning rates of shape {shape} for n = 3 players"):
+        BanditConfig(lam=0.1, eta=eta).derive(game)
+    assert BanditConfig(lam=0.1, eta=np.full(3, 0.1)).resolve_etas(game).tolist() == [0.1] * 3
 
 
 def test_presets_satisfy_theta_precondition():

@@ -159,6 +159,7 @@ def test_learning_rate_gate():
         ({"max_steps": 2.5}, "step cap must be an integer, got 2.5"),
         ({"max_steps": 100.0}, "step cap must be an integer, got 100.0"),
         ({"max_steps": True}, "step cap must be an integer, got True"),
+        ({"eta": np.array([0.01, 0.01, 0.01])}, r"learning rates of shape \(3,\) for n = 2 players"),
     ],
 )
 def test_bad_config_rejected_before_any_step(kwargs, message, monkeypatch):
