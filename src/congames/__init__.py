@@ -21,7 +21,6 @@ from .bandit import (
     mixed_delta_gap,
     restrict_profile,
     run_bandit,
-    sample_choices,
 )
 from .bregman import (
     ConfigurationError,
@@ -107,7 +106,6 @@ __all__ = [
     "restrict_profile",
     "run_bandit",
     "run_bulletin",
-    "sample_choices",
     "theorem_delta_gap",
     "validate_cost",
 ]

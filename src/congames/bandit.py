@@ -35,13 +35,6 @@ from .game import SUPPORT_TOL, CongestionGame
 from .minimize import CertifiedMinimum, reference_minimizer
 
 
-def sample_choices(rng: np.random.Generator, game: CongestionGame, flat: np.ndarray) -> np.ndarray:
-    """Draw one path per player, path s with probability n * x_{i,s}; returns the
-    index of each player's path within her own path list."""
-    picks = _sampler(game, flat, draws=1).picks(rng.random((game.n, 1)))[:, 0]
-    return picks - game.offsets[:-1]
-
-
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     """Each player's choice distribution n * x_i; raises unless it sums to 1."""
     probs = game.n * game.check_vector(flat)
@@ -151,6 +144,8 @@ def estimate_gradient(
 # The choice log stores each pick's index within the player's own paths.
 _LOG_DTYPE = np.int16
 _LOG_PATHS = np.iinfo(_LOG_DTYPE).max + 1
+# An episode of `steps` steps counts steps * n * m_path events in its int64 histogram.
+_MAX_EVENTS = np.iinfo(np.int64).max
 
 
 def _estimator_accuracy(game: CongestionGame) -> float:
@@ -197,6 +192,20 @@ class BanditConfig:
             raise ConfigurationError(
                 f"Lambda must lie in (0, 1/d) = (0, {1.0 / game.d:.6g})"
             )
+        if not self.exact_gradient:  # episodes only grow, so the last is the longest
+            try:
+                steps = self.episode_steps(game, self.episodes)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"episode {self.episodes} would last infinitely many steps; "
+                    "lower nu or raise Lambda"
+                ) from None
+            if steps * game.n * game.m_path > _MAX_EVENTS:
+                raise ConfigurationError(
+                    f"episode {self.episodes} would take {steps:.3g} steps of "
+                    f"{game.n * game.m_path} events each, more than its int64 load histogram "
+                    "holds; lower nu or raise Lambda"
+                )
         smooth = game.smoothness_params()
         etas = self.resolve_etas(game)
         eta_min = float(etas.min())

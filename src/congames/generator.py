@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .costs import PolynomialCost, validate_cost
@@ -24,14 +27,18 @@ def _random_cost(rng: np.random.Generator, degree: int) -> PolynomialCost:
 
 
 def _random_paths(rng, m: int, count: int, max_len: int):
-    paths: list[frozenset[int]] = []
-    for _ in range(200 * count):
-        length = int(rng.integers(1, max_len + 1))
-        path = frozenset(int(e) for e in rng.choice(m, size=length, replace=False))
-        if path not in paths:
-            paths.append(path)
-        if len(paths) == count:
-            return tuple(paths)
+    # Only sum(comb(m, l) for l = 1..max_len) distinct paths exist; summing
+    # lazily stops at the first partial sum that reaches count.
+    available = itertools.accumulate(math.comb(m, length) for length in range(1, max_len + 1))
+    if any(total >= count for total in available):
+        paths: list[frozenset[int]] = []
+        for _ in range(200 * count):
+            length = int(rng.integers(1, max_len + 1))
+            path = frozenset(int(e) for e in rng.choice(m, size=length, replace=False))
+            if path not in paths:
+                paths.append(path)
+            if len(paths) == count:
+                return tuple(paths)
     raise GameStructureError(
         f"could not draw {count} distinct paths of length <= {max_len} over {m} edges"
     )

@@ -26,7 +26,6 @@ from congames import (
     reference_minimizer,
     restrict_profile,
     run_bandit,
-    sample_choices,
 )
 from congames import bandit
 from congames.bandit import GuideTable
@@ -56,58 +55,56 @@ def brute_force_expected_costs(game: CongestionGame, flat: np.ndarray) -> np.nda
 # -- choice sampling ---------------------------------------------------------------
 
 
-def _choice_flow(game: CongestionGame, choices: np.ndarray) -> np.ndarray:
-    """The atomic flow of one path per player, each carrying 1/n."""
-    flat = np.zeros(game.dim)
-    flat[game.offsets[:-1] + choices] = 1.0 / game.n
-    return flat
+def _episode(game: CongestionGame, x: np.ndarray, seed: int, steps: int, record: bool = False):
+    """One episode of the kernel on run_bandit's per-player streams of `seed`."""
+    streams = [
+        np.random.Generator(np.random.PCG64(ss))
+        for ss in np.random.SeedSequence(seed).spawn(game.n)
+    ]
+    return bandit._simulate_episode(game, x, streams, steps, record)
 
 
 def test_sample_choices_degenerate():
     game = parallel_links_game(2, [[1.0], [1.0]])
     x = np.array([0.5, 0.0, 0.0, 0.5])
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        choices = sample_choices(rng, game, x)
-        assert choices.tolist() == [0, 1]
-        assert np.allclose(_choice_flow(game, choices), x)
+    steps = 20
+    visits, _, log = _episode(game, x, 0, steps, record=True)
+    assert visits.tolist() == [steps, 0, 0, steps]
+    assert log.tolist() == [[0, 1]] * steps
 
 
 def test_sample_choices_frequency():
     game = parallel_links_game(1, [[1.0], [1.0]])
     x = np.array([0.5, 0.5])
-    rng = np.random.default_rng(1)
-    draws = 100_000
-    hits = sum(sample_choices(rng, game, x)[0] == 0 for _ in range(draws))
-    assert abs(hits / draws - 0.5) <= 0.01  # 3 sigma is ~0.0047
+    steps = 100_000
+    visits, _, _ = _episode(game, x, 1, steps)
+    assert abs(visits[0] / steps - 0.5) <= 0.01  # 3 sigma is ~0.0047
 
 
 def test_sampled_load_matches_flow():
     game = parallel_links_game(2, [[1.0], [1.0]])
     x = np.full(4, 0.25)
-    rng = np.random.default_rng(2)
-    draws = 100_000
-    acc = np.zeros(game.m)
-    for _ in range(draws):
-        acc += game.edge_loads(_choice_flow(game, sample_choices(rng, game, x)))
-    assert np.allclose(acc / draws, game.edge_loads(x), atol=0.01)
+    steps = 100_000
+    visits, _, _ = _episode(game, x, 2, steps)
+    loads = (visits / steps) @ game.incidence / game.n
+    assert np.allclose(loads, game.edge_loads(x), atol=0.01)
 
 
 def test_sample_choices_rejects_bad_distribution():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ValueError, match="sum"):
-        sample_choices(np.random.default_rng(0), game, np.array([0.5, 0.6]))
+        bandit._choice_probs(game, np.array([0.5, 0.6]))
 
 
 @pytest.mark.parametrize("block", [[np.nan, 0.5], [np.inf, 0.0], [np.inf, -np.inf]])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda game, x: sample_choices(np.random.default_rng(0), game, x),
+        bandit._choice_probs,
         lambda game, x: mixed_delta_gap(game, x),
         lambda game, x: mixed_delta_gap(game, x, "monte-carlo", 10),
     ],
-    ids=["sample_choices", "mixed_delta_enumerate", "mixed_delta_monte_carlo"],
+    ids=["choice_probs", "mixed_delta_enumerate", "mixed_delta_monte_carlo"],
 )
 def test_choice_distribution_rejects_non_finite_profiles(call, block):
     game = parallel_links_game(2, [[1.0], [1.0]])

@@ -21,7 +21,6 @@ from congames import (
     mixed_delta_gap,
     parallel_links_game,
     run_bandit,
-    sample_choices,
 )
 from congames.cli import main
 
@@ -64,21 +63,10 @@ def _episodes(name: str, seed: int) -> list[dict]:
     ]
 
 
-def _sample_profile():
+def _monte_carlo() -> dict:
     game = generate_random_game(n=16, m=8, d=3, seed=302)
     rng = np.random.default_rng(11)
     flat = np.concatenate([rng.dirichlet(np.ones(sz)) / game.n for sz in game.sizes])
-    return game, flat
-
-
-def _choices() -> list[list[int]]:
-    game, flat = _sample_profile()
-    rng = np.random.default_rng(12)
-    return [sample_choices(rng, game, flat).tolist() for _ in range(64)]
-
-
-def _monte_carlo() -> dict:
-    game, flat = _sample_profile()
     res = mixed_delta_gap(game, flat, mode="monte-carlo", samples=40_000, seed=13)
     return {"delta": float(res.delta).hex(), "expected_costs": _hex(res.expected_costs)}
 
@@ -114,10 +102,6 @@ def test_episode_outputs_match_golden(golden, name, seed):
             assert np.all(np.abs(sums - ref) <= rtol * np.abs(ref))
 
 
-def test_sample_choices_match_golden(golden):
-    assert _choices() == golden["sample_choices"]
-
-
 def test_monte_carlo_mixed_gap_matches_golden(golden):
     assert _monte_carlo() == golden["monte_carlo"]
 
@@ -134,7 +118,6 @@ if __name__ == "__main__":
         cli = {args: _cli_sha(args, Path(tmp)) for args in CLI_RUNS}
     record = {
         "episodes": {name: {str(s): _episodes(name, s) for s in SEEDS} for name in RUNS},
-        "sample_choices": _choices(),
         "monte_carlo": _monte_carlo(),
         "cli_sha256": cli,
     }

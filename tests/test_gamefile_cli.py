@@ -7,6 +7,7 @@ import pytest
 import congames.cli
 from congames import (
     GameFileError,
+    GameStructureError,
     generate_random_game,
     parse_game,
     parse_game_text,
@@ -88,6 +89,27 @@ def test_generator_games_validate():
         for cost in game.edges:
             assert cost.derivative_lower > 0
             assert sum(cost.coefficients) <= 1 + 1e-12
+
+
+def test_generator_rejects_more_paths_than_exist_before_drawing(monkeypatch):
+    """Two edges make three distinct paths: all three can be drawn, and asking
+    for 5000 fails before the first draw."""
+    assert len(generate_random_game(seed=0, n=1, m=2, d=3, symmetric=True).paths[0]) == 3
+    real = np.random.default_rng
+
+    class NoDraws:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def choice(self, *args, **kwargs):
+            raise AssertionError("drew a path")
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    with pytest.raises(GameStructureError, match="could not draw 5000 distinct paths"):
+        generate_random_game(seed=0, n=1, m=2, d=5000, symmetric=True)
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -197,6 +219,7 @@ def test_cli_gen_string_validation():
         ("n=0,m=3,d=3", "--gen n=0: player count must be at least 1"),
         ("n=3,m=3,d=3,deg=0", "--gen deg=0: cost degree must be at least 1"),
         ("n=2,m=3,d=2,n=5", "--gen n=5: repeated key"),
+        ("n=1,m=2,d=5000,sym=1", "could not draw 5000 distinct paths of length <= 2 over 2 edges"),
     ],
 )
 def test_cli_gen_values_checked_per_key(gen, message, capsys):
@@ -280,6 +303,23 @@ def test_cli_rejects_flags_the_algorithm_ignores(algo, flags, capsys):
         ("bandit-mu", ["--nu", "nan"], "error: nu must be a finite number, at least 1"),
         ("bandit-gd", ["--lambda-cap", "-1"], "error: --lambda-cap must be a positive finite number"),
         ("bandit-mu", ["--lambda-cap", "nan"], "error: --lambda-cap must be a positive finite number"),
+        (
+            "bandit-gd",
+            ["--nu", "1e300", "--lambda-cap", "1e-300"],
+            "error: episode 1 would last infinitely many steps; lower nu or raise Lambda",
+        ),
+        (
+            "bandit-gd",
+            ["--nu", "1e300"],
+            "error: episode 1 would take 9.63e+300 steps of 9 events each, more than its int64 "
+            "load histogram holds; lower nu or raise Lambda",
+        ),
+        (  # steps * 9 events exceeds the largest float
+            "bandit-gd",
+            ["--nu", "3e306"],
+            "error: episode 1 would take 2.89e+307 steps of 9 events each, more than its int64 "
+            "load histogram holds; lower nu or raise Lambda",
+        ),
     ],
 )
 def test_cli_rejects_bad_bandit_flags(algo, flags, message, capsys):
