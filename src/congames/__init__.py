@@ -52,7 +52,6 @@ from .gamefile import GameFileError, parse_game, parse_game_text, render_game
 from .generator import generate_random_game
 from .minimize import (
     CertifiedMinimum,
-    MaxCostMinimum,
     min_average_cost,
     min_max_cost,
     reference_minimizer,
@@ -77,7 +76,6 @@ __all__ = [
     "FeasibleSet",
     "GameFileError",
     "GameStructureError",
-    "MaxCostMinimum",
     "MixedDeltaResult",
     "PolynomialCost",
     "SmoothnessParams",

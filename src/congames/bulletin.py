@@ -23,7 +23,7 @@ from .game import (
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum, MaxCostMinimum, reference_minimizer
+from .minimize import CertifiedMinimum, reference_minimizer
 
 
 @dataclass
@@ -344,15 +344,15 @@ def max_cost_ratio(
     game: CongestionGame,
     flat: np.ndarray,
     average: CertifiedMinimum,
-    maximum: MaxCostMinimum,
+    maximum: CertifiedMinimum,
 ) -> float:
-    """C_M(x) against min C_M; refused on asymmetric games, which the guarantee does not cover."""
+    """C_M(x) against the certified lower bound on min C_M; refused on asymmetric
+    games, which the guarantee does not cover."""
     flat = game.check_vector(flat)
     if not game.symmetric:
         raise ConfigurationError("maximum-cost ratio guarantee only covers symmetric games")
-    # min C_M >= min C_A, so the certified average lower bound also
-    # guards the denominator against oracle slack.
-    denom = max(maximum.value, average.value - average.certificate)
+    # min C_M >= min C_A, so the certified average lower bound is one too.
+    denom = max(maximum.value - maximum.certificate, average.value - average.certificate)
     return game.max_cost(flat) / denom
 
 

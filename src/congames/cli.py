@@ -185,8 +185,8 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
         max_steps=args.steps if args.steps is not None else 200_000,
         target_gap=target,
     )
-    reference = _reference(game)
-    report = run_bulletin(game, config, reference=reference)
+    config.resolve_etas(game)  # rejects bad flags before the potential is solved
+    report = run_bulletin(game, config, reference=_reference(game))
     avg_min = min_average_cost(game)
 
     avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)
@@ -246,7 +246,7 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
             )
         )
         if eps_max is not None:
-            max_min = min_max_cost(game, reference=reference)
+            max_min = min_max_cost(game)
             ratio_max = max_cost_ratio(game, report.x_final, avg_min, max_min)
             bound_max = max_ratio_bound(game, eps_max)
             assertions.append(
@@ -283,8 +283,8 @@ def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> in
         seed=args.seed,
         **{key: value for key, value in given.items() if value is not None},
     )
-    reference = _reference(game)
-    report = run_bandit(game, config, reference=reference)
+    config.derive(game)  # rejects bad flags before the potential is solved
+    report = run_bandit(game, config, reference=_reference(game))
     params = report.params
 
     if args.out:

@@ -31,12 +31,11 @@ def _random_paths(rng, m: int, count: int, max_len: int):
     # lazily stops at the first partial sum that reaches count.
     available = itertools.accumulate(math.comb(m, length) for length in range(1, max_len + 1))
     if any(total >= count for total in available):
-        paths: list[frozenset[int]] = []
+        paths: dict[frozenset[int], None] = {}  # insertion-ordered, with set lookups
         for _ in range(200 * count):
             length = int(rng.integers(1, max_len + 1))
             path = frozenset(int(e) for e in rng.choice(m, size=length, replace=False))
-            if path not in paths:
-                paths.append(path)
+            paths.setdefault(path)
             if len(paths) == count:
                 return tuple(paths)
     raise GameStructureError(

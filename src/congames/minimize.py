@@ -43,28 +43,33 @@ subdiagonal set once, row 0 rewritten per line search), the line-derivative
 terms and the search direction.  Nothing is kept between calls, so solves on
 different threads share no state.
 
-The maximum individual cost is piecewise smooth, not edge-separable; its
-minimizer uses an epigraph formulation solved by SLSQP.  scipy is imported only
-by min_max_cost, so the rest of the package needs numpy alone.
+The maximum individual cost is piecewise smooth, not edge-separable.  On a
+symmetric game it depends only on the aggregate flow over the common paths, so
+its minimizer solves the epigraph problem in d + 1 variables by the log-barrier
+method, and certifies the result with a lower bound from convexity and the KKT
+weights of the costliest paths (see min_max_cost).  The package needs numpy
+alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
+from .bregman import ConfigurationError
 from .costs import horner
 from .game import CongestionGame
 
 
 @dataclass(frozen=True)
 class CertifiedMinimum:
-    """Minimizer candidate with a duality-gap certificate (value - min <= certificate)."""
+    """Minimizer candidate with a certificate: value - min <= certificate."""
 
     flat: np.ndarray
     value: float
@@ -325,86 +330,236 @@ def min_average_cost(
     return minimize_edge_separable(game, average_cost_objective(game), tol, max_iter)
 
 
-@dataclass(frozen=True)
-class MaxCostMinimum:
-    flat: np.ndarray
-    value: float
+_EPS = float(np.finfo(float).eps)
 
 
-def min_max_cost(
-    game: CongestionGame, tol: float = 1e-12, reference: CertifiedMinimum | None = None
-) -> MaxCostMinimum:
-    """x_hat = argmin C_M via the epigraph form  min t  s.t.  c_s(x) <= t.
+class _PathCosts:
+    """The path costs c_s(f) of a symmetric game as functions of the aggregate flow f.
 
-    SLSQP starts from the uniform profile and from the potential minimizer
-    `reference`, which is solved at tol=1e-9 when the caller has none.
+    Every player has the same d paths, so the edge loads are f @ A for the
+    (d, m) incidence A of the distinct paths and the flow f = sum_i x_i on
+    the d-path simplex.  The Jacobian of c(f) is J = A diag(c'(loads)) A^T,
+    symmetric, so row s of J is the gradient of c_s.
+    """
+
+    def __init__(self, game: CongestionGame, paths: list[frozenset[int]]):
+        self.A = np.zeros((len(paths), game.m))
+        for s, path in enumerate(paths):
+            self.A[s, sorted(path)] = 1.0
+        self.AT = self.A.T.copy()
+        self.coef = game._coef_table
+        self.slope = game._slope_table
+        # c''(y) for y**j is (j + 1) times the slope coefficient of y**(j + 1); the
+        # zero column keeps a table for linear costs
+        curvature = self.slope[:, 1:] * np.arange(1, self.slope.shape[1])
+        self.curvature = np.pad(curvature, ((0, 0), (0, 1)))
+
+    def costs(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        loads = f @ self.A
+        return self.A @ (horner(self.coef, loads) * loads), loads
+
+    def jacobian(self, loads: np.ndarray) -> np.ndarray:
+        return (self.A * horner(self.slope, loads)) @ self.AT
+
+    def lower_bound(self, f: np.ndarray, lam: np.ndarray) -> float:
+        """A lower bound on min C_M for any lam on the simplex and f >= 0.
+
+        LB(lam) = sum_s lam_s c_s(f) - (g.f - min_p g_p), g = J(f)^T lam: every
+        c_s is convex, so max_s c_s >= sum_s lam_s c_s >= its linearization at
+        f, whose minimum over the simplex is LB.  Less the bound on the
+        rounding of its three nonnegative terms (sums of at most deg + m + 2d
+        rounded products each), so it holds for the float evaluation too.
+        """
+        c, loads = self.costs(f)
+        g = self.jacobian(loads) @ lam
+        terms = (float(lam @ c), float(g @ f), float(g.min()))
+        rounding = (self.coef.shape[1] + self.A.shape[1] + 2 * len(f)) * _EPS * sum(terms)
+        return terms[0] - terms[1] + terms[2] - rounding
+
+
+# The barrier parameter grows 100-fold per centering.  A centering ends when
+# the Newton decrement is below 1e-9 or below the rounding of tau * t, the
+# largest term of the barrier objective (16 ulps of it): near the optimum
+# t - c_s is about 1/tau, so its rounding, and that of every decrease the line
+# search measures, grows with tau.  A centering also ends after 200 steps or
+# when backtracking falls below 1e-6 without a decrease.  The Newton matrix is
+# scaled to unit diagonal and shifted by 1e-13: its entries along the active
+# costs grow as tau**2 and those across them do not, so unshifted it can be
+# singular in floats.
+_TAU_GROWTH = 100.0
+_DECREMENT = 1e-9
+_ROUNDING = 16 * _EPS
+_CENTERING_STEPS = 200
+_SHORTEST_STEP = 1e-6
+_SHIFT = 1e-13
+
+
+def _epigraph_barrier(costs: _PathCosts, tol: float):
+    """The log-barrier method for  min t  s.t.  c_s(f) <= t,  f on the simplex.
+
+    Each centering minimizes tau*t - sum_s log(t - c_s(f)) - sum_p log(f_p)
+    on sum(f) = 1 by Newton's method with backtracking (Boyd & Vandenberghe,
+    Convex Optimization, 11.3), until 2d/tau, the barrier's bound on the
+    suboptimality of a centered point, is at most tol * max(1, t).  Returns
+    the flow, tau, the barrier's cost multipliers w / sum(w) with
+    w_s = 1/(t - c_s), and the number of Newton steps.
+    """
+    d = costs.A.shape[0]
+    f = np.full(d, 1.0 / d)
+    c, loads = costs.costs(f)
+    t = 2.0 * c.max()
+    tau = 2 * d / c.max()  # the bound 2d/tau starts at the uniform flow's max cost
+    H = np.empty((d + 1, d + 1))  # the Hessian in (f, t)
+    K = np.zeros((d + 2, d + 2))  # H scaled, bordered by the row of sum(f) = 1
+    diagonal = K.reshape(-1)[: (d + 1) * (d + 2) : d + 3]
+    ones = np.append(np.ones(d), 0.0)
+    grad, rhs = np.empty(d + 1), np.zeros(d + 2)
+    steps = 0
+    while True:
+        for _ in range(_CENTERING_STEPS):
+            r = t - c
+            w = 1.0 / r
+            w2 = w * w
+            J = costs.jacobian(loads)
+            # sum_s w_s**2 grad(c_s - t) grad(c_s - t)^T + sum_s w_s hess(c_s) + diag(1/f**2)
+            curvature = (w @ costs.A) * horner(costs.curvature, loads)
+            H[:d, :d] = (J.T * w2) @ J + (costs.A * curvature) @ costs.AT + np.diag(1.0 / (f * f))
+            H[:d, d] = H[d, :d] = -(J @ w2)
+            H[d, d] = w2.sum()
+            grad[:d] = J @ w - 1.0 / f
+            grad[d] = tau - w.sum()
+            scale = 1.0 / np.sqrt(H.diagonal())
+            np.multiply(H, np.multiply.outer(scale, scale), out=K[: d + 1, : d + 1])
+            K[: d + 1, d + 1] = K[d + 1, : d + 1] = ones * scale
+            diagonal += _SHIFT
+            rhs[: d + 1] = -grad * scale
+            rhs[d + 1] = 1.0 - f.sum()
+            step = np.linalg.solve(K, rhs)[: d + 1] * scale
+            df, dt = step[:d], step[d]
+            decrement = -float(grad @ step)
+            steps += 1
+            if not decrement > 2.0 * max(_DECREMENT, _ROUNDING * tau * max(1.0, t)):
+                break
+            s = 1.0
+            shrinking = df < 0.0
+            if shrinking.any():
+                s = min(1.0, 0.99 * float((f[shrinking] / -df[shrinking]).min()))
+            while s >= _SHORTEST_STEP:
+                f_new, t_new = f + s * df, t + s * dt
+                c_new, loads_new = costs.costs(f_new)
+                r_new = t_new - c_new
+                # the decrease of the objective, summed from ratios: tau * t itself
+                # reaches 1e13, where its rounding exceeds the decrease
+                if (r_new > 0.0).all() and (f_new > 0.0).all() and (
+                    tau * s * dt - np.log(r_new / r).sum() - np.log(f_new / f).sum()
+                    <= -0.25 * s * decrement
+                ):
+                    break
+                s *= 0.5
+            else:
+                break
+            f, t, c, loads = f_new, t_new, c_new, loads_new
+        if 2 * d / tau <= tol * max(1.0, t):
+            w = 1.0 / (t - c)
+            return f / f.sum(), tau, w / w.sum(), steps
+        tau *= _TAU_GROWTH
+
+
+def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x >= 0 minimizing |M x - b|, by the active-set method of Lawson & Hanson
+    (Solving Least Squares Problems, 1974, ch. 23)."""
+    n = M.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)  # the variables not held at 0
+    tol = 10 * _EPS * max(M.shape) * np.abs(M).max()
+    for _ in range(3 * n):
+        gradient = np.where(passive, -np.inf, M.T @ (b - M @ x))
+        j = gradient.argmax()
+        if not gradient[j] > tol:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(M[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0.0).all():
+                x = z
+                break
+            # move toward z until the first passive variable reaches 0, and free it
+            blocked = passive & (z <= 0.0)
+            x += (x[blocked] / (x[blocked] - z[blocked])).min() * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
+
+
+def _kkt_weights(J: np.ndarray, c: np.ndarray, f: np.ndarray, delta: float) -> np.ndarray | None:
+    """Weights lam >= 0 on the paths within delta of the maximum cost that solve
+    KKT stationarity: g = J^T lam is one value mu on the used paths (f_p > delta)
+    and at least mu on the unused ones, with sum(lam) = 1.
+
+    One nonnegative least-squares solve in (lam, mu, s): g - mu = 0 on the used
+    paths, g - mu - s_p = 0 on the unused ones, sum(lam) = 1; mu >= 0 costs
+    nothing, since J >= 0.  None when no weight is positive.
+    """
+    d = len(c)
+    active = np.flatnonzero(c >= c.max() - delta)
+    unused = np.flatnonzero(f <= delta)
+    k = len(active)
+    M = np.zeros((d + 1, k + 1 + len(unused)))
+    M[:d, :k] = J[:, active]
+    M[:d, k] = -1.0
+    M[unused, k + 1 + np.arange(len(unused))] = -1.0
+    M[d, :k] = 1.0
+    b = np.zeros(d + 1)
+    b[d] = 1.0
+    lam = np.zeros(d)
+    lam[active] = _nnls(M, b)[:k]
+    total = lam.sum()
+    return lam / total if total > 0.0 else None
+
+
+def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
+    """x_hat = argmin C_M on a symmetric game, with value - min C_M <= certificate.
+
+    C_M(x) = max_s c_s(f) depends only on the aggregate flow f = sum_i x_i on
+    the simplex of the common paths, so the epigraph problem  min t  s.t.
+    c_s(f) <= t  has d + 1 variables whatever n is; _epigraph_barrier solves
+    it.  Each player plays f / n, matched to her own list of paths by path.
+
+    The certificate is C_M(x_hat) - LB(lam) for the better lower bound of two
+    weight vectors: the KKT weights of the paths within delta = tau**-0.5 of
+    the maximum, and the barrier's multipliers.  LB holds for any lam on the
+    simplex and is evaluated in floats at the returned flow.  `iterations`
+    counts Newton steps; `converged` is certificate <= tol * max(1, value).
+    Asymmetric games raise ConfigurationError: the paper's maximum-cost bound,
+    and max_cost_ratio, cover symmetric games only.
     """
     _check_tol(tol)
-    # scipy.optimize adds about 0.3 s to start-up, and nothing else needs it.
-    from scipy import optimize
+    if not game.symmetric:
+        raise ConfigurationError("the maximum-cost oracle covers symmetric games only")
+    paths = list(dict.fromkeys(game.paths[0]))
+    costs = _PathCosts(game, paths)
+    f, tau, barrier_weights, steps = _epigraph_barrier(costs, tol)
 
-    inc = game.incidence
-    rows = {tuple(r) for r in inc.astype(int)}
-    rows = np.array(sorted(rows), dtype=float)  # distinct paths only
+    index = {path: k for k, path in enumerate(paths)}
+    rows, shares = [], []
+    for player_paths in game.paths:
+        copies = Counter(player_paths)  # a path listed twice splits its flow
+        rows += [index[path] for path in player_paths]
+        shares += [1.0 / (game.n * copies[path]) for path in player_paths]
+    flat = f[rows] * np.array(shares)
+    value = game.max_cost(flat)
 
-    def split(y):
-        return y[:-1], y[-1]
-
-    def objective(y):
-        return y[-1]
-
-    def objective_grad(y):
-        g = np.zeros_like(y)
-        g[-1] = 1.0
-        return g
-
-    def path_slack(y):
-        x, t = split(y)
-        ecosts = game.edge_costs(x @ inc)
-        return t - rows @ ecosts
-
-    def path_slack_jac(y):
-        x, t = split(y)
-        slopes = game.edge_slopes(x @ inc)
-        jac = np.zeros((rows.shape[0], y.size))
-        jac[:, :-1] = -(rows * slopes) @ inc.T
-        jac[:, -1] = 1.0
-        return jac
-
-    mass_rows = np.zeros((game.n, game.dim + 1))
-    for i in range(game.n):
-        mass_rows[i, game.offsets[i] : game.offsets[i + 1]] = 1.0
-    mass_target = np.full(game.n, 1.0 / game.n)
-
-    constraints = [
-        {"type": "ineq", "fun": path_slack, "jac": path_slack_jac},
-        {
-            "type": "eq",
-            "fun": lambda y: mass_rows @ y - mass_target,
-            "jac": lambda y: mass_rows,
-        },
-    ]
-    bounds = [(0.0, 1.0 / game.n)] * game.dim + [(0.0, None)]
-
-    if reference is None:
-        reference = reference_minimizer(game, tol=1e-9)
-    best = None
-    for x0 in (game.uniform_profile(), reference.flat):
-        y0 = np.concatenate([x0, [game.max_cost(x0)]])
-        res = optimize.minimize(
-            objective,
-            y0,
-            jac=objective_grad,
-            bounds=bounds,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": tol},
-        )
-        x = np.maximum(res.x[:-1], 0.0)
-        for i in range(game.n):
-            sl = game.player_slice(i)
-            x[sl] *= 1.0 / game.n / x[sl].sum()
-        value = game.max_cost(x)
-        if best is None or value < best.value:
-            best = MaxCostMinimum(flat=x, value=value)
-    return best
+    c, loads = costs.costs(f)
+    bound = costs.lower_bound(f, barrier_weights)
+    weights = _kkt_weights(costs.jacobian(loads), c, f, tau**-0.5)
+    if weights is not None:
+        bound = max(bound, costs.lower_bound(f, weights))
+    certificate = max(value - bound, 0.0)
+    return CertifiedMinimum(
+        flat=flat,
+        value=value,
+        certificate=certificate,
+        iterations=steps,
+        converged=certificate <= tol * max(1.0, value),
+    )

@@ -403,9 +403,11 @@ def test_max_ratio_refused_on_asymmetric_game():
     game = generate_random_game(seed=37, n=3, m=5, d=3)
     while game.symmetric:  # pragma: no cover - seed 37 is asymmetric
         game = generate_random_game(seed=38, n=3, m=5, d=3)
-    average, maximum = min_average_cost(game), min_max_cost(game)
+    average = min_average_cost(game)
     with pytest.raises(ConfigurationError, match="symmetric"):
-        max_cost_ratio(game, game.uniform_profile(), average, maximum)
+        min_max_cost(game)
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        max_cost_ratio(game, game.uniform_profile(), average, average)
 
 
 # -- regret -----------------------------------------------------------------------

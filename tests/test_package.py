@@ -10,4 +10,4 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(congames.__all__) == public
-    assert len(congames.__all__) == len(public) == 47
+    assert len(congames.__all__) == len(public) == 46
