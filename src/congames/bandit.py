@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import ConfigurationError, FeasibleSet, make_geometry, resolve_learning_rates
-from .game import SUPPORT_TOL, CongestionGame
+from .game import CongestionGame
 from .minimize import CertifiedMinimum, reference_minimizer
 
 
@@ -552,7 +552,6 @@ def mixed_delta_gap(
     mode: str = "enumerate",
     samples: int = 100_000,
     seed: int = 0,
-    support_tol: float = SUPPORT_TOL,
 ) -> MixedDeltaResult:
     """Equilibrium gap in mixed strategies: spreads of E[c_s(X)] over used paths.
 
@@ -569,7 +568,7 @@ def mixed_delta_gap(
         expected = _sampled_path_cost_sums(game, flat, samples, seed) / samples
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
-    return MixedDeltaResult(game.equilibrium_gap(flat, expected, support_tol), expected)
+    return MixedDeltaResult(game.equilibrium_gap(flat, expected), expected)
 
 
 def mixed_delta_bound(game: CongestionGame, gap: float) -> float:

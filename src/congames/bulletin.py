@@ -111,11 +111,11 @@ class BulletinReport:
         return math.ceil(self.game.n * self.gamma_measured / (eta * eps))
 
 
-# The diagnostics pass runs every _CHUNK_STEPS steps, fewer when one chunk of
-# padded (n, d) profiles or of (m,) loads would exceed _CHUNK_ENTRIES entries:
-# its buffers and temporaries then stay within a few hundred kB whatever the
-# game.  Within a chunk the potential, the average cost and the stop rule run
-# once per block of _STOP_BLOCK steps.
+# The diagnostics pass runs every _CHUNK_STEPS steps, and the potential, the
+# average cost and the stop rule once per block of _STOP_BLOCK steps; both run
+# more often when a chunk of padded (n, d) profiles, or a block of (m,) loads,
+# would exceed _CHUNK_ENTRIES entries.  Larger temporaries are mapped afresh by
+# malloc on every call, at 3x the cost per step of a block at m = 2000.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 8192
 _STOP_BLOCK = 32
@@ -130,20 +130,19 @@ def run_bulletin(
 
     Each step does only what the next step needs, in the padded (n, d)
     layout: loads, edge costs, path costs and the mirror step, keeping the
-    iterate, its loads, edge costs and path costs in chunk buffers.  Once per
-    block of _STOP_BLOCK steps the potentials and average costs of the whole
-    block are computed from the stored loads and edge costs, and the stop
-    rule finds the block's first step within the target.  The run is cut
-    there: the up to _STOP_BLOCK - 1 steps already taken past it are
-    discarded, and the final iterate is the stored one of that step.  A
-    diagnostics pass turns a full chunk, and the last one, into the
-    equilibrium gaps, maximum costs and cumulative costs of all its steps at
-    once.  The step count does not depend on the blocks or chunks, and every
-    report field is bit for bit what a per-step evaluation gives: the
-    potential of a step is the sum of its own row of edge primitives, the
-    average cost one dot product per row, gaps and maxima take only max, min
-    and one subtraction, and the cumulative costs add their per-step rows in
-    step order.
+    iterate and path costs in chunk buffers, loads and edge costs in block
+    buffers.  Once per block the potentials and average costs of its steps
+    are computed from the stored loads and edge costs, and the stop rule
+    finds the block's first step within the target.  The run is cut there:
+    the steps already taken past it are discarded, and the final iterate is
+    the stored one of that step.  A diagnostics pass turns a full chunk, and
+    the last one, into the equilibrium gaps, maximum costs and cumulative
+    costs of all its steps at once.  The step count does not depend on the
+    blocks or chunks, and every report field is bit for bit what a per-step
+    evaluation gives: the potential of a step is the sum of its own row of
+    edge primitives, the average cost one dot product per row, gaps and
+    maxima take only max, min and one subtraction, and the cumulative costs
+    add their per-step rows in step order.
     """
     etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
@@ -176,11 +175,12 @@ def run_bulletin(
     target = config.target_gap
     last = config.max_steps
 
-    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // max(X.size, game.m), last + 1))
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, last + 1))
     Xs = np.empty((rows, *X.shape))
     PCs = np.zeros((rows, *X.shape))  # the padding stays 0; the entropy step reads it
-    Ls = np.empty((rows, game.m))
-    Es = np.empty((rows, game.m))
+    block = max(1, min(_STOP_BLOCK, _CHUNK_ENTRIES // game.m, rows))
+    Ls = np.empty((block, game.m))  # row j - done: the loads of the block's steps
+    Es = np.empty((block, game.m))
     phis = np.empty(rows)
     avgs = np.empty(rows)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
@@ -189,15 +189,15 @@ def run_bulletin(
     j = done = 0  # next chunk row; rows before done have their potentials
     for t in range(last + 1):
         flat = X.take(sel)
-        loads = np.matmul(flat, inc, out=Ls[j])
-        ecosts = Es[j] = game.edge_costs(loads)
+        loads = np.matmul(flat, inc, out=Ls[j - done])
+        ecosts = Es[j - done] = game.edge_costs(loads)
         PC = PCs[j]
         PC.put(sel, inc @ ecosts)
         Xs[j] = X
         j += 1
 
-        if j - done == _STOP_BLOCK or j == rows or t == last:
-            L, E = Ls[done:j], Es[done:j]
+        if j - done == block or j == rows or t == last:
+            L, E = Ls[: j - done], Es[: j - done]
             phis[done:j] = game.edge_primitives(L).sum(axis=1)
             avgs[done:j] = np.matmul(L[:, None, :], E[:, :, None])[:, 0, 0]
             if target is not None:
@@ -262,7 +262,7 @@ class _Diagnostics:
         self.avgs.append(avg.copy())
         cert_gaps = phi - self.reference.value + self.reference.certificate
         floors = np.stack(
-            [np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps, SUPPORT_TOL)]
+            [np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps)]
         )
         deltas, theorem_deltas = padded_equilibrium_gaps(X, PC, mask, floors)
         self.deltas.append(deltas)
@@ -280,12 +280,10 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
 
 
-def delta_equilibrium_gap(
-    game: CongestionGame, flat: np.ndarray, support_tol: float = SUPPORT_TOL
-) -> float:
+def delta_equilibrium_gap(game: CongestionGame, flat: np.ndarray) -> float:
     """Worst over players of (priciest used path) - (cheapest allowed path), floored at 0."""
     flat = game.check_vector(flat)
-    return game.equilibrium_gap(flat, game.path_costs(flat), support_tol)
+    return game.equilibrium_gap(flat, game.path_costs(flat))
 
 
 def equilibrium_gap_bound(game: CongestionGame, epsilon):
@@ -309,12 +307,7 @@ def max_ratio_bound(game: CongestionGame, epsilon):
     return (b / a) * (1.0 + 2.0 * m * epsilon / a + equilibrium_gap_bound(game, epsilon) * m / b)
 
 
-def theorem_delta_gap(
-    game: CongestionGame,
-    flat: np.ndarray,
-    epsilon: float,
-    support_tol: float = SUPPORT_TOL,
-) -> float:
+def theorem_delta_gap(game: CongestionGame, flat: np.ndarray, epsilon: float) -> float:
     """Equilibrium gap over paths heavy enough for the potential argument.
 
     The sqrt(8*b*m*eps) ceiling is proved by shifting delta/(4*b*m) of load
@@ -324,12 +317,13 @@ def theorem_delta_gap(
     which is why the plain gap is reported separately and checked against
     nothing.
     """
-    return delta_equilibrium_gap(game, flat, support_tol=_heavy_floor(game, epsilon, support_tol))
+    flat = game.check_vector(flat)
+    return game.equilibrium_gap(flat, game.path_costs(flat), _heavy_floor(game, epsilon))
 
 
-def _heavy_floor(game: CongestionGame, gap, support_tol: float):
-    """sqrt(gap / (2*b*m)), at least support_tol: the least mass the gap argument can move."""
-    return np.maximum(support_tol, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
+def _heavy_floor(game: CongestionGame, gap):
+    """sqrt(gap / (2*b*m)), at least SUPPORT_TOL: the least mass the gap argument can move."""
+    return np.maximum(SUPPORT_TOL, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
 
 
 def average_cost_ratio(

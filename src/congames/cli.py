@@ -178,6 +178,8 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
         if game.symmetric:
             eps_max = a * args.sigma**2 / (32.0 * m)
             target = min(target, eps_max)
+        if target == 0.0:
+            raise ConfigurationError(f"--sigma {args.sigma:g} gives a gap target of 0")
 
     config = BulletinConfig(
         geometry=geometry,

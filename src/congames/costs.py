@@ -83,17 +83,6 @@ class PolynomialCost:
         # adding 0 keeps a constant slope in the shape of y
         return horner(slope_table(self._table), y) + np.zeros(np.shape(y))
 
-    def curvature(self, y):
-        """c''(y)."""
-        if self.degree < 2:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        j = np.arange(2, self.degree + 1)
-        return horner(j * (j - 1) * self._table[1:], y) + np.zeros(np.shape(y))
-
-    def primitive(self, y):
-        """Antiderivative F(y) = integral of c from 0 to y, F(0) = 0."""
-        return horner(primitive_table(self._table), y) * y * y
-
 
 def horner(table: np.ndarray, y) -> np.ndarray:
     """sum_j table[..., j] * y**j, from the leading coefficient down.

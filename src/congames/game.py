@@ -166,6 +166,13 @@ class CongestionGame:
     def _slope_table(self) -> np.ndarray:
         return slope_table(self._coef_table)
 
+    @cached_property
+    def _curvature_table(self) -> np.ndarray:
+        # c''(y) for y**j is (j + 1) times the slope coefficient of y**(j + 1); the
+        # zero column keeps a table for linear costs
+        curvature = self._slope_table[:, 1:] * np.arange(1, self._slope_table.shape[1])
+        return np.pad(curvature, ((0, 0), (0, 1)))
+
     def edge_costs(self, loads: np.ndarray) -> np.ndarray:
         """c_e(load_e) for every edge; loads may be batched (..., m)."""
         return horner(self._coef_table, loads) * loads
@@ -176,8 +183,12 @@ class CongestionGame:
 
     def edge_slopes(self, loads: np.ndarray) -> np.ndarray:
         """c'_e(load_e)."""
-        # constant for linear costs, so broadcast to the shape of loads
-        return np.broadcast_to(horner(self._slope_table, loads), np.shape(loads)).copy()
+        # adding 0 keeps a constant (linear-cost) slope in the shape of loads
+        return horner(self._slope_table, loads) + np.zeros(np.shape(loads))
+
+    def edge_curvatures(self, loads: np.ndarray) -> np.ndarray:
+        """c''_e(load_e)."""
+        return horner(self._curvature_table, loads) + np.zeros(np.shape(loads))
 
     # -- flows and costs -------------------------------------------------------
 

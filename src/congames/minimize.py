@@ -194,11 +194,6 @@ def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
     return poly_root_in
 
 
-def _poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
-    """Unique sign change of a nondecreasing polynomial on [0, t_max]."""
-    return _line_search(len(coeffs) - 1)(coeffs, t_max)
-
-
 def minimize_edge_separable(
     game: CongestionGame,
     objective: _EdgeSeparableObjective,
@@ -333,48 +328,26 @@ def min_average_cost(
 _EPS = float(np.finfo(float).eps)
 
 
-class _PathCosts:
-    """The path costs c_s(f) of a symmetric game as functions of the aggregate flow f.
+def _flow_jacobian(flow: CongestionGame, loads: np.ndarray) -> np.ndarray:
+    """J = A diag(c'(loads)) A^T, symmetric, so row s is the gradient of c_s.  A^T
+    is copied to C order: BLAS sums the transposed view in another order."""
+    A = flow.incidence
+    return (A * flow.edge_slopes(loads)) @ A.T.copy()
 
-    Every player has the same d paths, so the edge loads are f @ A for the
-    (d, m) incidence A of the distinct paths and the flow f = sum_i x_i on
-    the d-path simplex.  The Jacobian of c(f) is J = A diag(c'(loads)) A^T,
-    symmetric, so row s of J is the gradient of c_s.
+
+def _lower_bound(flow: CongestionGame, f: np.ndarray, lam: np.ndarray) -> float:
+    """A lower bound on min C_M for any lam on the simplex and f >= 0.
+
+    LB(lam) = sum_s lam_s c_s(f) - (g.f - min_p g_p), g = J(f)^T lam: every
+    c_s is convex, so max_s c_s >= sum_s lam_s c_s >= its linearization at
+    f, whose minimum over the simplex is LB.  Less the bound on the
+    rounding of its three nonnegative terms (sums of at most deg + m + 2d
+    rounded products each), so it holds for the float evaluation too.
     """
-
-    def __init__(self, game: CongestionGame, paths: list[frozenset[int]]):
-        self.A = np.zeros((len(paths), game.m))
-        for s, path in enumerate(paths):
-            self.A[s, sorted(path)] = 1.0
-        self.AT = self.A.T.copy()
-        self.coef = game._coef_table
-        self.slope = game._slope_table
-        # c''(y) for y**j is (j + 1) times the slope coefficient of y**(j + 1); the
-        # zero column keeps a table for linear costs
-        curvature = self.slope[:, 1:] * np.arange(1, self.slope.shape[1])
-        self.curvature = np.pad(curvature, ((0, 0), (0, 1)))
-
-    def costs(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        loads = f @ self.A
-        return self.A @ (horner(self.coef, loads) * loads), loads
-
-    def jacobian(self, loads: np.ndarray) -> np.ndarray:
-        return (self.A * horner(self.slope, loads)) @ self.AT
-
-    def lower_bound(self, f: np.ndarray, lam: np.ndarray) -> float:
-        """A lower bound on min C_M for any lam on the simplex and f >= 0.
-
-        LB(lam) = sum_s lam_s c_s(f) - (g.f - min_p g_p), g = J(f)^T lam: every
-        c_s is convex, so max_s c_s >= sum_s lam_s c_s >= its linearization at
-        f, whose minimum over the simplex is LB.  Less the bound on the
-        rounding of its three nonnegative terms (sums of at most deg + m + 2d
-        rounded products each), so it holds for the float evaluation too.
-        """
-        c, loads = self.costs(f)
-        g = self.jacobian(loads) @ lam
-        terms = (float(lam @ c), float(g @ f), float(g.min()))
-        rounding = (self.coef.shape[1] + self.A.shape[1] + 2 * len(f)) * _EPS * sum(terms)
-        return terms[0] - terms[1] + terms[2] - rounding
+    g = _flow_jacobian(flow, flow.edge_loads(f)) @ lam
+    terms = (float(lam @ flow.path_costs(f)), float(g @ f), float(g.min()))
+    rounding = (flow._coef_table.shape[1] + flow.m + 2 * len(f)) * _EPS * sum(terms)
+    return terms[0] - terms[1] + terms[2] - rounding
 
 
 # The barrier parameter grows 100-fold per centering.  A centering ends when
@@ -394,8 +367,9 @@ _SHORTEST_STEP = 1e-6
 _SHIFT = 1e-13
 
 
-def _epigraph_barrier(costs: _PathCosts, tol: float):
-    """The log-barrier method for  min t  s.t.  c_s(f) <= t,  f on the simplex.
+def _epigraph_barrier(flow: CongestionGame, tol: float):
+    """The log-barrier method for  min t  s.t.  c_s(f) <= t,  f a strategy of the
+    one-player flow game, so on the simplex of its paths.
 
     Each centering minimizes tau*t - sum_s log(t - c_s(f)) - sum_p log(f_p)
     on sum(f) = 1 by Newton's method with backtracking (Boyd & Vandenberghe,
@@ -404,9 +378,11 @@ def _epigraph_barrier(costs: _PathCosts, tol: float):
     the flow, tau, the barrier's cost multipliers w / sum(w) with
     w_s = 1/(t - c_s), and the number of Newton steps.
     """
-    d = costs.A.shape[0]
+    A = flow.incidence
+    AT = A.T.copy()  # C order, as in _flow_jacobian
+    d = A.shape[0]
     f = np.full(d, 1.0 / d)
-    c, loads = costs.costs(f)
+    c = flow.path_costs(f)
     t = 2.0 * c.max()
     tau = 2 * d / c.max()  # the bound 2d/tau starts at the uniform flow's max cost
     H = np.empty((d + 1, d + 1))  # the Hessian in (f, t)
@@ -420,10 +396,11 @@ def _epigraph_barrier(costs: _PathCosts, tol: float):
             r = t - c
             w = 1.0 / r
             w2 = w * w
-            J = costs.jacobian(loads)
+            loads = flow.edge_loads(f)
+            J = _flow_jacobian(flow, loads)
             # sum_s w_s**2 grad(c_s - t) grad(c_s - t)^T + sum_s w_s hess(c_s) + diag(1/f**2)
-            curvature = (w @ costs.A) * horner(costs.curvature, loads)
-            H[:d, :d] = (J.T * w2) @ J + (costs.A * curvature) @ costs.AT + np.diag(1.0 / (f * f))
+            curvature = (w @ A) * flow.edge_curvatures(loads)
+            H[:d, :d] = (J.T * w2) @ J + (A * curvature) @ AT + np.diag(1.0 / (f * f))
             H[:d, d] = H[d, :d] = -(J @ w2)
             H[d, d] = w2.sum()
             grad[:d] = J @ w - 1.0 / f
@@ -446,7 +423,7 @@ def _epigraph_barrier(costs: _PathCosts, tol: float):
                 s = min(1.0, 0.99 * float((f[shrinking] / -df[shrinking]).min()))
             while s >= _SHORTEST_STEP:
                 f_new, t_new = f + s * df, t + s * dt
-                c_new, loads_new = costs.costs(f_new)
+                c_new = flow.path_costs(f_new)
                 r_new = t_new - c_new
                 # the decrease of the objective, summed from ratios: tau * t itself
                 # reaches 1e13, where its rounding exceeds the decrease
@@ -458,7 +435,7 @@ def _epigraph_barrier(costs: _PathCosts, tol: float):
                 s *= 0.5
             else:
                 break
-            f, t, c, loads = f_new, t_new, c_new, loads_new
+            f, t, c = f_new, t_new, c_new
         if 2 * d / tau <= tol * max(1.0, t):
             w = 1.0 / (t - c)
             return f / f.sum(), tau, w / w.sum(), steps
@@ -521,10 +498,12 @@ def _kkt_weights(J: np.ndarray, c: np.ndarray, f: np.ndarray, delta: float) -> n
 def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
     """x_hat = argmin C_M on a symmetric game, with value - min C_M <= certificate.
 
-    C_M(x) = max_s c_s(f) depends only on the aggregate flow f = sum_i x_i on
-    the simplex of the common paths, so the epigraph problem  min t  s.t.
-    c_s(f) <= t  has d + 1 variables whatever n is; _epigraph_barrier solves
-    it.  Each player plays f / n, matched to her own list of paths by path.
+    C_M(x) = max_s c_s(f) depends only on the aggregate flow f = sum_i x_i,
+    the strategy of the one-player game over the common paths, whose
+    evaluators give the loads, costs and derivatives.  So the epigraph problem
+    min t  s.t.  c_s(f) <= t  has d + 1 variables whatever n is;
+    _epigraph_barrier solves it.  Each player plays f / n, matched to her own
+    list of paths by path.
 
     The certificate is C_M(x_hat) - LB(lam) for the better lower bound of two
     weight vectors: the KKT weights of the paths within delta = tau**-0.5 of
@@ -537,9 +516,9 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
     _check_tol(tol)
     if not game.symmetric:
         raise ConfigurationError("the maximum-cost oracle covers symmetric games only")
-    paths = list(dict.fromkeys(game.paths[0]))
-    costs = _PathCosts(game, paths)
-    f, tau, barrier_weights, steps = _epigraph_barrier(costs, tol)
+    paths = tuple(dict.fromkeys(game.paths[0]))
+    flow = CongestionGame(n=1, edges=game.edges, paths=(paths,))
+    f, tau, barrier_weights, steps = _epigraph_barrier(flow, tol)
 
     index = {path: k for k, path in enumerate(paths)}
     rows, shares = [], []
@@ -550,11 +529,11 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
     flat = f[rows] * np.array(shares)
     value = game.max_cost(flat)
 
-    c, loads = costs.costs(f)
-    bound = costs.lower_bound(f, barrier_weights)
-    weights = _kkt_weights(costs.jacobian(loads), c, f, tau**-0.5)
+    J = _flow_jacobian(flow, flow.edge_loads(f))
+    bound = _lower_bound(flow, f, barrier_weights)
+    weights = _kkt_weights(J, flow.path_costs(f), f, tau**-0.5)
     if weights is not None:
-        bound = max(bound, costs.lower_bound(f, weights))
+        bound = max(bound, _lower_bound(flow, f, weights))
     certificate = max(value - bound, 0.0)
     return CertifiedMinimum(
         flat=flat,

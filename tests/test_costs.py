@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from congames import CostValidationError, PolynomialCost, validate_cost
+from congames import CostValidationError, PolynomialCost, parallel_links_game, validate_cost
 
 
 def test_identity_cost_accepted():
@@ -67,8 +67,9 @@ def test_certified_bounds_hold_on_grid(first, rest):
     a, b = cost.envelope_lower, cost.envelope_upper
     assert np.all(cost.slope(grid) >= a - 1e-12)
     assert np.all(cost.slope(grid) <= b + 1e-12)
-    assert np.all(cost.curvature(grid) >= -1e-12)
-    assert np.all(cost.curvature(grid) <= cost.second_derivative_upper + 1e-12)
+    curvature = parallel_links_game(1, [cost.coefficients]).edge_curvatures(grid[:, None])[:, 0]
+    assert np.all(curvature >= -1e-12)
+    assert np.all(curvature <= cost.second_derivative_upper + 1e-12)
     assert np.all(cost.value(grid) >= a * grid - 1e-12)
     assert np.all(cost.value(grid) <= b * grid + 1e-12)
     assert b <= cost.second_derivative_upper + 1.0 + 1e-12
@@ -79,7 +80,8 @@ def test_certified_bounds_hold_on_grid(first, rest):
 def test_primitive_matches_quadrature(coefs, upper):
     cost = PolynomialCost(coefs)
     oracle, err = quad(cost.value, 0.0, upper)
-    assert math.isclose(cost.primitive(upper), oracle, rel_tol=1e-10, abs_tol=1e-12)
+    primitive = parallel_links_game(1, [coefs]).edge_primitives(np.array([upper]))[0]
+    assert math.isclose(primitive, oracle, rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_slope_matches_finite_differences():

@@ -11,6 +11,7 @@ from congames import (
     generate_random_game,
     parallel_links_game,
 )
+from congames.minimize import _flow_jacobian
 from conftest import random_feasible
 
 
@@ -133,6 +134,41 @@ def test_gradient_matches_central_differences():
         bump[idx] = h
         fd = (game.potential(flat + bump) - game.potential(flat - bump)) / (2 * h)
         assert math.isclose(grad[idx], fd, rel_tol=1e-6, abs_tol=1e-9)
+
+
+@pytest.fixture
+def mixed_degree_flow() -> CongestionGame:
+    """One player over edges of degree 1 to 4: a flow game like min_max_cost's."""
+    edges = tuple(
+        PolynomialCost(c) for c in [(0.5,), (0.2, 0.3), (0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 0.2)]
+    )
+    paths = [{0, 1}, {1, 2}, {2, 3}, {3}, {0, 2, 3}]
+    return CongestionGame(n=1, edges=edges, paths=(tuple(map(frozenset, paths)),))
+
+
+def test_edge_slopes_and_curvatures_match_central_differences(mixed_degree_flow):
+    game = mixed_degree_flow
+    h = 1e-6
+    for loads in np.random.default_rng(4).uniform(0.05, 0.95, size=(5, game.m)):
+        slopes = (game.edge_costs(loads + h) - game.edge_costs(loads - h)) / (2 * h)
+        curvatures = (game.edge_slopes(loads + h) - game.edge_slopes(loads - h)) / (2 * h)
+        assert np.allclose(game.edge_slopes(loads), slopes, rtol=1e-7, atol=1e-9)
+        assert np.allclose(game.edge_curvatures(loads), curvatures, rtol=1e-7, atol=1e-9)
+    assert game.edge_curvatures(np.full(game.m, 0.5))[0] == 0.0  # a linear cost
+    batch = np.full((3, game.m), 0.5)
+    assert game.edge_slopes(batch).shape == game.edge_curvatures(batch).shape == batch.shape
+
+
+def test_path_cost_jacobian_matches_central_differences(mixed_degree_flow):
+    # J = A diag(c'(loads)) A^T, as min_max_cost's barrier and lower bound use it
+    game = mixed_degree_flow
+    h = 1e-6
+    for f in np.random.default_rng(5).dirichlet(np.ones(game.dim), size=5):
+        jacobian = _flow_jacobian(game, game.edge_loads(f))
+        bumps = h * np.eye(game.dim)
+        fd = np.array([game.path_costs(f + b) - game.path_costs(f - b) for b in bumps]).T
+        assert np.allclose(jacobian, fd / (2 * h), rtol=1e-7, atol=1e-9)
+        assert np.array_equal(jacobian, jacobian.T)
 
 
 def test_gradient_sup_norm_bound():

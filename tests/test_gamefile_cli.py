@@ -275,6 +275,15 @@ def test_cli_gen_path_length_cap(capsys):
     assert "path length cap must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_names_sigma_when_its_gap_target_underflows(capsys):
+    # a * sigma**2 / (32 * m) rounds to 0: the one error line blames --sigma, not a target gap
+    args = ["--gen", "n=2,m=3,d=2,sym=1", "--algo", "bulletin-mu", "--sigma", "1e-200"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --sigma 1e-200 gives a gap target of 0\n"
+    assert captured.out == ""
+
+
 def test_cli_rejects_zero_episodes(capsys):
     args = ["--gen", "n=3,m=3,d=3,deg=1", "--algo", "bandit-gd", "--episodes", "0"]
     assert main(args) == 2

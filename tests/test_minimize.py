@@ -25,7 +25,7 @@ from congames import (
     reference_minimizer,
 )
 from congames.cli import main
-from congames.minimize import _poly_root_in
+from congames.minimize import _line_search
 from conftest import random_feasible
 
 
@@ -357,11 +357,11 @@ def _step_or_error(search, coeffs: np.ndarray, t_max: float) -> str:
 
 
 def _same_step(coeffs, t_max: float) -> float:
-    """_poly_root_in's step: the old routine's bits where that routine returns, and
+    """The line search's step: the old routine's bits where that routine returns, and
     where it raised, a step in [0, t_max] across which the polynomial changes sign."""
     coeffs = np.array(coeffs, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        step = _poly_root_in(coeffs, t_max)
+        step = _line_search(len(coeffs) - 1)(coeffs, t_max)
     old = _step_or_error(_np_roots_line_search, coeffs, t_max)
     if old == "LinAlgError":
         assert 0.0 <= step <= t_max
@@ -506,7 +506,7 @@ def test_line_search_lapack_call_warns_nothing(coeffs, t_max):
     coeffs = np.array(coeffs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = _poly_root_in(coeffs, t_max)
+        step = _line_search(len(coeffs) - 1)(coeffs, t_max)
     old = _step_or_error(_np_roots_line_search, coeffs, t_max)
     if old == "LinAlgError":  # np.roots raised; the routine before this one bisected
         assert step == 0.5
@@ -520,7 +520,8 @@ def test_line_search_skips_lapack_on_a_non_finite_row(monkeypatch):
         raise AssertionError("eigenvalues of a non-finite companion matrix")
 
     monkeypatch.setattr(congames.minimize, "_eigvals", unreachable)
-    assert _poly_root_in(np.array([-1.0, 2.0, 2.225073858507203e-309]), 1.0) == 0.5
+    coeffs = np.array([-1.0, 2.0, 2.225073858507203e-309])
+    assert _line_search(len(coeffs) - 1)(coeffs, 1.0) == 0.5
 
 
 def test_line_search_bisects_when_eigenvalues_do_not_converge(monkeypatch):
@@ -534,6 +535,6 @@ def test_line_search_bisects_when_eigenvalues_do_not_converge(monkeypatch):
     monkeypatch.setattr(congames.minimize, "_eigvals", no_convergence)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = _poly_root_in(coeffs, 1.0)
+        step = _line_search(len(coeffs) - 1)(coeffs, 1.0)
     assert step != 0.25
     assert _brackets_sign_change(coeffs, step, 1.0)
