@@ -32,7 +32,7 @@ import numpy as np
 
 from .bregman import ConfigurationError, FeasibleSet, make_geometry, resolve_learning_rates
 from .game import CongestionGame
-from .minimize import CertifiedMinimum, reference_minimizer
+from .minimize import CertifiedMinimum
 
 
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
@@ -402,16 +402,13 @@ def _simulate_episode(game, flat, streams, steps, record):
 
 
 def run_bandit(
-    game: CongestionGame,
-    config: BanditConfig,
-    reference: CertifiedMinimum | None = None,
+    game: CongestionGame, config: BanditConfig, reference: CertifiedMinimum
 ) -> BanditReport:
-    """Play the episode scheme and report per-episode potentials and estimator errors."""
+    """Play the episode scheme and report per-episode potentials and estimator
+    errors, with gaps against `reference`, the certified potential minimum."""
     params = config.derive(game)
     etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
-    if reference is None:
-        reference = reference_minimizer(game)
 
     step = geometry.padded_step(game.path_mask, etas, 1.0 / game.n, config.lam / game.n)
     x = restrict_profile(game, game.uniform_profile(), config.lam)
@@ -465,16 +462,15 @@ def run_bandit(
     )
 
 
+_DESCENT_SLACK = 1e-9  # the rounding allowed in descent_step_check's potentials
+
+
 def descent_step_check(
-    phi_prev: float,
-    phi_next: float,
-    phi_min: float,
-    theta: float,
-    delta: float,
-    tol: float = 1e-9,
+    phi_prev: float, phi_next: float, phi_min: float, theta: float, delta: float
 ) -> bool:
-    """One-episode progress test: Phi_next <= Phi_prev - theta*(Phi_prev - Phi_min) + delta."""
-    return phi_next <= phi_prev - theta * (phi_prev - phi_min) + delta + tol
+    """One-episode progress test: Phi_next <= Phi_prev - theta*(Phi_prev - Phi_min) + delta,
+    up to _DESCENT_SLACK."""
+    return phi_next <= phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Each step every player sees the realized cost of each of her allowed paths
 (which is exactly her block of the potential gradient) and applies one
 constrained mirror step with her own learning rate.  The run monitors the
-potential against a certified minimizer, the equilibrium gap, and both
-social costs, so the convergence and price-of-anarchy guarantees can be
-checked step by step.
+potential against a certified minimizer, which the caller solves and passes
+in, the equilibrium gap, and both social costs, so the convergence and
+price-of-anarchy guarantees can be checked step by step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .game import (
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum, reference_minimizer
+from .minimize import CertifiedMinimum
 
 
 @dataclass
@@ -122,11 +122,10 @@ _STOP_BLOCK = 32
 
 
 def run_bulletin(
-    game: CongestionGame,
-    config: BulletinConfig,
-    reference: CertifiedMinimum | None = None,
+    game: CongestionGame, config: BulletinConfig, reference: CertifiedMinimum
 ) -> BulletinReport:
-    """Iterate the update x_i <- mirror_step(x_i, grad_i Phi, eta_i).
+    """Iterate the update x_i <- mirror_step(x_i, grad_i Phi, eta_i), measuring
+    gaps against `reference`, the certified potential minimum.
 
     Each step does only what the next step needs, in the padded (n, d)
     layout: loads, edge costs, path costs and the mirror step, keeping the
@@ -157,8 +156,6 @@ def run_bulletin(
             "entropy dynamics need a strictly positive start (use the uniform profile)"
         )
 
-    if reference is None:
-        reference = reference_minimizer(game)
     gamma = max(
         geometry.divergence(
             reference.flat[game.player_slice(i)], x0[game.player_slice(i)]

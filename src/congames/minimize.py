@@ -54,7 +54,6 @@ alone.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -69,7 +68,8 @@ from .game import CongestionGame
 
 @dataclass(frozen=True)
 class CertifiedMinimum:
-    """Minimizer candidate with a certificate: value - min <= certificate."""
+    """Minimizer candidate with a certificate: value - min <= certificate.
+    `converged` says whether the certificate met the oracle's fixed tolerance."""
 
     flat: np.ndarray
     value: float
@@ -195,10 +195,7 @@ def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
 
 
 def minimize_edge_separable(
-    game: CongestionGame,
-    objective: _EdgeSeparableObjective,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
+    game: CongestionGame, objective: _EdgeSeparableObjective, tol: float, max_iter: int
 ) -> CertifiedMinimum:
     inc = game.incidence
     n, starts, unit = game.n, game.offsets[:-1], 1.0 / game.n
@@ -296,33 +293,22 @@ def minimize_edge_separable(
     )
 
 
-def _check_tol(tol: float) -> None:
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+# Frank-Wolfe stops at a duality gap of _FW_TOL, or unconverged after
+# _FW_MAX_ITER iterations; the maximum-cost oracle stops at a certificate of
+# _MAX_COST_TOL * max(1, value).
+_FW_TOL = 1e-10
+_FW_MAX_ITER = 200_000
+_MAX_COST_TOL = 1e-12
 
 
-def _check_oracle_args(tol: float, max_iter: int) -> None:
-    _check_tol(tol)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-
-
-def reference_minimizer(
-    game: CongestionGame, tol: float = 1e-10, max_iter: int = 200_000
-) -> CertifiedMinimum:
+def reference_minimizer(game: CongestionGame) -> CertifiedMinimum:
     """q = argmin Phi over the joint polytope, with a duality-gap certificate."""
-    _check_oracle_args(tol, max_iter)
-    return minimize_edge_separable(game, potential_objective(game), tol, max_iter)
+    return minimize_edge_separable(game, potential_objective(game), _FW_TOL, _FW_MAX_ITER)
 
 
-def min_average_cost(
-    game: CongestionGame, tol: float = 1e-10, max_iter: int = 200_000
-) -> CertifiedMinimum:
+def min_average_cost(game: CongestionGame) -> CertifiedMinimum:
     """x* = argmin C_A; C_A is convex since y*c_e(y) has nonnegative coefficients."""
-    _check_oracle_args(tol, max_iter)
-    return minimize_edge_separable(game, average_cost_objective(game), tol, max_iter)
+    return minimize_edge_separable(game, average_cost_objective(game), _FW_TOL, _FW_MAX_ITER)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -374,9 +360,10 @@ def _epigraph_barrier(flow: CongestionGame, tol: float):
     Each centering minimizes tau*t - sum_s log(t - c_s(f)) - sum_p log(f_p)
     on sum(f) = 1 by Newton's method with backtracking (Boyd & Vandenberghe,
     Convex Optimization, 11.3), until 2d/tau, the barrier's bound on the
-    suboptimality of a centered point, is at most tol * max(1, t).  Returns
-    the flow, tau, the barrier's cost multipliers w / sum(w) with
-    w_s = 1/(t - c_s), and the number of Newton steps.
+    suboptimality of a centered point, is at most tol * max(1, t); min_max_cost
+    passes _MAX_COST_TOL.  Returns the flow, tau, the barrier's cost
+    multipliers w / sum(w) with w_s = 1/(t - c_s), and the number of Newton
+    steps.
     """
     A = flow.incidence
     AT = A.T.copy()  # C order, as in _flow_jacobian
@@ -495,7 +482,7 @@ def _kkt_weights(J: np.ndarray, c: np.ndarray, f: np.ndarray, delta: float) -> n
     return lam / total if total > 0.0 else None
 
 
-def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
+def min_max_cost(game: CongestionGame) -> CertifiedMinimum:
     """x_hat = argmin C_M on a symmetric game, with value - min C_M <= certificate.
 
     C_M(x) = max_s c_s(f) depends only on the aggregate flow f = sum_i x_i,
@@ -509,16 +496,15 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
     weight vectors: the KKT weights of the paths within delta = tau**-0.5 of
     the maximum, and the barrier's multipliers.  LB holds for any lam on the
     simplex and is evaluated in floats at the returned flow.  `iterations`
-    counts Newton steps; `converged` is certificate <= tol * max(1, value).
+    counts Newton steps; `converged` is certificate <= 1e-12 * max(1, value).
     Asymmetric games raise ConfigurationError: the paper's maximum-cost bound,
     and max_cost_ratio, cover symmetric games only.
     """
-    _check_tol(tol)
     if not game.symmetric:
         raise ConfigurationError("the maximum-cost oracle covers symmetric games only")
     paths = tuple(dict.fromkeys(game.paths[0]))
     flow = CongestionGame(n=1, edges=game.edges, paths=(paths,))
-    f, tau, barrier_weights, steps = _epigraph_barrier(flow, tol)
+    f, tau, barrier_weights, steps = _epigraph_barrier(flow, _MAX_COST_TOL)
 
     index = {path: k for k, path in enumerate(paths)}
     rows, shares = [], []
@@ -540,5 +526,5 @@ def min_max_cost(game: CongestionGame, tol: float = 1e-12) -> CertifiedMinimum:
         value=value,
         certificate=certificate,
         iterations=steps,
-        converged=certificate <= tol * max(1.0, value),
+        converged=certificate <= _MAX_COST_TOL * max(1.0, value),
     )

@@ -308,37 +308,37 @@ def test_exact_expectation_matches_brute_force(make):
 # -- run_bandit ----------------------------------------------------------------------
 
 
-def test_single_path_players_profile_constant():
+def test_single_path_players_profile_constant(reference_cache):
     game = parallel_links_game(2, [[1.0]])
     cfg = BanditConfig(lam=0.5, episodes=3, seed=0, nu=1.0, eta=0.1)
-    rep = run_bandit(game, cfg)
+    rep = run_bandit(game, cfg, reference=reference_cache(game))
     for rec in rep.records:
         assert np.allclose(rec.profile, game.uniform_profile())
 
 
-def test_zero_noise_mode_descends_monotonically():
+def test_zero_noise_mode_descends_monotonically(reference_cache):
     game = generate_random_game(seed=7, n=3, m=5, d=3)
     cfg = euclidean_preset(game, episodes=25, seed=0, exact_gradient=True)
-    rep = run_bandit(game, cfg)
+    rep = run_bandit(game, cfg, reference=reference_cache(game))
     assert np.all(np.diff(rep.phis) <= 1e-10)
     assert np.all(rep.grad_errors == 0.0)
 
 
-def test_zero_noise_mode_passes_descent_checks():
+def test_zero_noise_mode_passes_descent_checks(reference_cache):
     game = generate_random_game(seed=8, n=4, m=5, d=3)
     cfg = euclidean_preset(game, episodes=20, seed=0, exact_gradient=True)
-    rep = run_bandit(game, cfg)
+    rep = run_bandit(game, cfg, reference=reference_cache(game))
     p = rep.params
     phis = rep.phis
     for prev, nxt in zip(phis, phis[1:]):
         assert descent_step_check(prev, nxt, rep.reference.value, p.theta, p.delta)
 
 
-def test_bandit_determinism_and_replay():
+def test_bandit_determinism_and_replay(reference_cache):
     game = parallel_links_game(3, [[1.0]] * 3)
     cfg = euclidean_preset(game, episodes=2, seed=42, nu=1.0, record_choices=True)
-    rep1 = run_bandit(game, cfg)
-    rep2 = run_bandit(game, cfg)
+    rep1 = run_bandit(game, cfg, reference=reference_cache(game))
+    rep2 = run_bandit(game, cfg, reference=reference_cache(game))
     assert np.array_equal(rep1.phis, rep2.phis)
     for a, b in zip(rep1.choices, rep2.choices):
         assert np.array_equal(a, b)
@@ -347,34 +347,34 @@ def test_bandit_determinism_and_replay():
     assert np.array_equal(counts, rep1.records[0].visits[:3])
 
 
-def test_episode_visits_sum_to_steps():
+def test_episode_visits_sum_to_steps(reference_cache):
     game = parallel_links_game(3, [[1.0]] * 3)
     cfg = euclidean_preset(game, episodes=3, seed=5, nu=1.0)
-    rep = run_bandit(game, cfg)
+    rep = run_bandit(game, cfg, reference=reference_cache(game))
     for rec in rep.records:
         for i in range(game.n):
             assert rec.visits[game.player_slice(i)].sum() == rec.steps
 
 
-def test_bandit_floor_preserved_both_geometries():
+def test_bandit_floor_preserved_both_geometries(reference_cache):
     game = parallel_links_game(3, [[1.0]] * 3)
     for preset in (euclidean_preset, entropy_preset):
         cfg = preset(game, episodes=3, seed=1, nu=1.0)
-        rep = run_bandit(game, cfg)
+        rep = run_bandit(game, cfg, reference=reference_cache(game))
         floor = cfg.lam / game.n
         for rec in rep.records:
             assert np.all(rec.profile >= floor - 1e-12)
         assert np.all(rep.x_final >= floor - 1e-12)
 
 
-def test_estimator_accuracy_small_sample():
+def test_estimator_accuracy_small_sample(reference_cache):
     game = parallel_links_game(4, [[1.0]] * 4)
     params = BanditConfig(lam=0.2, episodes=1, seed=0, nu=8.0, eta=0.12).derive(game)
     hits = 0
     trials = 25
     for seed in range(trials):
         cfg = BanditConfig(lam=0.2, episodes=1, seed=seed, nu=8.0, eta=0.12)
-        rep = run_bandit(game, cfg)
+        rep = run_bandit(game, cfg, reference=reference_cache(game))
         hits += rep.grad_errors[0] <= params.epsilon
     assert hits >= trials - 2
 
@@ -400,7 +400,7 @@ def test_config_validation():
         BanditConfig(lam=0.1, episodes=0).derive(game)
 
 
-def test_episode_count_must_be_an_integer():
+def test_episode_count_must_be_an_integer(reference_cache):
     # range() takes no 2.5, and True would pass for one episode.
     game = parallel_links_game(3, [[1.0]] * 3)
     for episodes in (2.5, True):
@@ -408,7 +408,7 @@ def test_episode_count_must_be_an_integer():
         with pytest.raises(ConfigurationError, match=f"episode count must be an integer, got {episodes!r}"):
             cfg.derive(game)
         with pytest.raises(ConfigurationError, match="episode count must be an integer"):
-            run_bandit(game, cfg)
+            run_bandit(game, cfg, reference=reference_cache(game))
 
 
 def test_choice_log_rejects_path_indices_beyond_int16():

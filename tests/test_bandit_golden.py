@@ -20,6 +20,7 @@ from congames import (
     generate_random_game,
     mixed_delta_gap,
     parallel_links_game,
+    reference_minimizer,
     run_bandit,
 )
 from congames.cli import main
@@ -50,7 +51,7 @@ def _episodes(name: str, seed: int) -> list[dict]:
     make, kwargs, _ = RUNS[name]
     game = make()
     cfg = euclidean_preset(game, episodes=2, seed=seed, record_choices=True, **kwargs)
-    rep = run_bandit(game, cfg)
+    rep = run_bandit(game, cfg, reference=reference_minimizer(game))
     return [
         {
             "steps": r.steps,

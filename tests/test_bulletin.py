@@ -60,34 +60,34 @@ def test_equilibrium_is_fixed_point(g1, reference_cache):
         assert np.abs(np.diff(rep.phi)).max() <= 1e-10
 
 
-def test_single_link_profile_constant():
+def test_single_link_profile_constant(reference_cache):
     game = parallel_links_game(2, [[1.0]])
     cfg = BulletinConfig(max_steps=20, record_profiles=True)
-    rep = run_bulletin(game, cfg)
+    rep = run_bulletin(game, cfg, reference=reference_cache(game))
     assert np.ptp(rep.profiles, axis=0).max() == 0.0
 
 
-def test_euclidean_gamma_closed_form():
+def test_euclidean_gamma_closed_form(reference_cache):
     game = generate_random_game(seed=17, n=4, m=6, d=3)
-    rep = run_bulletin(game, BulletinConfig(max_steps=5))
+    rep = run_bulletin(game, BulletinConfig(max_steps=5), reference=reference_cache(game))
     assert rep.gamma_measured <= 2.0 / game.n**2 + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
-def test_monotone_descent_heterogeneous_rates(kind):
+def test_monotone_descent_heterogeneous_rates(kind, reference_cache):
     game = generate_random_game(seed=23, n=4, m=5, d=3)
     lam = game.smoothness_params().lam
     rng = np.random.default_rng(23)
     etas = rng.uniform(0.5 / lam, 1.0 / lam, size=game.n)
     cfg = BulletinConfig(geometry=kind, eta=etas, target_gap=1e-5, max_steps=200_000)
-    rep = run_bulletin(game, cfg)
+    rep = run_bulletin(game, cfg, reference=reference_cache(game))
     assert rep.stopped_at_target
     assert rep.max_ascent <= 1e-10
     assert rep.first_certified_hit <= rep.theorem_budget(1e-5)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
-def test_run_loop_step_matches_mirror_step(kind):
+def test_run_loop_step_matches_mirror_step(kind, reference_cache):
     # one recorded update of the vectorized loop equals the per-player solver
     from congames import FeasibleSet, make_geometry
 
@@ -96,7 +96,7 @@ def test_run_loop_step_matches_mirror_step(kind):
     rng = np.random.default_rng(43)
     etas = rng.uniform(0.3 / lam, 1.0 / lam, size=game.n)
     cfg = BulletinConfig(geometry=kind, eta=etas, max_steps=1, record_profiles=True)
-    rep = run_bulletin(game, cfg)
+    rep = run_bulletin(game, cfg, reference=reference_cache(game))
 
     geo = make_geometry(kind)
     x0, x1 = rep.profiles[0], rep.profiles[1]
@@ -108,9 +108,10 @@ def test_run_loop_step_matches_mirror_step(kind):
         assert np.allclose(x1[sl], expected, atol=1e-12)
 
 
-def test_delta_gap_tracks_theorem_bound():
+def test_delta_gap_tracks_theorem_bound(reference_cache):
     game = generate_random_game(seed=29, n=2, m=4, d=3)
-    rep = run_bulletin(game, BulletinConfig(target_gap=1e-7, max_steps=100_000))
+    cfg = BulletinConfig(target_gap=1e-7, max_steps=100_000)
+    rep = run_bulletin(game, cfg, reference=reference_cache(game))
     bounds = np.array(
         [equilibrium_gap_bound(game, max(gap, 0.0)) for gap in rep.certified_gaps]
     )
@@ -138,13 +139,14 @@ def test_plain_delta_gap_can_exceed_bound_on_light_paths():
     assert theorem_delta_gap(game, x, eps) <= bound + 1e-6
 
 
-def test_learning_rate_gate():
+def test_learning_rate_gate(reference_cache):
     game = generate_random_game(seed=2, n=2, m=4, d=2)
     lam = game.smoothness_params().lam
+    ref = reference_cache(game)
     with pytest.raises(ConfigurationError, match="learning rate exceeds"):
-        run_bulletin(game, BulletinConfig(eta=1.1 / lam, max_steps=5))
+        run_bulletin(game, BulletinConfig(eta=1.1 / lam, max_steps=5), reference=ref)
     with pytest.raises(ConfigurationError):
-        run_bulletin(game, BulletinConfig(eta=0.0, max_steps=5))
+        run_bulletin(game, BulletinConfig(eta=0.0, max_steps=5), reference=ref)
 
 
 @pytest.mark.parametrize(
@@ -162,16 +164,18 @@ def test_learning_rate_gate():
         ({"eta": np.array([0.01, 0.01, 0.01])}, r"learning rates of shape \(3,\) for n = 2 players"),
     ],
 )
-def test_bad_config_rejected_before_any_step(kwargs, message, monkeypatch):
+def test_bad_config_rejected_before_any_step(kwargs, message, monkeypatch, reference_cache):
     game = generate_random_game(seed=2, n=2, m=4, d=2)
+    ref = reference_cache(game)
     # a rejected config must not evaluate a single step
     monkeypatch.setattr(CongestionGame, "edge_costs", None)
     with pytest.raises(ConfigurationError, match=message):
-        run_bulletin(game, BulletinConfig(**kwargs))
+        run_bulletin(game, BulletinConfig(**kwargs), reference=ref)
 
 
-def test_zero_step_cap_evaluates_the_start_only(g1):
-    rep = run_bulletin(g1, BulletinConfig(max_steps=0, x0=np.array([0.5, 0.5])))
+def test_zero_step_cap_evaluates_the_start_only(g1, reference_cache):
+    cfg = BulletinConfig(max_steps=0, x0=np.array([0.5, 0.5]))
+    rep = run_bulletin(g1, cfg, reference=reference_cache(g1))
     assert rep.steps == 0
     assert rep.phi.tolist() == [3 / 16]
     assert rep.delta_gaps.tolist() == [0.25]
@@ -320,15 +324,15 @@ def test_steps_past_the_stop_are_silent(kind, capsys, reference_cache):
     "x0, message",
     [([np.nan, 0.5], "non-finite"), ([np.inf, -np.inf], "non-finite"), ([0.6, 0.5], "mass")],
 )
-def test_run_bulletin_rejects_an_infeasible_start(g1, x0, message):
+def test_run_bulletin_rejects_an_infeasible_start(g1, x0, message, reference_cache):
     with pytest.raises(GameStructureError, match=message):
-        run_bulletin(g1, BulletinConfig(x0=np.array(x0), max_steps=5))
+        run_bulletin(g1, BulletinConfig(x0=np.array(x0), max_steps=5), reference_cache(g1))
 
 
-def test_entropy_needs_positive_start(g1):
+def test_entropy_needs_positive_start(g1, reference_cache):
     cfg = BulletinConfig(geometry="negative-entropy", x0=np.array([1.0, 0.0]), max_steps=5)
     with pytest.raises(ConfigurationError, match="positive"):
-        run_bulletin(g1, cfg)
+        run_bulletin(g1, cfg, reference=reference_cache(g1))
 
 
 # -- delta equilibrium gap ------------------------------------------------------
@@ -413,17 +417,18 @@ def test_max_ratio_refused_on_asymmetric_game():
 # -- regret -----------------------------------------------------------------------
 
 
-def test_regret_single_link_is_zero():
+def test_regret_single_link_is_zero(reference_cache):
     game = parallel_links_game(2, [[1.0]])
-    rep = run_bulletin(game, BulletinConfig(max_steps=50))
+    rep = run_bulletin(game, BulletinConfig(max_steps=50), reference=reference_cache(game))
     for i in range(2):
         assert abs(regret(rep, i)) <= 1e-12
 
 
-def test_regret_zero_at_static_equalized_costs(g1):
+def test_regret_zero_at_static_equalized_costs(g1, reference_cache):
     # at (2/3, 1/3) both paths cost exactly 1/3 forever, so the per-step cost
     # equals the best fixed path in hindsight
-    rep = run_bulletin(g1, BulletinConfig(max_steps=30, x0=np.array([2 / 3, 1 / 3])))
+    cfg = BulletinConfig(max_steps=30, x0=np.array([2 / 3, 1 / 3]))
+    rep = run_bulletin(g1, cfg, reference=reference_cache(g1))
     assert abs(regret(rep, 0)) <= 1e-12
 
 

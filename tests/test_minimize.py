@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -15,17 +14,21 @@ from hypothesis import strategies as st
 
 import congames.minimize
 from congames import (
+    BulletinConfig,
     CongestionGame,
     PolynomialCost,
+    euclidean_preset,
     generate_random_game,
     max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
     reference_minimizer,
+    run_bandit,
+    run_bulletin,
 )
 from congames.cli import main
-from congames.minimize import _line_search
+from congames.minimize import _line_search, potential_objective
 from conftest import random_feasible
 
 
@@ -205,53 +208,6 @@ def test_minimizer_feasibility():
                 )
 
 
-def test_bad_tolerance_rejected(g1):
-    with pytest.raises(ValueError):
-        reference_minimizer(g1, tol=0.0)
-    with pytest.raises(ValueError):
-        min_average_cost(g1, tol=-1.0)
-
-
-@pytest.mark.parametrize("oracle", [reference_minimizer, min_average_cost])
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"tol": math.nan},
-        {"tol": math.inf},
-        {"max_iter": 0},
-        {"max_iter": -5},
-        {"tol": True},
-        {"max_iter": 2.5},
-        {"max_iter": math.inf},
-        {"max_iter": True},
-    ],
-)
-def test_bad_oracle_arguments_rejected(oracle, bad):
-    # tol=nan used to stop after 2 iterations unconverged, max_iter=-5 after none;
-    # max_iter=2.5 and inf failed inside range(), max_iter=True ran one iteration
-    # and tol=True was taken as 1.0
-    game = generate_random_game(seed=1, n=4, m=5, d=3)
-    (value,) = bad.values()
-    with pytest.raises(ValueError, match=re.escape(repr(value))):
-        oracle(game, **bad)
-
-
-@pytest.mark.parametrize("oracle", [reference_minimizer, min_average_cost])
-def test_numpy_integer_iteration_cap_accepted(oracle):
-    game = generate_random_game(seed=12, n=4, m=6, d=3)
-    capped = oracle(game, tol=1e-12, max_iter=np.int64(3))
-    plain = oracle(game, tol=1e-12, max_iter=3)
-    assert capped.iterations == plain.iterations == 3
-    assert capped.flat.tobytes() == plain.flat.tobytes()
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True])
-def test_max_cost_tolerance_rejected(tol):
-    game = generate_random_game(seed=2, n=3, m=5, d=3, symmetric=True)
-    with pytest.raises(ValueError, match=re.escape(repr(tol))):
-        min_max_cost(game, tol=tol)
-
-
 def test_oracles_share_no_state_between_threads(monkeypatch):
     # two games of one shape, so any scratch kept between solves would collide
     games = [generate_random_game(seed=s, n=8, m=8, d=4, degree=3) for s in (3, 4)]
@@ -280,7 +236,7 @@ def test_oracles_share_no_state_between_threads(monkeypatch):
 
 def test_iteration_cap_reports_best_found():
     game = generate_random_game(seed=12, n=4, m=6, d=3)
-    capped = reference_minimizer(game, tol=1e-12, max_iter=3)
+    capped = congames.minimize.minimize_edge_separable(game, potential_objective(game), 1e-12, 3)
     assert not capped.converged
     assert capped.certificate > 0.0
     full = reference_minimizer(game)
@@ -313,6 +269,24 @@ def test_cli_solves_potential_once_for_max_cost(monkeypatch, tmp_path, capsys):
     assert main(args.split() + ["--out", str(tmp_path / "run.csv")]) == 0
     assert "maximum-cost-ratio" in capsys.readouterr().out
     assert len(solves) == 2  # the potential and the average cost; min_max_cost solves neither
+    # with no CSV and no ratio check, nothing reads the average-cost minimum
+    solves.clear()
+    assert main(args.replace("--sigma 0.25", "--eps 1e-6").split()) == 0
+    assert len(solves) == 1
+
+
+def test_dynamics_solve_no_oracle(monkeypatch, reference_cache):
+    game = generate_random_game(seed=2, n=3, m=5, d=3)
+    reference = reference_cache(game)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the dynamics ran an oracle solve")
+
+    monkeypatch.setattr(congames.minimize, "minimize_edge_separable", no_solve)
+    bulletin = run_bulletin(game, BulletinConfig(max_steps=20), reference)
+    bandit = run_bandit(game, euclidean_preset(game, episodes=2, seed=0), reference)
+    assert bulletin.reference is reference and bandit.reference is reference
+    assert bulletin.steps == 20 and len(bandit.records) == 2
 
 
 # -- line search --------------------------------------------------------------
