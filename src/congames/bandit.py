@@ -15,10 +15,10 @@ load on that edge) that a pick makes, into one histogram per episode; visits
 and cost sums are functions of that histogram and the c_e(k/n) table, so no
 tile length changes a bit of them.
 
-The mixed equilibrium gap takes E[c_s(X)] exactly from each edge's load law
-(`expected_path_costs`) or estimates it by seeded Monte Carlo in the kernel's
-cache-sized tiles, without a (samples x paths) matrix (`_sampled_path_cost_sums`
-states its bit contract).  Both read edge costs from the kernel's c_e(k/n) table.
+The mixed equilibrium gap reads E[c_s(X)] off each edge's load law against the
+kernel's c_e(k/n) table.  The law is exact (`expected_path_costs`) or counted
+by seeded Monte Carlo: an integer table of how many sampled joint outcomes put
+k players on edge e, so, as in the kernel, no tile length changes a bit of it.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     bounds = game.offsets.tolist()
     q = np.maximum(probs, 0.0)
     return [b / b.sum() for b in (q[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))]
-
-
-def _sampler(game: CongestionGame, flat: np.ndarray, draws: int) -> GuideTable:
-    """Guide table of every player's choice distribution, for `draws` draws each."""
-    return GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws)
 
 
 class GuideTable:
@@ -344,10 +339,10 @@ def _edge_counts(game: CongestionGame, picks: np.ndarray, keys: np.ndarray | Non
     return keys, counts
 
 
-# The Monte-Carlo gap draws its uniforms one batch of _BATCH samples at a time;
-# its sum bits depend on this unit.  It and the episode kernel work in tiles of
-# steps (samples) whose (n, tile, m_path) edge keys hold at most _TILE_ENTRIES
-# entries, so a tile's keys, counts and costs stay in cache whatever the game.
+# The Monte-Carlo gap draws uniforms one (n, _BATCH) block at a time, the unit
+# that gives each (player, sample) its uniform.  It and the episode kernel count
+# loads in tiles of steps (samples) whose (n, tile, m_path) edge keys hold at
+# most _TILE_ENTRIES entries, so a tile stays in cache whatever the game.
 _BATCH = 16384
 _TILE_ENTRIES = 32768
 
@@ -369,7 +364,7 @@ def _load_cost_table(game: CongestionGame) -> np.ndarray:
 
 def _simulate_episode(game, flat, streams, steps, record):
     n, m_path = game.n, game.m_path
-    sampler = _sampler(game, flat, draws=steps)
+    sampler = GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws=steps)
     # Each pick of path s makes one event per edge slot j (padding slots see
     # load 0 and cost 0), with key (s*m_path + j)*(n+1) + k at load k.
     bases = np.arange(game.dim * m_path).reshape(-1, m_path) * (n + 1)
@@ -479,6 +474,11 @@ class MixedDeltaResult:
     expected_costs: np.ndarray  # E[c_s(X)] for every (player, path) row
 
 
+def _path_costs_under(game: CongestionGame, law: np.ndarray) -> np.ndarray:
+    """E[c_s(X)] for every path, where law[e, k] is the chance that k players use edge e."""
+    return game.incidence @ (law * _load_cost_table(game)[: game.m]).sum(axis=1)
+
+
 def expected_path_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
     """Exact E[c_s(X)] for all paths under independent player choices.
 
@@ -496,50 +496,24 @@ def expected_path_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
     for p in np.minimum(on_edge, 1.0)[:, :, None]:
         pmf[:, 1:] = pmf[:, 1:] * (1.0 - p) + pmf[:, :-1] * p
         pmf[:, :1] *= 1.0 - p
-    return game.incidence @ (pmf * _load_cost_table(game)[: game.m]).sum(axis=1)
+    return _path_costs_under(game, pmf)
 
 
-def _sampled_path_cost_sums(
-    game: CongestionGame, flat: np.ndarray, samples: int, seed: int
-) -> np.ndarray:
-    """Every path's cost summed over `samples` seeded joint outcomes.
-
-    Each tile of samples counts its edge loads, reads the edge costs from the
-    c_e(k/n) table and adds each path's edge costs in ascending edge order
-    into a C-ordered (tile, dim) block; one reduction over axis 0 adds those
-    rows in sample order to the running sum, carried in as row 0 (an
-    F-ordered block would be summed pairwise).  Each batch's sum is then added
-    to the total.  This is bit for bit the old per-batch sum of
-    (edge costs) @ incidence.T without that (batch, dim) matrix, wherever the
-    BLAS product adds each path's edges in ascending order: with OpenBLAS
-    0.3.31 on x86-64, for batches of two or more samples on games of fewer
-    than 32 edges, which covers every pinned run.  A batch of one sample went
-    through a matrix-vector product, and on 32 or more edges the product
-    splits each path's sum depending on the batch size; there paths of 3 or
-    more edges may differ in the last bit.
-    """
+def _sampled_load_law(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """An int64 (m, n+1) table: at (e, k), how many of `samples` joint outcomes,
+    drawn from default_rng(seed), put k players on edge e."""
     n, m = game.n, game.m
     rng = np.random.default_rng(seed)
-    sampler = _sampler(game, flat, draws=samples)
-    costs, edge_rows = _load_cost_table(game).ravel(), np.arange(m + 1) * (n + 1)
-    ids = game.edge_ids.T
-    tile = min(_tile_steps(game), samples)
-    block = np.empty((tile + 1, game.dim))
-    acc = np.zeros(game.dim)
+    sampler = GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws=samples)
+    rows = np.arange(m + 1) * (n + 1)  # edge e's count of k players has key e*(n+1) + k
+    law = np.zeros((m + 1) * (n + 1), dtype=np.int64)
+    tile = _tile_steps(game)
     for done in range(0, samples, _BATCH):
         u = rng.random((n, min(_BATCH, samples - done)))
-        block[0] = 0.0
         for lo in range(0, u.shape[1], tile):
-            rows = block[1 : min(tile, u.shape[1] - lo) + 1]
             _, counts = _edge_counts(game, sampler.picks(u[:, lo : lo + tile]))
-            counts += edge_rows
-            step_costs = np.take(costs, counts)
-            np.take(step_costs, ids[0], axis=1, out=rows)
-            for col in ids[1:]:  # edges in ascending order; the padding adds 0
-                rows += np.take(step_costs, col, axis=1)
-            block[0] = block[: len(rows) + 1].sum(axis=0)
-        acc += block[0]
-    return acc
+            law += np.bincount((counts + rows).ravel(), minlength=law.size)
+    return law.reshape(m + 1, n + 1)[:m]
 
 
 def mixed_delta_gap(
@@ -552,16 +526,17 @@ def mixed_delta_gap(
     """Equilibrium gap in mixed strategies: spreads of E[c_s(X)] over used paths.
 
     mode "enumerate" computes E[c_s(X)] exactly from each edge's load law
-    (`expected_path_costs`), at any size; "monte-carlo" averages `samples`
-    joint outcomes drawn from default_rng(seed).
+    (`expected_path_costs`), at any size; "monte-carlo" takes the law from
+    `samples` joint outcomes drawn from default_rng(seed).
     """
     flat = game.check_vector(flat)
     if mode == "enumerate":
         expected = expected_path_costs(game, flat)
     elif mode == "monte-carlo":
-        if samples < 1:
-            raise ValueError("monte-carlo mode needs at least one sample")
-        expected = _sampled_path_cost_sums(game, flat, samples, seed) / samples
+        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+            raise ValueError(f"monte-carlo mode needs at least one sample, got {samples!r}")
+        law = _sampled_load_law(game, flat, int(samples), seed)
+        expected = _path_costs_under(game, law / samples)
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
     return MixedDeltaResult(game.equilibrium_gap(flat, expected), expected)

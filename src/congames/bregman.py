@@ -75,15 +75,13 @@ def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
 def project_simplex_rows(P: np.ndarray, mass) -> np.ndarray:
     """Row-wise sorted-threshold projection onto {z >= 0, sum z = mass}.
 
-    mass is a scalar or a column of per-row masses; entries padded to -inf
-    are ignored and come out 0.
+    mass is a scalar or a column of positive per-row masses; entries padded to
+    -1e300 are ignored and come out 0.
     """
-    U = -np.sort(-P, axis=1)
-    idx = np.arange(1, P.shape[1] + 1)
-    with np.errstate(invalid="ignore"):  # -inf padding yields NaN rows, never selected
-        css = np.cumsum(U, axis=1) - mass
-        cond = U - css / idx > 0
-    rho = P.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    U = np.sort(P, axis=1)[:, ::-1]
+    idx = np.arange(P.shape[1])
+    css = np.cumsum(U, axis=1) - mass
+    rho = ((U - css / (idx + 1) > 0) * idx).max(axis=1)  # the last index that holds
     tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
     return np.maximum(P - tau[:, None], 0.0)
 
@@ -116,10 +114,10 @@ class EuclideanGeometry:
         mass}.  The step is built once per run, so each call does only the
         arithmetic.  Here it projects x - eta * g, with z = floor + w turning
         the floored set into {w >= 0, sum w = mass - size * floor}; padding
-        enters the projection as -inf and comes out 0.
+        enters the projection as -1e300 and comes out 0.
         """
         etas = np.reshape(etas, (-1, 1))
-        shift = np.where(mask, 0.0, -np.inf) - floor
+        shift = np.where(mask, 0.0, -1e300) - floor
         if not floor:
             return lambda X, G: project_simplex_rows(X - etas * G + shift, mass)
         free = (mass - floor * mask.sum(axis=1))[:, None]

@@ -6,7 +6,10 @@ criteria; the bandit criteria run their own seeded simulations.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,13 +255,26 @@ def test_criterion_7_bandit_estimator_accuracy(pools):
     )
 
 
+BANDIT_WORKERS = min(2, os.cpu_count() or 1)
+
+
+def _seeded_bandit_runs(pools: Pools, seeds, workers: int) -> list:
+    """Criterion 8's runs, one per seed, over `workers` processes.  Each seed owns
+    its PCG64 streams, so a run does not depend on the process it runs in.
+    Workers are spawned, never forked from a process with live BLAS threads."""
+    configs = [euclidean_preset(pools.links, episodes=8, seed=seed) for seed in seeds]
+    args = ([pools.links] * len(configs), configs, [pools.links_ref] * len(configs))
+    if workers == 1:
+        return list(map(run_bandit, *args))
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(run_bandit, *args))
+
+
 @pytest.fixture(scope="module")
 def bandit_runs(pools: Pools):
     t0 = time.perf_counter()
-    runs = []
-    for seed in range(20):
-        cfg = euclidean_preset(pools.links, episodes=8, seed=seed)
-        runs.append(run_bandit(pools.links, cfg, reference=pools.links_ref))
+    runs = _seeded_bandit_runs(pools, range(20), BANDIT_WORKERS)
     return runs, time.perf_counter() - t0
 
 
@@ -285,7 +301,8 @@ def test_criterion_8_bandit_convergence(pools, bandit_runs):
         8,
         ok,
         f"gap after tau0 <= 3*delta/theta with permanence in {passes}/20 seeded runs "
-        f"(need >= 18) in {elapsed:.0f}s (< 600s); threshold scaling n=5,10,20: "
+        f"(need >= 18) in {elapsed:.0f}s wall over {BANDIT_WORKERS} processes (< 600s); "
+        f"threshold scaling n=5,10,20: "
         f"{thresholds[0]:.2f} > {thresholds[1]:.2f} > {thresholds[2]:.2f}: {scaling}",
     )
 
@@ -322,6 +339,20 @@ def test_criterion_9_conditional_descent(pools, bandit_runs):
         f"{passing}/{qualifying} decreased by >= delta (vacuously true if 0); "
         f"zero-noise replay: {injected_ok}/{injected_total} descent checks pass",
     )
+
+
+def _run_outputs(rep) -> list:
+    return [rep.certified_gaps.tolist(), rep.x_final.tolist()] + [
+        [r.steps, r.visits.tolist(), r.cost_sums.tolist(), r.estimate.tolist(), r.phi]
+        for r in rep.records
+    ]
+
+
+def test_pooled_bandit_runs_match_serial(pools, bandit_runs):
+    pooled, _ = bandit_runs
+    seeds = (3, 11)
+    serial = _seeded_bandit_runs(pools, seeds, workers=1)
+    assert [_run_outputs(pooled[s]) for s in seeds] == [_run_outputs(r) for r in serial]
 
 
 def _batch_kl(U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -564,38 +564,41 @@ def test_mixed_delta_monte_carlo_agrees():
         mixed_delta_gap(game, x, mode="monte-carlo", samples=0)
 
 
-def _sampled_costs(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
-    """Each 16,384-sample batch's edge costs, drawn as the Monte-Carlo mode draws them."""
+def _sampled_picks(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """Each 16,384-sample batch's flat picks, drawn as the Monte-Carlo mode draws
+    them: uniforms from default_rng(seed), one (n, batch) block at a time, then
+    each player's inverse CDF."""
     rng = np.random.default_rng(seed)
-    sampler = bandit._sampler(game, flat, draws=samples)
+    cdfs = [p.cumsum() for p in bandit._choice_probs(game, flat)]
     for done in range(0, samples, 16384):
-        picks = sampler.picks(rng.random((game.n, min(16384, samples - done))))
-        _, counts = bandit._edge_counts(game, picks)
-        yield game.edge_costs(counts[:, : game.m] * (1.0 / game.n))
+        u = rng.random((game.n, min(16384, samples - done)))
+        yield np.stack(
+            [
+                lo + np.minimum(np.searchsorted(cdf, row, side="right"), len(cdf) - 1)
+                for lo, cdf, row in zip(game.offsets, cdfs, u)
+            ]
+        )
 
 
 def _matrix_monte_carlo(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
-    """The Monte-Carlo estimate as it was before tiling, kept as the oracle: a
-    (batch, dim) path-cost matrix per batch, summed over samples."""
+    """The Monte-Carlo estimate as it was before load laws, kept as the oracle:
+    a (batch, dim) path-cost matrix per batch, summed over samples."""
     acc = np.zeros(game.dim)
-    for costs in _sampled_costs(game, flat, samples, seed):
-        acc += (costs @ game.incidence.T).sum(axis=0)
+    for picks in _sampled_picks(game, flat, samples, seed):
+        loads = game.incidence[picks].sum(axis=0)  # (batch, m) players per edge
+        acc += (game.edge_costs(loads * (1.0 / game.n)) @ game.incidence.T).sum(axis=0)
     return acc / samples
 
 
-def _ascending_monte_carlo(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
-    """The same sum spelled out: each path's edge costs in ascending edge order,
-    the samples of a batch one after another (cumsum), then batch by batch."""
-    acc = np.zeros(game.dim)
-    for costs in _sampled_costs(game, flat, samples, seed):
-        paths = np.empty((len(costs), game.dim))
-        for s, edges in enumerate(game.incidence.astype(bool)):
-            first, *rest = np.flatnonzero(edges)
-            paths[:, s] = costs[:, first]
-            for e in rest:
-                paths[:, s] += costs[:, e]
-        acc += np.cumsum(paths, axis=0)[-1]
-    return acc / samples
+def _counted_law(game: CongestionGame, flat: np.ndarray, samples: int, seed: int):
+    """The sampled load law counted from each sample's edge loads: at (e, k),
+    the samples with k players on edge e."""
+    law = np.zeros((game.m, game.n + 1), dtype=np.int64)
+    for picks in _sampled_picks(game, flat, samples, seed):
+        loads = game.incidence[picks].sum(axis=0).astype(int)  # (batch, m)
+        for e in range(game.m):
+            law[e] += np.bincount(loads[:, e], minlength=game.n + 1)
+    return law
 
 
 MC_GAMES = {
@@ -605,29 +608,61 @@ MC_GAMES = {
     "links": lambda: parallel_links_game(7, [[0.5, 0.3], [0.9], [0.2, 0.2, 0.2]]),
     "m60": lambda: generate_random_game(n=6, m=60, d=4, seed=31),
 }
+MC_SAMPLES = (2, 1023, 16386, 40000)
+
+
+@pytest.fixture(scope="module")
+def counted_laws():
+    """name -> (profile, {samples: counted law}), shared by the tile cases."""
+    laws = {}
+    for name, make in MC_GAMES.items():
+        game = make()
+        flat = random_feasible(game, np.random.default_rng(17))
+        laws[name] = flat, {s: _counted_law(game, flat, s, seed=s) for s in MC_SAMPLES}
+    return laws
 
 
 @pytest.mark.parametrize("tile", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(MC_GAMES))
-def test_monte_carlo_tiles_bit_for_bit(monkeypatch, name, tile):
-    """The tiled sum equals the ascending-order sum in every bit, for one batch,
-    a short tile, a carry into a second batch and several batches.  It agrees
-    with the old (batch, dim) matrix path to rounding: that product's order of
-    addition is the BLAS kernel's choice, which varies with the edge count, the
-    batch size and the CPU."""
+def test_monte_carlo_tiles_bit_for_bit(monkeypatch, counted_laws, name, tile):
+    """The sampled load law equals a count from each sample's loads in every
+    entry, for one batch, a short tile, a carry into a second batch and (at
+    the default tile) several batches, and tiles of 1 and 7 samples change no
+    count.  The costs read off it agree with the old (batch, dim) matrix path
+    to rounding: that product's order of addition is the BLAS kernel's choice."""
     game = MC_GAMES[name]()
     if tile is not None:
         monkeypatch.setattr(bandit, "_TILE_ENTRIES", tile * game.n * game.m_path)
-    flat = random_feasible(game, np.random.default_rng(17))
-    for samples in (2, 1023, 16386, 40000):
+    flat, laws = counted_laws[name]
+    for samples in MC_SAMPLES:
         if tile is not None and samples > 16386:
             continue
-        mc = mixed_delta_gap(game, flat, "monte-carlo", samples, samples).expected_costs
-        mc = [v.hex() for v in mc]
-        assert mc == [v.hex() for v in _ascending_monte_carlo(game, flat, samples, samples)]
-        old = _matrix_monte_carlo(game, flat, samples, seed=samples)
-        assert np.allclose([float.fromhex(v) for v in mc], old, rtol=1e-15, atol=0.0)
+        law = bandit._sampled_load_law(game, flat, samples, seed=samples)
+        assert law.dtype == np.int64
+        assert np.array_equal(law, laws[samples])
+        assert np.all(law.sum(axis=1) == samples)
+        if tile is None:
+            mc = mixed_delta_gap(game, flat, "monte-carlo", samples, samples).expected_costs
+            old = _matrix_monte_carlo(game, flat, samples, seed=samples)
+            assert np.allclose(mc, old, rtol=1e-12, atol=0.0)
     assert game.m_path >= 3 or name == "links"
+
+
+@pytest.mark.parametrize("samples", [np.int64(10), np.int32(10), 10])
+def test_monte_carlo_accepts_numpy_sample_counts(samples):
+    game = parallel_links_game(3, [[1.0], [0.5]])
+    x = restrict_profile(game, game.uniform_profile(), 0.2)
+    got = mixed_delta_gap(game, x, "monte-carlo", samples, seed=4)
+    want = mixed_delta_gap(game, x, "monte-carlo", 10, seed=4)
+    assert got.expected_costs.tolist() == want.expected_costs.tolist()
+
+
+@pytest.mark.parametrize("samples", [True, False, 2.5, 1e4, 10.0, "10", None, 0, -3, np.int64(0)])
+def test_monte_carlo_rejects_bad_sample_counts(samples):
+    game = parallel_links_game(3, [[1.0], [0.5]])
+    x = restrict_profile(game, game.uniform_profile(), 0.2)
+    with pytest.raises(ValueError, match="at least one sample"):
+        mixed_delta_gap(game, x, "monte-carlo", samples)
 
 
 def test_mixed_delta_theory_ceiling():

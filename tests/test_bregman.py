@@ -148,6 +148,48 @@ def test_project_simplex_against_sort_oracle():
             assert np.all(p[z <= 1e-12] <= tau.max() + 1e-10)
 
 
+def _project_simplex_rows_inf(P: np.ndarray, mass) -> np.ndarray:
+    """project_simplex_rows as it was with -inf padding, kept as the reference."""
+    U = -np.sort(-P, axis=1)
+    idx = np.arange(1, P.shape[1] + 1)
+    with np.errstate(invalid="ignore"):  # -inf padding yields NaN rows, never selected
+        css = np.cumsum(U, axis=1) - mass
+        cond = U - css / idx > 0
+    rho = P.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
+    return np.maximum(P - tau[:, None], 0.0)
+
+
+@st.composite
+def padded_projections(draw):
+    """Padded (n, d) step inputs as padded_step builds them: entries with ties,
+    padding anywhere but at least one entry per row, and floored rows whose
+    free mass mass - size * floor stays positive."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+
+    def grid(entry):
+        row = st.lists(entry, min_size=d, max_size=d)
+        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+    X = grid(st.one_of(st.sampled_from([0.0, 0.125, -0.5, 1.0]), st.floats(-10.0, 10.0)))
+    mask = grid(st.booleans())
+    mask[np.arange(n), draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))] = True
+    mass = draw(st.sampled_from([1.0, 0.25, 1.0 / 3.0]))
+    floor = draw(st.sampled_from([0.0, 0.5, 0.99])) * mass / d
+    free = (mass - floor * mask.sum(axis=1))[:, None]
+    return X, mask, floor, draw(st.sampled_from([mass, free]))
+
+
+@given(case=padded_projections())
+@settings(max_examples=300, deadline=None)
+def test_project_simplex_finite_padding_matches_inf_padding(case):
+    X, mask, floor, mass = case
+    got = project_simplex_rows(X + np.where(mask, 0.0, -1e300) - floor, mass)
+    want = _project_simplex_rows_inf(X + np.where(mask, 0.0, -np.inf) - floor, mass)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[~mask] == 0.0)
+
+
 # -- mirror steps -------------------------------------------------------------------
 
 
