@@ -9,7 +9,6 @@ Usage: python scripts/bulletin_convergence.py [--eps 1e-3] [--games 8] [--out DI
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from congames import (
@@ -20,6 +19,7 @@ from congames import (
     reference_minimizer,
     run_bulletin,
 )
+from congames.bulletin import step_budget
 
 
 def main() -> None:
@@ -36,12 +36,9 @@ def main() -> None:
         game = generate_random_game(seed=args.seed + i, n=n, m=3 + i % 6, d=2 + i % 3)
         ref = reference_minimizer(game)
         avg = min_average_cost(game)
-        lam = game.smoothness_params().lam
-        budgets = {
-            "euclidean": math.ceil(2.0 * lam / (game.n * args.eps)),
-            "negative-entropy": math.ceil(game.n * math.log(game.d * game.n) * lam / args.eps),
-        }
-        for kind, budget in budgets.items():
+        eta = 1.0 / game.smoothness_params().lam
+        for kind in ("euclidean", "negative-entropy"):
+            budget = step_budget(game, kind, eta, args.eps)
             cfg = BulletinConfig(geometry=kind, target_gap=args.eps, max_steps=budget)
             rep = run_bulletin(game, cfg, reference=ref)
             ratio_avg = average_cost_ratio(game, rep.x_final, avg)

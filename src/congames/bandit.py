@@ -320,7 +320,7 @@ class BanditReport:
 
     @property
     def certified_gaps(self) -> np.ndarray:
-        return self.gaps + self.reference.certificate
+        return self.reference.certified_gap(self.phis)
 
     @property
     def grad_errors(self) -> np.ndarray:
@@ -468,6 +468,27 @@ def descent_step_check(
     return phi_next <= phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
 
 
+def bandit_checks(report: BanditReport) -> list[tuple[str, bool, str]]:
+    """The run's theorem checks as (name, ok, detail): certified gaps within
+    3*delta/theta from episode tau0 on, and from the first gap below
+    2*delta/theta on, and every played profile on the floor Lambda/n."""
+    p, gaps = report.params, report.certified_gaps
+    ceiling = p.threshold + 1e-9
+    below = np.flatnonzero(gaps < 2.0 * p.delta / p.theta)
+    after = gaps[below[0] :] if below.size else gaps[:0]
+    floor = report.config.lam / report.game.n
+    on_floor = all(bool(np.all(r.profile >= floor - 1e-12)) for r in report.records)
+    return [
+        (
+            "bandit-gap-threshold",
+            bool(np.all(gaps[p.tau0 - 1 :] <= ceiling)),
+            f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}",
+        ),
+        ("bandit-permanence", bool(np.all(after <= ceiling)), "post-threshold gaps stay bounded"),
+        ("exploration-floor", on_floor, f"floor {floor:.6g}"),
+    ]
+
+
 @dataclass(frozen=True)
 class MixedDeltaResult:
     delta: float
@@ -535,7 +556,9 @@ def mixed_delta_gap(
     elif mode == "monte-carlo":
         if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
             raise ValueError(f"monte-carlo mode needs at least one sample, got {samples!r}")
-        law = _sampled_load_law(game, flat, int(samples), seed)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"monte-carlo mode needs a nonnegative integer seed, got {seed!r}")
+        law = _sampled_load_law(game, flat, int(samples), int(seed))
         expected = _path_costs_under(game, law / samples)
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")

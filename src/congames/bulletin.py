@@ -80,13 +80,9 @@ class BulletinReport:
         return len(self.phi) - 1
 
     @property
-    def gaps(self) -> np.ndarray:
-        return self.phi - self.reference.value
-
-    @property
     def certified_gaps(self) -> np.ndarray:
         """Upper bounds on Phi(x^t) - min Phi, valid by the oracle's certificate."""
-        return self.gaps + self.reference.certificate
+        return self.reference.certified_gap(self.phi)
 
     @property
     def max_ascent(self) -> float:
@@ -198,9 +194,7 @@ def run_bulletin(
             phis[done:j] = game.edge_primitives(L).sum(axis=1)
             avgs[done:j] = np.matmul(L[:, None, :], E[:, :, None])[:, 0, 0]
             if target is not None:
-                hits = np.flatnonzero(
-                    phis[done:j] - reference.value + reference.certificate <= target
-                )
+                hits = np.flatnonzero(reference.certified_gap(phis[done:j]) <= target)
                 if hits.size:
                     j = done + int(hits[0]) + 1
                     stopped = True
@@ -257,10 +251,8 @@ class _Diagnostics:
         game, mask = self.game, self.game.path_mask
         self.phis.append(phi.copy())
         self.avgs.append(avg.copy())
-        cert_gaps = phi - self.reference.value + self.reference.certificate
-        floors = np.stack(
-            [np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps)]
-        )
+        cert_gaps = self.reference.certified_gap(phi)
+        floors = np.stack([np.full(len(phi), SUPPORT_TOL), _heavy_floor(game, cert_gaps)])
         deltas, theorem_deltas = padded_equilibrium_gaps(X, PC, mask, floors)
         self.deltas.append(deltas)
         self.theorem_deltas.append(theorem_deltas)
@@ -302,6 +294,65 @@ def max_ratio_bound(game: CongestionGame, epsilon):
     """
     a, b, m = game.a, game.b, game.m
     return (b / a) * (1.0 + 2.0 * m * epsilon / a + equilibrium_gap_bound(game, epsilon) * m / b)
+
+
+def sigma_targets(game: CongestionGame, sigma: float) -> tuple[float, float | None]:
+    """The potential gaps that give social-cost slack sigma: a*sigma/(2m) for the
+    average-cost ratio and, on symmetric games only (else None), a*sigma**2/(32m)
+    for the maximum-cost ratio."""
+    average = game.a * sigma / (2.0 * game.m)
+    return average, game.a * sigma**2 / (32.0 * game.m) if game.symmetric else None
+
+
+def step_budget(game: CongestionGame, geometry: str, eta: float, epsilon: float) -> int:
+    """Steps within which the theorem puts a gap of epsilon at learning rate eta:
+    2/(n*eta*eps) for gradient descent, n*ln(d*n)/(eta*eps) for multiplicative updates."""
+    if make_geometry(geometry).kind == "euclidean":
+        return math.ceil(2.0 / (game.n * eta * epsilon))
+    return math.ceil(game.n * math.log(game.d * game.n) / (eta * epsilon))
+
+
+def bulletin_checks(
+    report: BulletinReport, budget: int | None = None
+) -> list[tuple[str, bool, str]]:
+    """The run's theorem checks as (name, ok, detail): monotone descent, the
+    equilibrium-gap ceiling at every step and, if the run had a target, its
+    first certified hit within `budget` steps (default `report.theorem_budget()`)."""
+    ascent = report.max_ascent
+    ceiling = equilibrium_gap_bound(report.game, report.certified_gaps) + 1e-6
+    worst = float((report.theorem_delta_gaps - ceiling).max())
+    checks = [
+        ("monotone-descent", ascent <= 1e-10, f"max one-step increase {ascent:.3e}"),
+        ("equilibrium-gap-bound", worst <= 0.0, f"worst margin {worst:.3e}"),
+    ]
+    if report.target_gap is not None:
+        hit = report.first_certified_hit
+        budget = report.theorem_budget() if budget is None else budget
+        detail = f"first certified gap<= {report.target_gap:g} at step {hit}, budget {budget}"
+        checks.append(("convergence-budget", hit is not None and hit <= budget, detail))
+    return checks
+
+
+def ratio_checks(
+    game: CongestionGame,
+    flat: np.ndarray,
+    sigma: float,
+    average: CertifiedMinimum,
+    maximum: CertifiedMinimum | None = None,
+) -> list[tuple[str, bool, str]]:
+    """The social-cost checks at slack sigma as (name, ok, detail): C_A(x) within
+    (b/a)(1 + sigma) of min C_A and, given the maximum-cost minimum, C_M(x)
+    within `max_ratio_bound` at the gap a*sigma**2/(32m)."""
+    ratio = average_cost_ratio(game, flat, average)
+    bound = (game.b / game.a) * (1.0 + sigma)
+    detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
+    checks = [("average-cost-ratio", bool(ratio <= bound + 1e-9), detail)]
+    if maximum is not None:
+        ratio = max_cost_ratio(game, flat, average, maximum)
+        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1])
+        detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
+        checks.append(("maximum-cost-ratio", bool(ratio <= bound + 1e-9), detail))
+    return checks
 
 
 def theorem_delta_gap(game: CongestionGame, flat: np.ndarray, epsilon: float) -> float:

@@ -16,16 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import entropy_preset, euclidean_preset, mixed_delta_gap, run_bandit
+from .bandit import bandit_checks, entropy_preset, euclidean_preset, mixed_delta_gap, run_bandit
 from .bregman import ConfigurationError
 from .bulletin import (
     BulletinConfig,
     average_cost_ratio,
     average_ratio_bound,
-    equilibrium_gap_bound,
-    max_cost_ratio,
-    max_ratio_bound,
+    bulletin_checks,
+    ratio_checks,
     run_bulletin,
+    sigma_targets,
 )
 from .game import CongestionGame
 from .gamefile import GameFileError, parse_game
@@ -169,15 +169,9 @@ def parse_gen_string(text: str) -> dict[str, int]:
 
 def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> int:
     geometry = "euclidean" if args.algo.endswith("gd") else "negative-entropy"
-    a, b, m = game.a, game.b, game.m
-
     target = args.eps
-    eps_max = None
     if args.sigma is not None:
-        target = a * args.sigma / (2.0 * m)
-        if game.symmetric:
-            eps_max = a * args.sigma**2 / (32.0 * m)
-            target = min(target, eps_max)
+        target = min(t for t in sigma_targets(game, args.sigma) if t is not None)
         if target == 0.0:
             raise ConfigurationError(f"--sigma {args.sigma:g} gives a gap target of 0")
 
@@ -211,55 +205,7 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
             ),
         )
 
-    assertions: list[tuple[str, bool, str]] = []
-
-    ascent = report.max_ascent
-    assertions.append(
-        ("monotone-descent", ascent <= 1e-10, f"max one-step increase {ascent:.3e}")
-    )
-
-    delta_bounds = equilibrium_gap_bound(game, cert_gaps) + 1e-6
-    delta_ok = bool(np.all(report.theorem_delta_gaps <= delta_bounds))
-    worst = float((report.theorem_delta_gaps - delta_bounds).max())
-    assertions.append(
-        ("equilibrium-gap-bound", delta_ok, f"worst margin {worst:.3e}")
-    )
-
-    if target is not None:
-        hit = report.first_certified_hit
-        budget = report.theorem_budget(target)
-        ok = hit is not None and hit <= budget
-        assertions.append(
-            (
-                "convergence-budget",
-                ok,
-                f"first certified gap<= {target:g} at step {hit}, budget {budget}",
-            )
-        )
-
-    ratio_avg = None
-    if check_ratios:
-        ratio_avg = average_cost_ratio(game, report.x_final, avg_min)
-        bound = (b / a) * (1.0 + args.sigma)
-        assertions.append(
-            (
-                "average-cost-ratio",
-                ratio_avg <= bound + 1e-9,
-                f"ratio {ratio_avg:.6g} vs (b/a)(1+sigma) = {bound:.6g}",
-            )
-        )
-        if eps_max is not None:
-            max_min = min_max_cost(game)
-            ratio_max = max_cost_ratio(game, report.x_final, avg_min, max_min)
-            bound_max = max_ratio_bound(game, eps_max)
-            assertions.append(
-                (
-                    "maximum-cost-ratio",
-                    bool(ratio_max <= bound_max + 1e-9),
-                    f"ratio {ratio_max:.6g} vs bound {bound_max:.6g}",
-                )
-            )
-
+    assertions = bulletin_checks(report)
     summary = {
         "algo": args.algo,
         "steps": report.steps,
@@ -271,9 +217,11 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     }
     if target is not None:
         summary["target_gap"] = target
-        summary["budget"] = report.theorem_budget(target)
-    if ratio_avg is not None:
-        summary["ratio_avg"] = ratio_avg
+        summary["budget"] = report.theorem_budget()
+    if check_ratios:
+        max_min = min_max_cost(game) if game.symmetric else None
+        assertions += ratio_checks(game, report.x_final, args.sigma, avg_min, max_min)
+        summary["ratio_avg"] = average_cost_ratio(game, report.x_final, avg_min)
     return _finish(args, summary, assertions)
 
 
@@ -310,36 +258,11 @@ def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> in
             ),
         )
 
-    gaps = report.certified_gaps
-    assertions: list[tuple[str, bool, str]] = []
-
-    after = gaps[params.tau0 - 1 :] if params.tau0 <= len(gaps) else gaps[:0]
-    conv_ok = bool(np.all(after <= params.threshold + 1e-9)) if after.size else True
-    assertions.append(
-        (
-            "bandit-gap-threshold",
-            conv_ok,
-            f"gaps after tau0={params.tau0} vs threshold {params.threshold:.6g}",
-        )
-    )
-
-    below = np.nonzero(gaps < 2.0 * params.delta / params.theta)[0]
-    if below.size:
-        tail = gaps[below[0] :]
-        perm_ok = bool(np.all(tail <= params.threshold + 1e-9))
-    else:
-        perm_ok = True
-    assertions.append(("bandit-permanence", perm_ok, "post-threshold gaps stay bounded"))
-
-    floor = config.lam / game.n
-    floor_ok = all(bool(np.all(r.profile >= floor - 1e-12)) for r in report.records)
-    assertions.append(("exploration-floor", floor_ok, f"floor {floor:.6g}"))
-
     summary = {
         "algo": args.algo,
         "episodes": len(report.records),
         "final_phi": float(report.phis[-1]),
-        "final_gap": float(gaps[-1]),
+        "final_gap": float(report.certified_gaps[-1]),
         "max_est_error": float(report.grad_errors.max()),
         "epsilon": params.epsilon,
         "theta": params.theta,
@@ -348,7 +271,7 @@ def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> in
         "tau0": params.tau0,
         "lambda": config.lam,
     }
-    return _finish(args, summary, assertions)
+    return _finish(args, summary, bandit_checks(report))
 
 
 def _finish(args: argparse.Namespace, summary: dict, assertions) -> int:

@@ -77,6 +77,10 @@ class CertifiedMinimum:
     iterations: int
     converged: bool
 
+    def certified_gap(self, value):
+        """value - self.value + certificate, an upper bound on value - min; may be an array."""
+        return value - self.value + self.certificate
+
 
 def _binomial(p: int, q: int) -> float:
     out = 1.0

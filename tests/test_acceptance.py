@@ -10,7 +10,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,12 +18,10 @@ import pytest
 from congames import (
     BanditConfig,
     BulletinConfig,
-    average_cost_ratio,
     descent_step_check,
     euclidean_preset,
     expected_path_costs,
     generate_random_game,
-    max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
@@ -31,7 +29,8 @@ from congames import (
     run_bandit,
     run_bulletin,
 )
-from congames.bulletin import max_ratio_bound
+from congames.bandit import bandit_checks
+from congames.bulletin import bulletin_checks, ratio_checks, sigma_targets, step_budget
 
 SIGMA = 0.25
 EPS = 1e-3
@@ -40,6 +39,12 @@ EPS = 1e-3
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:>2}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def passed(checks, *names) -> bool:
+    """Whether the library's checks of these names passed; each must be present."""
+    oks = {name: ok for name, ok, _ in checks}
+    return all(oks[name] for name in names)
 
 
 @dataclass
@@ -80,121 +85,118 @@ class BulletinRuns:
         return self.gd + self.mu + self.hetero
 
 
+def _gd_budget(game, epsilon: float) -> int:
+    """The gradient-descent step budget at the default rate 1/lambda."""
+    return step_budget(game, "euclidean", 1.0 / game.smoothness_params().lam, epsilon)
+
+
 @pytest.fixture(scope="module")
 def bulletin_runs(pools: Pools) -> BulletinRuns:
-    gd, mu, hetero = [], [], []
-    t0 = time.perf_counter()
-    for game in pools.games:
-        lam = game.smoothness_params().lam
-        budget = math.ceil(2.0 / (game.n * (1.0 / lam) * EPS))
-        cfg = BulletinConfig(geometry="euclidean", eta=1.0 / lam, target_gap=EPS, max_steps=budget)
-        gd.append((game, budget, run_bulletin(game, cfg, reference=pools.refs[game])))
-    gd_seconds = time.perf_counter() - t0
+    runs, seconds = {}, {}
+    for kind in ("euclidean", "negative-entropy"):
+        t0 = time.perf_counter()
+        runs[kind] = []
+        for game in pools.games:
+            eta = 1.0 / game.smoothness_params().lam
+            budget = step_budget(game, kind, eta, EPS)
+            cfg = BulletinConfig(geometry=kind, eta=eta, target_gap=EPS, max_steps=budget)
+            runs[kind].append((budget, run_bulletin(game, cfg, reference=pools.refs[game])))
+        seconds[kind] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    for game in pools.games:
-        lam = game.smoothness_params().lam
-        budget = math.ceil(game.n * math.log(game.d * game.n) / ((1.0 / lam) * EPS))
-        cfg = BulletinConfig(
-            geometry="negative-entropy", eta=1.0 / lam, target_gap=EPS, max_steps=budget
-        )
-        mu.append((game, budget, run_bulletin(game, cfg, reference=pools.refs[game])))
-    mu_seconds = time.perf_counter() - t0
-
+    hetero = []
     for idx, game in enumerate(pools.games):
         lam = game.smoothness_params().lam
         rng = np.random.default_rng(5000 + idx)
         etas = rng.uniform(1.0 / (3.0 * lam), 1.0 / lam, size=game.n)
         cfg = BulletinConfig(eta=etas, target_gap=EPS, max_steps=500_000)
-        hetero.append((game, None, run_bulletin(game, cfg, reference=pools.refs[game])))
+        hetero.append((None, run_bulletin(game, cfg, reference=pools.refs[game])))
 
-    return BulletinRuns(gd, mu, hetero, gd_seconds, mu_seconds)
+    return BulletinRuns(
+        runs["euclidean"], runs["negative-entropy"], hetero,
+        seconds["euclidean"], seconds["negative-entropy"],
+    )
+
+
+def _hits(runs) -> int:
+    """Runs whose first certified hit lies within their closed-form step budget."""
+    return sum(passed(bulletin_checks(rep, budget), "convergence-budget") for budget, rep in runs)
 
 
 def test_criterion_1_gradient_descent_budget(bulletin_runs):
-    hits = [
-        rep.first_certified_hit is not None and rep.first_certified_hit <= budget
-        for _, budget, rep in bulletin_runs.gd
-    ]
-    ok = all(hits) and bulletin_runs.gd_seconds < 60.0
+    hits = _hits(bulletin_runs.gd)
+    ok = hits == len(bulletin_runs.gd) and bulletin_runs.gd_seconds < 60.0
     report(
         1,
         ok,
-        f"GD gap<= {EPS:g} within ceil(2/(n*eta*eps)) on {sum(hits)}/20 games "
+        f"GD gap<= {EPS:g} within ceil(2/(n*eta*eps)) on {hits}/20 games "
         f"in {bulletin_runs.gd_seconds:.2f}s (< 60s)",
     )
 
 
 def test_criterion_2_multiplicative_updates_budget(bulletin_runs):
-    hits = [
-        rep.first_certified_hit is not None and rep.first_certified_hit <= budget
-        for _, budget, rep in bulletin_runs.mu
-    ]
-    ok = all(hits) and bulletin_runs.mu_seconds < 120.0
+    hits = _hits(bulletin_runs.mu)
+    ok = hits == len(bulletin_runs.mu) and bulletin_runs.mu_seconds < 120.0
     report(
         2,
         ok,
-        f"MU gap<= {EPS:g} within ceil(n*ln(dn)/(eta*eps)) on {sum(hits)}/20 games "
+        f"MU gap<= {EPS:g} within ceil(n*ln(dn)/(eta*eps)) on {hits}/20 games "
         f"in {bulletin_runs.mu_seconds:.2f}s (< 120s)",
     )
 
 
 def test_criterion_3_monotone_descent(bulletin_runs):
-    worst = max(rep.max_ascent for _, _, rep in bulletin_runs.all_runs())
-    steps = sum(rep.steps for _, _, rep in bulletin_runs.all_runs())
+    runs = [rep for _, rep in bulletin_runs.all_runs()]
+    descending = sum(passed(bulletin_checks(rep), "monotone-descent") for rep in runs)
+    worst = max(rep.max_ascent for rep in runs)
+    steps = sum(rep.steps for rep in runs)
     report(
         3,
-        worst <= 1e-10,
-        f"max one-step potential increase {worst:.3e} <= 1e-10 over {steps} steps "
-        "(GD + MU + heterogeneous rates)",
+        descending == len(runs),
+        f"monotone descent on {descending}/{len(runs)} runs, max one-step potential increase "
+        f"{worst:.3e} over {steps} steps (GD + MU + heterogeneous rates)",
     )
 
 
 def test_criterion_4_equilibrium_gap_bound(bulletin_runs):
-    violations = 0
-    plain_violations = 0
-    steps = 0
-    for game, _, rep in bulletin_runs.all_runs():
-        bound = np.sqrt(np.maximum(8.0 * game.b * game.m * rep.certified_gaps, 0.0)) + 1e-6
-        violations += int(np.sum(rep.theorem_delta_gaps > bound))
-        plain_violations += int(np.sum(rep.delta_gaps > bound))
-        steps += rep.steps
+    runs = [rep for _, rep in bulletin_runs.all_runs()]
+    failing = sum(not passed(bulletin_checks(rep), "equilibrium-gap-bound") for rep in runs)
+    # the same check on the plain gaps, whose support rule keeps paths too light to move
+    plain = [replace(rep, theorem_delta_gaps=rep.delta_gaps) for rep in runs]
+    plain_failing = sum(not passed(bulletin_checks(rep), "equilibrium-gap-bound") for rep in plain)
+    steps = sum(rep.steps for rep in runs)
     report(
         4,
-        violations == 0,
-        f"{violations} violations of delta <= sqrt(8bm*gap)+1e-6 over {steps} steps "
-        f"(movable-mass support rule; bare 1e-9 support rule would violate "
-        f"{plain_violations} times, see ledger)",
+        failing == 0,
+        f"{failing}/{len(runs)} runs break delta <= sqrt(8bm*gap)+1e-6 over {steps} steps "
+        f"(movable-mass support rule; the bare 1e-9 support rule would break it on "
+        f"{plain_failing} runs, see ledger)",
     )
 
 
 def test_criterion_5_social_cost_ratios(pools):
     avg_ok = 0
     for game in pools.games:
-        lam = game.smoothness_params().lam
-        eps_a = game.a * SIGMA / (2.0 * game.m)
-        budget = math.ceil(2.0 / (game.n * (1.0 / lam) * eps_a))
+        eps_a, _ = sigma_targets(game, SIGMA)
         rep = run_bulletin(
             game,
-            BulletinConfig(target_gap=eps_a, max_steps=budget),
+            BulletinConfig(target_gap=eps_a, max_steps=_gd_budget(game, eps_a)),
             reference=pools.refs[game],
         )
-        ratio = average_cost_ratio(game, rep.x_final, min_average_cost(game))
-        bound = (game.b / game.a) * (1.0 + SIGMA)
-        avg_ok += rep.stopped_at_target and ratio <= bound + 1e-9
+        checks = ratio_checks(game, rep.x_final, SIGMA, min_average_cost(game))
+        avg_ok += rep.stopped_at_target and passed(checks, "average-cost-ratio")
 
     max_ok = 0
     for game in pools.symmetric:
-        lam = game.smoothness_params().lam
-        eps_m = game.a * SIGMA**2 / (32.0 * game.m)
-        budget = math.ceil(2.0 / (game.n * (1.0 / lam) * eps_m))
+        _, eps_m = sigma_targets(game, SIGMA)
         rep = run_bulletin(
             game,
-            BulletinConfig(target_gap=eps_m, max_steps=budget),
+            BulletinConfig(target_gap=eps_m, max_steps=_gd_budget(game, eps_m)),
             reference=pools.refs[game],
         )
-        ratio = max_cost_ratio(game, rep.x_final, min_average_cost(game), min_max_cost(game))
-        max_ok += rep.stopped_at_target and bool(ratio <= max_ratio_bound(game, eps_m) + 1e-9)
+        checks = ratio_checks(
+            game, rep.x_final, SIGMA, min_average_cost(game), min_max_cost(game)
+        )
+        max_ok += rep.stopped_at_target and passed(checks, "maximum-cost-ratio")
 
     report(
         5,
@@ -280,15 +282,9 @@ def bandit_runs(pools: Pools):
 
 def test_criterion_8_bandit_convergence(pools, bandit_runs):
     runs, elapsed = bandit_runs
-    passes = 0
-    for rep in runs:
-        p = rep.params
-        gaps = rep.certified_gaps
-        ok = bool(np.all(gaps[p.tau0 - 1 :] <= p.threshold + 1e-9))
-        below = np.nonzero(gaps < 2.0 * p.delta / p.theta)[0]
-        if below.size:
-            ok = ok and bool(np.all(gaps[below[0] :] <= p.threshold + 1e-9))
-        passes += ok
+    passes = sum(
+        passed(bandit_checks(rep), "bandit-gap-threshold", "bandit-permanence") for rep in runs
+    )
 
     thresholds = []
     for n in (5, 10, 20):

@@ -665,6 +665,23 @@ def test_monte_carlo_rejects_bad_sample_counts(samples):
         mixed_delta_gap(game, x, "monte-carlo", samples)
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 3])
+def test_monte_carlo_accepts_numpy_seeds(seed):
+    game = parallel_links_game(3, [[1.0], [0.5]])
+    x = restrict_profile(game, game.uniform_profile(), 0.2)
+    got = mixed_delta_gap(game, x, "monte-carlo", 10, seed=seed)
+    want = mixed_delta_gap(game, x, "monte-carlo", 10, seed=3)
+    assert got.expected_costs.tolist() == want.expected_costs.tolist()
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.5, 3.0, "3", None, -1, np.int64(-1)])
+def test_monte_carlo_rejects_bad_seeds(seed):
+    game = parallel_links_game(3, [[1.0], [0.5]])
+    x = restrict_profile(game, game.uniform_profile(), 0.2)
+    with pytest.raises(ValueError, match="nonnegative integer seed"):
+        mixed_delta_gap(game, x, "monte-carlo", 10, seed=seed)
+
+
 def test_mixed_delta_theory_ceiling():
     game = parallel_links_game(3, [[0.5, 0.5], [0.5, 0.5]])
     ref = reference_minimizer(game)

@@ -132,7 +132,7 @@ def test_plain_delta_gap_can_exceed_bound_on_light_paths():
     shift = 1e-8
     x[sl.start + worst] += shift
     x[sl.start + donor] -= shift
-    eps = game.potential(x) - ref.value + ref.certificate
+    eps = ref.certified_gap(game.potential(x))
     plain = delta_equilibrium_gap(game, x)
     bound = equilibrium_gap_bound(game, eps)
     assert plain > bound  # the literal reading of the ceiling fails here
@@ -202,7 +202,7 @@ def _per_step_run(game, config, reference):
         PC = np.zeros(X.shape)
         PC[mask] = inc @ ecosts
         phi = float(game.edge_primitives(loads).sum())
-        cert_gap = phi - reference.value + reference.certificate
+        cert_gap = reference.certified_gap(phi)
         out["phi"].append(phi)
         out["avg_costs"].append(float(loads @ ecosts))
         out["delta_gaps"].append(delta_equilibrium_gap(game, flat))
@@ -269,7 +269,7 @@ def test_block_loop_matches_per_step_loop(kind, case, monkeypatch, reference_cac
         target = 1e-300  # below any certified gap: the cap ends the run
     elif hit is not None:
         free, _ = _per_step_run(game, BulletinConfig(geometry=kind, max_steps=max_steps), ref)
-        target = free["phi"][hit] - ref.value + ref.certificate
+        target = ref.certified_gap(free["phi"][hit])
     cfg = BulletinConfig(
         geometry=kind, max_steps=max_steps, target_gap=target, record_profiles=record
     )
@@ -364,7 +364,7 @@ def g1_minima(g1):
 
 def _certified_gap(game, flat, potential):
     """Upper bound on Phi(x) - min Phi from the potential oracle's certificate."""
-    return max(game.potential(flat) - potential.value + potential.certificate, 0.0)
+    return max(potential.certified_gap(game.potential(flat)), 0.0)
 
 
 def test_social_ratios_at_equilibrium(g1, g1_minima):
