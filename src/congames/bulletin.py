@@ -23,7 +23,7 @@ from .game import (
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum
+from .minimize import CertifiedMinimum, min_max_cost
 
 
 @dataclass
@@ -98,13 +98,13 @@ class BulletinReport:
         hits = np.nonzero(self.certified_gaps <= self.target_gap)[0]
         return int(hits[0]) if hits.size else None
 
-    def theorem_budget(self, epsilon: float | None = None) -> int:
-        """Step budget n*gamma/(eta*eps) with the measured initial divergence."""
-        eps = self.target_gap if epsilon is None else epsilon
-        if eps is None:
+    def theorem_budget(self) -> int:
+        """Step budget n*gamma/(eta*eps) at the run's target gap eps, with the
+        measured initial divergence."""
+        if self.target_gap is None:
             raise ValueError("no target gap to budget against")
         eta = float(self.etas.min())
-        return math.ceil(self.game.n * self.gamma_measured / (eta * eps))
+        return math.ceil(self.game.n * self.gamma_measured / (eta * self.target_gap))
 
 
 # The diagnostics pass runs every _CHUNK_STEPS steps, and the potential, the
@@ -312,12 +312,10 @@ def step_budget(game: CongestionGame, geometry: str, eta: float, epsilon: float)
     return math.ceil(game.n * math.log(game.d * game.n) / (eta * epsilon))
 
 
-def bulletin_checks(
-    report: BulletinReport, budget: int | None = None
-) -> list[tuple[str, bool, str]]:
+def bulletin_checks(report: BulletinReport) -> list[tuple[str, bool, str]]:
     """The run's theorem checks as (name, ok, detail): monotone descent, the
     equilibrium-gap ceiling at every step and, if the run had a target, its
-    first certified hit within `budget` steps (default `report.theorem_budget()`)."""
+    first certified hit within `report.theorem_budget()` steps."""
     ascent = report.max_ascent
     ceiling = equilibrium_gap_bound(report.game, report.certified_gaps) + 1e-6
     worst = float((report.theorem_delta_gaps - ceiling).max())
@@ -327,7 +325,7 @@ def bulletin_checks(
     ]
     if report.target_gap is not None:
         hit = report.first_certified_hit
-        budget = report.theorem_budget() if budget is None else budget
+        budget = report.theorem_budget()
         detail = f"first certified gap<= {report.target_gap:g} at step {hit}, budget {budget}"
         checks.append(("convergence-budget", hit is not None and hit <= budget, detail))
     return checks
@@ -341,15 +339,18 @@ def ratio_checks(
     maximum: CertifiedMinimum | None = None,
 ) -> list[tuple[str, bool, str]]:
     """The social-cost checks at slack sigma as (name, ok, detail): C_A(x) within
-    (b/a)(1 + sigma) of min C_A and, given the maximum-cost minimum, C_M(x)
-    within `max_ratio_bound` at the gap a*sigma**2/(32m)."""
+    (b/a)(1 + sigma) of min C_A and, on symmetric games only, C_M(x) within
+    `max_ratio_bound` at the gap a*sigma**2/(32m) of `maximum`, which is solved
+    here when not given.  A `maximum` given for an asymmetric game is refused."""
     ratio = average_cost_ratio(game, flat, average)
     bound = (game.b / game.a) * (1.0 + sigma)
     detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
     checks = [("average-cost-ratio", bool(ratio <= bound + 1e-9), detail)]
-    if maximum is not None:
+    max_gap = sigma_targets(game, sigma)[1]
+    if max_gap is not None or maximum is not None:
+        maximum = min_max_cost(game) if maximum is None else maximum
         ratio = max_cost_ratio(game, flat, average, maximum)
-        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1])
+        bound = max_ratio_bound(game, max_gap)
         detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
         checks.append(("maximum-cost-ratio", bool(ratio <= bound + 1e-9), detail))
     return checks

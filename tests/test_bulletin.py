@@ -36,7 +36,7 @@ def test_g1_gradient_descent_converges(g1, reference_cache):
     assert rep.max_ascent <= 1e-10
     assert rep.certified_gaps[-1] <= 1e-6
     assert abs(rep.phi[-1] - 1 / 6) <= 2e-6
-    assert rep.first_certified_hit <= rep.theorem_budget(1e-6)
+    assert rep.first_certified_hit <= rep.theorem_budget()
 
 
 def test_g1_multiplicative_updates_converge(g1, reference_cache):
@@ -83,7 +83,7 @@ def test_monotone_descent_heterogeneous_rates(kind, reference_cache):
     rep = run_bulletin(game, cfg, reference=reference_cache(game))
     assert rep.stopped_at_target
     assert rep.max_ascent <= 1e-10
-    assert rep.first_certified_hit <= rep.theorem_budget(1e-5)
+    assert rep.first_certified_hit <= rep.theorem_budget()
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])

@@ -15,6 +15,7 @@ from congames import (
     BulletinConfig,
     BulletinReport,
     CertifiedMinimum,
+    ConfigurationError,
     equilibrium_gap_bound,
     euclidean_preset,
     generate_random_game,
@@ -105,6 +106,17 @@ def _threshold_under_gaps(runs: Runs) -> Runs:
     return replace(runs, bandit=replace(b, params=params))
 
 
+def _late_tau0_over_early_gap(runs: Runs) -> Runs:
+    # tau0 moves past the largest gap, which permanence still reads: its slice
+    # starts at the first gap below 2*delta/theta, episode 1 on this run
+    b = runs.bandit
+    worst = int(np.argmax(b.certified_gaps))
+    params = replace(
+        b.params, threshold=float(b.certified_gaps[worst]) - 2e-9, tau0=worst + 2
+    )
+    return replace(runs, bandit=replace(b, params=params))
+
+
 def _profile_under_floor(runs: Runs) -> Runs:
     b = runs.bandit
     first = b.records[0]
@@ -121,7 +133,7 @@ MUTATIONS = {
     "average-cost-ratio": _tiny_average,
     "maximum-cost-ratio": _tiny_minima,
     "bandit-gap-threshold": _threshold_under_gaps,
-    "bandit-permanence": _threshold_under_gaps,
+    "bandit-permanence": _late_tau0_over_early_gap,
     "exploration-floor": _profile_under_floor,
 }
 
@@ -134,3 +146,24 @@ def test_every_check_has_a_mutation(runs):
 def test_check_fails_after_one_field_changes(runs, name):
     assert _outcomes(runs)[name]
     assert not _outcomes(MUTATIONS[name](runs))[name]
+
+
+def test_permanence_fails_where_the_tau0_check_passes(runs):
+    outcomes = _outcomes(_late_tau0_over_early_gap(runs))
+    assert outcomes["bandit-gap-threshold"] and not outcomes["bandit-permanence"]
+
+
+def test_maximum_cost_check_on_symmetric_games_only(runs):
+    b = runs.bulletin
+    # on a symmetric game the maximum-cost minimum is solved when not given
+    assert ratio_checks(b.game, b.x_final, SIGMA, runs.average) == ratio_checks(
+        b.game, b.x_final, SIGMA, runs.average, runs.maximum
+    )
+    game = runs.bandit.game
+    assert not game.symmetric
+    flat, average = game.uniform_profile(), min_average_cost(game)
+    assert [name for name, _, _ in ratio_checks(game, flat, SIGMA, average)] == [
+        "average-cost-ratio"
+    ]
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        ratio_checks(game, flat, SIGMA, average, average)
