@@ -168,14 +168,13 @@ class BanditConfig:
     exact_gradient: bool = False
     record_choices: bool = False
 
-    def resolve_etas(self, game: CongestionGame) -> np.ndarray:
-        return resolve_learning_rates(self.eta, game.n, game.smoothness_params().lam)
-
     def derive(self, game: CongestionGame) -> BanditParams:
         if isinstance(self.episodes, bool) or not isinstance(self.episodes, numbers.Integral):
             raise ConfigurationError(f"episode count must be an integer, got {self.episodes!r}")
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.record_choices and game.d > _LOG_PATHS:
             raise ConfigurationError(
                 f"record_choices logs path indices as int16, so at most {_LOG_PATHS} "
@@ -202,13 +201,12 @@ class BanditConfig:
                     "holds; lower nu or raise Lambda"
                 )
         smooth = game.smoothness_params()
-        etas = self.resolve_etas(game)
-        eta_min = float(etas.min())
+        etas = resolve_learning_rates(self.eta, game.n, smooth.lam)
         geometry = make_geometry(self.geometry)
         floor = self.lam / game.n
         gamma = geometry.gamma(FeasibleSet(size=max(game.sizes), mass=1.0 / game.n, floor=floor))
         epsilon = _estimator_accuracy(game)
-        theta = math.sqrt(eta_min * gamma * epsilon * game.n)
+        theta = math.sqrt(float(etas.min()) * gamma * epsilon * game.n)
         if theta > 1.0 + 1e-12:
             raise ConfigurationError(
                 f"theta = sqrt(eta*Gamma*epsilon*n) = {theta:.4g} exceeds 1; "
@@ -217,12 +215,12 @@ class BanditConfig:
         delta = 6.0 * epsilon + 2.0 * theta * smooth.beta * game.d * self.lam
         return BanditParams(
             epsilon=epsilon,
-            gamma=gamma,
             theta=theta,
             delta=delta,
             threshold=3.0 * delta / theta,
             tau0=math.ceil(smooth.alpha / delta),
-            eta_min=eta_min,
+            etas=etas,
+            floor=floor,
         )
 
     def episode_steps(self, game: CongestionGame, tau: int) -> int:
@@ -234,12 +232,25 @@ class BanditConfig:
 @dataclass(frozen=True)
 class BanditParams:
     epsilon: float
-    gamma: float
     theta: float
     delta: float
     threshold: float  # 3*delta/theta, the post-convergence gap ceiling
     tau0: int
-    eta_min: float
+    etas: np.ndarray  # per-player learning rates
+    floor: float  # Lambda/n, the least probability mass of any path entry
+
+
+def _check_preset_args(game: CongestionGame, eta, lambda_cap) -> None:
+    """Reject what a preset cannot take: per-player rates, a rate outside
+    (0, 1/lambda], and a cap that is not positive and finite."""
+    if np.ndim(eta) != 0:
+        raise ConfigurationError(
+            "the presets take one learning rate; pass per-player rates to BanditConfig"
+        )
+    if eta is not None:
+        resolve_learning_rates(eta, game.n, game.smoothness_params().lam)
+    if not 0.0 < lambda_cap < math.inf:
+        raise ConfigurationError(f"lambda_cap must be a positive finite number, got {lambda_cap!r}")
 
 
 def euclidean_preset(
@@ -251,10 +262,9 @@ def euclidean_preset(
     """Gradient-descent instantiation: Gamma = 2, Lambda = sqrt(eps/(2 eta n))/(beta d)."""
     smooth = game.smoothness_params()
     epsilon = _estimator_accuracy(game)
+    _check_preset_args(game, eta, lambda_cap)
     if eta is None:
         eta = min(1.0 / smooth.lam, (1.0 - 1e-9) / (2.0 * epsilon * game.n))
-    else:
-        resolve_learning_rates(eta, game.n, smooth.lam)
     lam = min(
         math.sqrt(epsilon / (2.0 * eta * game.n)) / (smooth.beta * game.d),
         lambda_cap / game.d,
@@ -271,10 +281,9 @@ def entropy_preset(
     """Multiplicative-updates instantiation: Gamma = Lambda/n."""
     smooth = game.smoothness_params()
     epsilon = _estimator_accuracy(game)
+    _check_preset_args(game, eta, lambda_cap)
     if eta is None:
         eta = 1.0 / smooth.lam
-    else:
-        resolve_learning_rates(eta, game.n, smooth.lam)
     for _ in range(8):  # Lambda and the theta <= 1 cap depend on each other
         lam = min(
             (epsilon / (eta * smooth.beta**2 * game.d**2)) ** (1.0 / 3.0),
@@ -402,10 +411,9 @@ def run_bandit(
     """Play the episode scheme and report per-episode potentials and estimator
     errors, with gaps against `reference`, the certified potential minimum."""
     params = config.derive(game)
-    etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
 
-    step = geometry.padded_step(game.path_mask, etas, 1.0 / game.n, config.lam / game.n)
+    step = geometry.padded_step(game.path_mask, params.etas, 1.0 / game.n, params.floor)
     x = restrict_profile(game, game.uniform_profile(), config.lam)
     streams = [
         np.random.Generator(np.random.PCG64(ss))
@@ -476,8 +484,7 @@ def bandit_checks(report: BanditReport) -> list[tuple[str, bool, str]]:
     ceiling = p.threshold + 1e-9
     below = np.flatnonzero(gaps < 2.0 * p.delta / p.theta)
     after = gaps[below[0] :] if below.size else gaps[:0]
-    floor = report.config.lam / report.game.n
-    on_floor = all(bool(np.all(r.profile >= floor - 1e-12)) for r in report.records)
+    on_floor = all(bool(np.all(r.profile >= p.floor - 1e-12)) for r in report.records)
     return [
         (
             "bandit-gap-threshold",
@@ -485,7 +492,7 @@ def bandit_checks(report: BanditReport) -> list[tuple[str, bool, str]]:
             f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}",
         ),
         ("bandit-permanence", bool(np.all(after <= ceiling)), "post-threshold gaps stay bounded"),
-        ("exploration-floor", on_floor, f"floor {floor:.6g}"),
+        ("exploration-floor", on_floor, f"floor {p.floor:.6g}"),
     ]
 
 

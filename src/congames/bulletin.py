@@ -380,7 +380,7 @@ def average_cost_ratio(
 ) -> float:
     """C_A(x) against the certified lower bound on min C_A."""
     flat = game.check_vector(flat)
-    return game.average_cost(flat) / (average.value - average.certificate)
+    return game.average_cost(flat) / average.lower_bound
 
 
 def max_cost_ratio(
@@ -395,8 +395,7 @@ def max_cost_ratio(
     if not game.symmetric:
         raise ConfigurationError("maximum-cost ratio guarantee only covers symmetric games")
     # min C_M >= min C_A, so the certified average lower bound is one too.
-    denom = max(maximum.value - maximum.certificate, average.value - average.certificate)
-    return game.max_cost(flat) / denom
+    return game.max_cost(flat) / max(maximum.lower_bound, average.lower_bound)
 
 
 def regret(report: BulletinReport, player: int) -> float:

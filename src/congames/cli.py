@@ -59,8 +59,6 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ConfigurationError(f"{flag} does not apply to --algo {args.algo}")
     if args.sigma is not None and not 0.0 < args.sigma < math.inf:
         raise ConfigurationError("--sigma must be a positive finite number")
-    if args.lambda_cap is not None and not 0.0 < args.lambda_cap < math.inf:
-        raise ConfigurationError("--lambda-cap must be a positive finite number")
     if args.seed < 0:
         raise ConfigurationError("--seed must be a nonnegative integer")
     for flag, path in (("--game", args.game), ("--out", args.out)):
@@ -189,7 +187,7 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     avg_min = min_average_cost(game) if args.out or check_ratios else None
 
     if args.out:
-        avg_lower = max(avg_min.value - avg_min.certificate, 1e-300)
+        avg_lower = max(avg_min.lower_bound, 1e-300)
         _write_csv(
             args.out,
             ["step", "phi", "phi_gap", "delta_gap", "c_avg", "c_max", "ratio_avg", "bound_avg"],

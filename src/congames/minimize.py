@@ -81,6 +81,11 @@ class CertifiedMinimum:
         """value - self.value + certificate, an upper bound on value - min; may be an array."""
         return value - self.value + self.certificate
 
+    @property
+    def lower_bound(self) -> float:
+        """value - certificate, a lower bound on the minimum."""
+        return self.value - self.certificate
+
 
 def _binomial(p: int, q: int) -> float:
     out = 1.0
@@ -365,9 +370,7 @@ def _epigraph_barrier(flow: CongestionGame, tol: float):
     on sum(f) = 1 by Newton's method with backtracking (Boyd & Vandenberghe,
     Convex Optimization, 11.3), until 2d/tau, the barrier's bound on the
     suboptimality of a centered point, is at most tol * max(1, t); min_max_cost
-    passes _MAX_COST_TOL.  Returns the flow, tau, the barrier's cost
-    multipliers w / sum(w) with w_s = 1/(t - c_s), and the number of Newton
-    steps.
+    passes _MAX_COST_TOL.  Returns the flow, tau and the number of Newton steps.
     """
     A = flow.incidence
     AT = A.T.copy()  # C order, as in _flow_jacobian
@@ -428,8 +431,7 @@ def _epigraph_barrier(flow: CongestionGame, tol: float):
                 break
             f, t, c = f_new, t_new, c_new
         if 2 * d / tau <= tol * max(1.0, t):
-            w = 1.0 / (t - c)
-            return f / f.sum(), tau, w / w.sum(), steps
+            return f / f.sum(), tau, steps
         tau *= _TAU_GROWTH
 
 
@@ -496,11 +498,12 @@ def min_max_cost(game: CongestionGame) -> CertifiedMinimum:
     _epigraph_barrier solves it.  Each player plays f / n, matched to her own
     list of paths by path.
 
-    The certificate is C_M(x_hat) - LB(lam) for the better lower bound of two
-    weight vectors: the KKT weights of the paths within delta = tau**-0.5 of
-    the maximum, and the barrier's multipliers.  LB holds for any lam on the
-    simplex and is evaluated in floats at the returned flow.  `iterations`
-    counts Newton steps; `converged` is certificate <= 1e-12 * max(1, value).
+    The certificate is C_M(x_hat) - LB(lam) at the KKT weights lam of the
+    paths within delta = tau**-0.5 of the maximum; LB holds for any lam on the
+    simplex and is evaluated in floats at the returned flow.  With no positive
+    weight the bound is 0, as every cost is nonnegative, and the result reads
+    unconverged.  `iterations` counts Newton steps; `converged` is
+    certificate <= 1e-12 * max(1, value).
     Asymmetric games raise ConfigurationError: the paper's maximum-cost bound,
     and max_cost_ratio, cover symmetric games only.
     """
@@ -508,7 +511,7 @@ def min_max_cost(game: CongestionGame) -> CertifiedMinimum:
         raise ConfigurationError("the maximum-cost oracle covers symmetric games only")
     paths = tuple(dict.fromkeys(game.paths[0]))
     flow = CongestionGame(n=1, edges=game.edges, paths=(paths,))
-    f, tau, barrier_weights, steps = _epigraph_barrier(flow, _MAX_COST_TOL)
+    f, tau, steps = _epigraph_barrier(flow, _MAX_COST_TOL)
 
     index = {path: k for k, path in enumerate(paths)}
     rows, shares = [], []
@@ -520,10 +523,8 @@ def min_max_cost(game: CongestionGame) -> CertifiedMinimum:
     value = game.max_cost(flat)
 
     J = _flow_jacobian(flow, flow.edge_loads(f))
-    bound = _lower_bound(flow, f, barrier_weights)
     weights = _kkt_weights(J, flow.path_costs(f), f, tau**-0.5)
-    if weights is not None:
-        bound = max(bound, _lower_bound(flow, f, weights))
+    bound = 0.0 if weights is None else _lower_bound(flow, f, weights)
     certificate = max(value - bound, 0.0)
     return CertifiedMinimum(
         flat=flat,

@@ -411,6 +411,30 @@ def test_episode_count_must_be_an_integer(reference_cache):
             run_bandit(game, cfg, reference=reference_cache(game))
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.5, 3.0, "3", None, -1, np.int64(-1)])
+def test_bad_seeds_rejected(seed, reference_cache):
+    # None drew fresh OS entropy, True ran as seed 1, 2.5 and -1 raised numpy's errors
+    game = parallel_links_game(3, [[1.0]] * 3)
+    cfg = euclidean_preset(game, episodes=1, seed=seed, nu=1.0)
+    message = f"seed must be a nonnegative integer, got {re.escape(repr(seed))}"
+    with pytest.raises(ConfigurationError, match=message):
+        cfg.derive(game)
+    with pytest.raises(ConfigurationError, match=message):
+        run_bandit(game, cfg, reference=reference_cache(game))
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint8(1)])
+def test_numpy_integer_seeds_give_the_run_of_their_value(seed, reference_cache):
+    game = parallel_links_game(3, [[1.0]] * 3)
+    got, want = (
+        run_bandit(game, euclidean_preset(game, episodes=2, seed=s, nu=1.0), reference_cache(game))
+        for s in (seed, 1)
+    )
+    for a, b in zip(got.records, want.records):
+        assert a.visits.tolist() == b.visits.tolist()
+        assert a.cost_sums.tolist() == b.cost_sums.tolist()
+
+
 def test_choice_log_rejects_path_indices_beyond_int16():
     # One player with 32,769 paths (subsets of 16 edges): index 32,768 does not
     # fit the int16 log.  The check comes first, before any game-sized work.
@@ -493,7 +517,7 @@ def test_per_player_eta_of_wrong_shape_rejected(eta):
     shape = re.escape(str(eta.shape))
     with pytest.raises(ConfigurationError, match=f"learning rates of shape {shape} for n = 3 players"):
         BanditConfig(lam=0.1, eta=eta).derive(game)
-    assert BanditConfig(lam=0.1, eta=np.full(3, 0.1)).resolve_etas(game).tolist() == [0.1] * 3
+    assert BanditConfig(lam=0.1, eta=np.full(3, 0.1)).derive(game).etas.tolist() == [0.1] * 3
 
 
 def test_presets_satisfy_theta_precondition():
@@ -509,6 +533,38 @@ def test_presets_satisfy_theta_precondition():
 
 
 # -- descent step check ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", [euclidean_preset, entropy_preset])
+def test_presets_take_one_learning_rate(preset):
+    game = parallel_links_game(3, [[1.0]] * 3)
+    with pytest.raises(ConfigurationError, match="pass per-player rates to BanditConfig"):
+        preset(game, eta=np.full(game.n, 0.1))
+    scalar = preset(game, eta=0.1)
+    assert scalar.eta == 0.1
+    per_player = BanditConfig(lam=scalar.lam, geometry=scalar.geometry, eta=np.full(game.n, 0.1))
+    assert per_player.derive(game).theta == scalar.derive(game).theta
+
+
+@pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("links", [3, 2])
+@pytest.mark.parametrize("preset", [euclidean_preset, entropy_preset])
+def test_presets_reject_bad_lambda_caps(preset, links, cap):
+    # a NaN cap was no cap on 3 links and a Lambda error on 2
+    game = parallel_links_game(links, [[1.0]] * links)
+    message = f"lambda_cap must be a positive finite number, got {cap!r}"
+    with pytest.raises(ConfigurationError, match=message):
+        preset(game, lambda_cap=cap)
+
+
+def test_entropy_preset_lowers_eta_until_theta_is_one():
+    # one link: Lambda is capped at 0.9 and eta = 1/lambda gives theta**2 = 1.2
+    game = parallel_links_game(3, [[1.0]])
+    smooth = game.smoothness_params()
+    assert 1.0 / smooth.lam * 0.9 * 4.0 * game.b * game.m_path / game.n == pytest.approx(1.2)
+    cfg = entropy_preset(game)
+    assert cfg.lam == 0.9 and cfg.eta < 1.0 / smooth.lam
+    assert cfg.derive(game).theta == pytest.approx(0.9999999995, abs=1e-15)
 
 
 def test_descent_step_check_gap_zero_case():

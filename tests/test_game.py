@@ -312,6 +312,19 @@ def test_game_rejects_empty_paths():
         CongestionGame(n=1, edges=(PolynomialCost((1.0,)),), paths=((frozenset({3}),),))
 
 
+@pytest.mark.parametrize(
+    "n, edges, paths, message",
+    [
+        (0, (PolynomialCost((1.0,)),), (), "need at least one player"),
+        (1, (), ((frozenset({0}),),), "need at least one edge"),
+        (2, (PolynomialCost((1.0,)),), ((frozenset({0}),),), "expected 2 path lists, got 1"),
+    ],
+)
+def test_game_rejects_bad_structure(n, edges, paths, message):
+    with pytest.raises(GameStructureError, match=f"^{message}$"):
+        CongestionGame(n=n, edges=edges, paths=paths)
+
+
 def test_check_profile_validation(g1):
     assert g1.check_profile([0.5, 0.5]).tolist() == [0.5, 0.5]
     with pytest.raises(GameStructureError):

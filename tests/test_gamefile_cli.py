@@ -41,6 +41,20 @@ def test_parse_missing_file():
         parse_game("/nonexistent/game.txt")
 
 
+# each message in full, as the CLI prints it after "error: "
+MALFORMED_FILES = [
+    ("players 1\nplayers 1\nedge a poly 1\npath 1 a\n", "line 2: duplicate players header"),
+    ("players 1 2\n", "line 1: expected 'players <n>'"),
+    ("players two\n", "line 1: player count must be an integer"),
+    ("players 0\n", "line 1: need at least one player"),
+    ("players 1\nedge a 1\n", "line 2: expected 'edge <id> poly <c1> ...'"),
+    ("players 1\nedge a poly 1\npath 1\n", "line 3: expected 'path <player> <edge ids>'"),
+    ("players 1\nedge a poly 1\npath one a\n", "line 3: player index must be an integer"),
+    ("edge a poly 1\n", "missing 'players' header"),
+    ("players 1\n", "no edges declared"),
+]
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -53,11 +67,35 @@ def test_parse_missing_file():
         ("players 1\nedge a poly 1\nedge a poly 1\npath 1 a\n", "duplicate edge id"),
         ("players 1\nroad a poly 1\n", "unknown directive"),
         ("players 1\nedge a poly 0.9 0.9\npath 1 a\n", "exceeds 1"),
+        *MALFORMED_FILES,
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(GameFileError, match=message):
         parse_game_text(text)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FILES)
+def test_cli_rejects_malformed_game_files(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.game"
+    path.write_text(text)
+    assert main(["--game", str(path), "--algo", "bulletin-gd", "--eps", "1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 0}, "need n >= 1, m >= 1, d >= 1"),
+        ({"degree": 0}, "cost degree must be at least 1"),
+        ({"max_path_len": 0}, "path length cap must be at least 1"),
+    ],
+)
+def test_generator_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(GameStructureError, match=f"^{re.escape(message)}$"):
+        generate_random_game(**{"seed": 0, "n": 2, "m": 3, "d": 2, **kwargs})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -243,6 +281,7 @@ def test_cli_gen_string_validation():
         ("n=0,m=3,d=3", "--gen n=0: player count must be at least 1"),
         ("n=3,m=3,d=3,deg=0", "--gen deg=0: cost degree must be at least 1"),
         ("n=2,m=3,d=2,n=5", "--gen n=5: repeated key"),
+        ("n=2,m3,d=2", "--gen entries look like key=value, got 'm3'"),
         ("n=1,m=2,d=5000,sym=1", "could not draw 5000 distinct paths of length <= 2 over 2 edges"),
     ],
 )
@@ -334,8 +373,16 @@ def test_cli_rejects_flags_the_algorithm_ignores(algo, flags, capsys):
     [
         ("bandit-gd", ["--nu", "inf"], "error: nu must be a finite number, at least 1"),
         ("bandit-mu", ["--nu", "nan"], "error: nu must be a finite number, at least 1"),
-        ("bandit-gd", ["--lambda-cap", "-1"], "error: --lambda-cap must be a positive finite number"),
-        ("bandit-mu", ["--lambda-cap", "nan"], "error: --lambda-cap must be a positive finite number"),
+        (
+            "bandit-gd",
+            ["--lambda-cap", "-1"],
+            "error: lambda_cap must be a positive finite number, got -1.0",
+        ),
+        (
+            "bandit-mu",
+            ["--lambda-cap", "nan"],
+            "error: lambda_cap must be a positive finite number, got nan",
+        ),
         (
             "bandit-gd",
             ["--nu", "1e300", "--lambda-cap", "1e-300"],

@@ -161,8 +161,8 @@ def test_max_cost_certificate_of_a_worse_flow(monkeypatch):
     barrier = congames.minimize._epigraph_barrier
 
     def halfway_to_uniform(costs, tol):
-        f, tau, weights, steps = barrier(costs, tol)
-        return 0.5 * f + 0.5 / len(f), tau, weights, steps
+        f, tau, steps = barrier(costs, tol)
+        return 0.5 * f + 0.5 / len(f), tau, steps
 
     monkeypatch.setattr(congames.minimize, "_epigraph_barrier", halfway_to_uniform)
     worse = min_max_cost(game)

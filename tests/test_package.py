@@ -49,3 +49,33 @@ def test_every_unexported_definition_has_a_use():
             if not any(word.search(h) for h in haystacks):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a @dataclass in src/congames is read as `.name` somewhere
+    in src/congames, scripts/, perfbench/*.py or tests/.
+
+    A floor, like the check above: it matches attribute names, not the class
+    they belong to, so a method or attribute of another class with the same
+    name hides an unread field.
+    """
+    patterns = ("src/congames/*.py", "scripts/*.py", "perfbench/*.py", "tests/*.py")
+    trees = [ast.parse(path.read_text()) for p in patterns for path in sorted(ROOT.glob(p))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted((ROOT / "src" / "congames").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in read:
+                        unread.append(f"{path.name}:{item.lineno} {node.name}.{item.target.id}")
+    assert unread == []
