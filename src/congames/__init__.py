@@ -27,7 +27,6 @@ from .bregman import (
     DivergenceDomainError,
     EntropyGeometry,
     EuclideanGeometry,
-    FeasibleSet,
     make_geometry,
 )
 from .bulletin import (
@@ -73,7 +72,6 @@ __all__ = [
     "EntropyGeometry",
     "EpisodeRecord",
     "EuclideanGeometry",
-    "FeasibleSet",
     "GameFileError",
     "GameStructureError",
     "MixedDeltaResult",

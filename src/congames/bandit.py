@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import ConfigurationError, FeasibleSet, make_geometry, resolve_learning_rates
+from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import CongestionGame
 from .minimize import CertifiedMinimum
 
@@ -204,7 +204,7 @@ class BanditConfig:
         etas = resolve_learning_rates(self.eta, game.n, smooth.lam)
         geometry = make_geometry(self.geometry)
         floor = self.lam / game.n
-        gamma = geometry.gamma(FeasibleSet(size=max(game.sizes), mass=1.0 / game.n, floor=floor))
+        gamma = geometry.gamma(floor)
         epsilon = _estimator_accuracy(game)
         theta = math.sqrt(float(etas.min()) * gamma * epsilon * game.n)
         if theta > 1.0 + 1e-12:
@@ -413,7 +413,7 @@ def run_bandit(
     params = config.derive(game)
     geometry = make_geometry(config.geometry)
 
-    step = geometry.padded_step(game.path_mask, params.etas, 1.0 / game.n, params.floor)
+    step = geometry.mirror_step(game.path_mask, params.etas, 1.0 / game.n, params.floor)
     x = restrict_profile(game, game.uniform_profile(), config.lam)
     streams = [
         np.random.Generator(np.random.PCG64(ss))

@@ -8,15 +8,12 @@ divergence, mirror step = multiplicative update).  Both solve the step
 
 exactly over a scaled simplex {z >= floor, sum z = mass}, the Euclidean case
 by a sorted-threshold projection and the entropy case by a finite active-set
-loop on the multiplicative closed form.  Each geometry has one
-implementation of its step, `padded_step`, which steps every player at once
-in the padded (n, d) layout of `CongestionGame.padded`; `mirror_step` is its
-one-player call.
+loop on the multiplicative closed form.  Each geometry has one step,
+`mirror_step`, which steps every player at once in the padded (n, d) layout
+of `CongestionGame.padded`; a single player is the one-row layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +24,6 @@ class ConfigurationError(ValueError):
 
 class DivergenceDomainError(ValueError):
     """Raised when a divergence is evaluated outside its domain."""
-
-
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Scaled simplex with an optional per-entry lower bound.
-
-    size * floor < mass is required when floor > 0 so the interior is
-    nonempty; floor = 0 gives the plain strategy simplex.
-    """
-
-    size: int
-    mass: float
-    floor: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ConfigurationError("feasible set needs at least one coordinate")
-        if self.mass <= 0.0:
-            raise ConfigurationError("mass must be positive")
-        if self.floor < 0.0:
-            raise ConfigurationError("floor must be nonnegative")
-        slack = self.mass - self.size * self.floor
-        if self.floor > 0.0 and slack <= 0.0:
-            raise ConfigurationError(
-                f"floor {self.floor} x {self.size} entries exceeds mass {self.mass}"
-            )
-        if slack < 0.0:
-            raise ConfigurationError("size * floor exceeds mass")
 
 
 def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
@@ -97,16 +66,12 @@ class EuclideanGeometry:
         d = u - v
         return float(0.5 * d @ d)
 
-    def gamma(self, fs: FeasibleSet) -> float:
+    def gamma(self, floor: float) -> float:
         # Gamma * divergence <= ||u - v||^2 <= 2 * divergence holds with Gamma = 2
         # on any set, both sides with equality.
         return 2.0
 
-    def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-        _check_step_args(fs, x, g, eta)
-        return _one_row_step(self, fs, x, g, eta)
-
-    def padded_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
+    def mirror_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
         """The mirror step of every row of the padded (n, d) layout, as step(X, G).
 
         Row i is player i: her entries are where mask[i] holds, X and G hold 0
@@ -140,23 +105,17 @@ class EntropyGeometry:
         active = u > 0.0
         return float(np.sum(u[active] * np.log(u[active] / v[active])))
 
-    def gamma(self, fs: FeasibleSet) -> float:
+    def gamma(self, floor: float) -> float:
         # On a floored set with entries >= Lambda/n the KL divergence satisfies
         # (Lambda/n) * divergence <= ||u - v||^2, i.e. Gamma equals the floor.
-        if fs.floor <= 0.0:
+        if floor <= 0.0:
             raise ConfigurationError(
                 "entropy geometry has no two-sided divergence bound on unfloored sets"
             )
-        return fs.floor
+        return floor
 
-    def mirror_step(self, fs: FeasibleSet, x: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-        _check_step_args(fs, x, g, eta)
-        if np.any(np.asarray(x, dtype=float) <= 0.0):
-            raise DivergenceDomainError("entropy mirror step needs strictly positive iterate")
-        return _one_row_step(self, fs, x, g, eta)
-
-    def padded_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
-        """Multiplicative updates in the layout of EuclideanGeometry.padded_step.
+    def mirror_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
+        """Multiplicative updates in the layout of EuclideanGeometry.mirror_step.
 
         Shifting each row of eta * G by its minimum, padding included, keeps
         exp from underflowing; the shift cancels when the row is rescaled.
@@ -198,23 +157,6 @@ def _pin_to_floor(W: np.ndarray, mask: np.ndarray, mass: float, floor: float) ->
             return Z
         pinned |= newly
     raise AssertionError("active-set loop failed to settle")  # pragma: no cover
-
-
-def _one_row_step(geometry, fs: FeasibleSet, x, g, eta: float) -> np.ndarray:
-    """The padded step of a single player who owns every entry of fs."""
-    step = geometry.padded_step(np.ones((1, fs.size), dtype=bool), eta, fs.mass, fs.floor)
-    return step(np.asarray(x, dtype=float)[None], np.asarray(g, dtype=float)[None])[0]
-
-
-def _check_step_args(fs: FeasibleSet, x, g, eta: float) -> None:
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != (fs.size,) or g.shape != (fs.size,):
-        raise ConfigurationError("iterate / gradient shape mismatch with the feasible set")
-    if not np.all(np.isfinite(g)):
-        raise ConfigurationError("gradient is not finite")
-    if eta <= 0.0:
-        raise ConfigurationError("learning rate must be positive")
 
 
 _GEOMETRIES = {

@@ -164,7 +164,7 @@ def run_bulletin(
     mask = game.path_mask
     sel = np.flatnonzero(mask)
     X = game.padded(x0)
-    step = geometry.padded_step(mask, etas, mass)
+    step = geometry.mirror_step(mask, etas, mass)
     target = config.target_gap
     last = config.max_steps
 

@@ -28,7 +28,7 @@ from .bulletin import (
     sigma_targets,
 )
 from .game import CongestionGame
-from .gamefile import GameFileError, parse_game
+from .gamefile import parse_game
 from .generator import generate_random_game
 from .minimize import CertifiedMinimum, min_average_cost, reference_minimizer
 
@@ -67,8 +67,6 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
@@ -335,7 +333,7 @@ def main(argv=None) -> int:
         if args.algo.startswith("bulletin"):
             return _run_bulletin_experiment(args, game)
         return _run_bandit_experiment(args, game)
-    except (ConfigurationError, GameFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

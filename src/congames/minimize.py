@@ -97,8 +97,7 @@ def _binomial(p: int, q: int) -> float:
 class _EdgeSeparableObjective:
     """G(x) = sum_e F_e(load_e(x)) for per-edge polynomials F_e with powers >= 1."""
 
-    def __init__(self, game: CongestionGame, table: np.ndarray):
-        self.game = game
+    def __init__(self, table: np.ndarray):
         self.table = table  # (m, P): F_e(y) = sum_p table[e, p-1] * y**p
         powers = np.arange(1, table.shape[1] + 1)
         self.dtable = table * powers  # derivative coefficients over powers 0..P-1
@@ -141,12 +140,12 @@ class _EdgeSeparableObjective:
 
 def potential_objective(game: CongestionGame) -> _EdgeSeparableObjective:
     # integral of c_j y^(j+1) is c_j y^(j+2) / (j + 2)
-    return _EdgeSeparableObjective(game, np.pad(game._primitive_table, ((0, 0), (1, 0))))
+    return _EdgeSeparableObjective(np.pad(game._primitive_table, ((0, 0), (1, 0))))
 
 
 def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
     # y * c_e(y) term by term
-    return _EdgeSeparableObjective(game, np.pad(game._coef_table, ((0, 0), (1, 0))))
+    return _EdgeSeparableObjective(np.pad(game._coef_table, ((0, 0), (1, 0))))
 
 
 def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
@@ -330,8 +329,11 @@ def _flow_jacobian(flow: CongestionGame, loads: np.ndarray) -> np.ndarray:
     return (A * flow.edge_slopes(loads)) @ A.T.copy()
 
 
-def _lower_bound(flow: CongestionGame, f: np.ndarray, lam: np.ndarray) -> float:
-    """A lower bound on min C_M for any lam on the simplex and f >= 0.
+def _lower_bound(
+    flow: CongestionGame, f: np.ndarray, J: np.ndarray, c: np.ndarray, lam: np.ndarray
+) -> float:
+    """A lower bound on min C_M for any lam on the simplex and f >= 0, from the
+    Jacobian J = J(f) and the path costs c = c(f) at f.
 
     LB(lam) = sum_s lam_s c_s(f) - (g.f - min_p g_p), g = J(f)^T lam: every
     c_s is convex, so max_s c_s >= sum_s lam_s c_s >= its linearization at
@@ -339,8 +341,8 @@ def _lower_bound(flow: CongestionGame, f: np.ndarray, lam: np.ndarray) -> float:
     rounding of its three nonnegative terms (sums of at most deg + m + 2d
     rounded products each), so it holds for the float evaluation too.
     """
-    g = _flow_jacobian(flow, flow.edge_loads(f)) @ lam
-    terms = (float(lam @ flow.path_costs(f)), float(g @ f), float(g.min()))
+    g = J @ lam
+    terms = (float(lam @ c), float(g @ f), float(g.min()))
     rounding = (flow._coef_table.shape[1] + flow.m + 2 * len(f)) * _EPS * sum(terms)
     return terms[0] - terms[1] + terms[2] - rounding
 
@@ -522,9 +524,9 @@ def min_max_cost(game: CongestionGame) -> CertifiedMinimum:
     flat = f[rows] * np.array(shares)
     value = game.max_cost(flat)
 
-    J = _flow_jacobian(flow, flow.edge_loads(f))
-    weights = _kkt_weights(J, flow.path_costs(f), f, tau**-0.5)
-    bound = 0.0 if weights is None else _lower_bound(flow, f, weights)
+    J, c = _flow_jacobian(flow, flow.edge_loads(f)), flow.path_costs(f)
+    weights = _kkt_weights(J, c, f, tau**-0.5)
+    bound = 0.0 if weights is None else _lower_bound(flow, f, J, c, weights)
     certificate = max(value - bound, 0.0)
     return CertifiedMinimum(
         flat=flat,

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from congames import (
     DivergenceDomainError,
     EntropyGeometry,
     EuclideanGeometry,
-    FeasibleSet,
     PolynomialCost,
     make_geometry,
 )
@@ -21,7 +21,21 @@ EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
 
 
-def sample_point(fs: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
+class Simplex(NamedTuple):
+    """One player's strategy set {z >= floor, sum z = mass} over `size` paths."""
+
+    size: int
+    mass: float
+    floor: float = 0.0
+
+
+def step(geo, fs: Simplex, x, g, eta: float) -> np.ndarray:
+    """The mirror step of one player who owns every entry: the one-row padded layout."""
+    row_step = geo.mirror_step(np.ones((1, fs.size), dtype=bool), eta, fs.mass, fs.floor)
+    return row_step(np.asarray(x, dtype=float)[None], np.asarray(g, dtype=float)[None])[0]
+
+
+def sample_point(fs: Simplex, rng: np.random.Generator) -> np.ndarray:
     free = fs.mass - fs.size * fs.floor
     return fs.floor + rng.dirichlet(np.ones(fs.size)) * free
 
@@ -30,14 +44,14 @@ def step_objective(geo, fs, x, g, eta, z) -> float:
     return eta * float(g @ z) + geo.divergence(z, x)
 
 
-def vertices(fs: FeasibleSet) -> np.ndarray:
+def vertices(fs: Simplex) -> np.ndarray:
     """Extreme points of fs: all free mass on one coordinate, floor elsewhere."""
     return fs.floor + (fs.mass - fs.size * fs.floor) * np.eye(fs.size)
 
 
-def project(geo, fs: FeasibleSet, p: np.ndarray) -> np.ndarray:
+def project(geo, fs: Simplex, p: np.ndarray) -> np.ndarray:
     """The Bregman projection of p: the mirror step from p with a zero gradient."""
-    return geo.mirror_step(fs, p, np.zeros(fs.size), 1.0)
+    return step(geo, fs, p, np.zeros(fs.size), 1.0)
 
 
 # -- divergences -------------------------------------------------------------------
@@ -66,11 +80,17 @@ def test_entropy_domain_error():
         ENTROPY.divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("u, v", [([-0.1, 1.1], [0.5, 0.5]), ([0.5, 0.5], [-0.1, 1.1])])
+def test_entropy_divergence_rejects_negative_inputs(u, v):
+    with pytest.raises(DivergenceDomainError, match="entropy divergence needs nonnegative inputs"):
+        ENTROPY.divergence(np.array(u), np.array(v))
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=100, deadline=None)
 def test_divergence_nonnegative_zero_iff_equal(seed):
     rng = np.random.default_rng(seed)
-    fs = FeasibleSet(size=4, mass=0.5)
+    fs = Simplex(size=4, mass=0.5)
     u, v = sample_point(fs, rng), sample_point(fs, rng)
     for geo in (EUCLID, ENTROPY):
         assert geo.divergence(u, v) >= -1e-12
@@ -83,7 +103,7 @@ def test_divergence_nonnegative_zero_iff_equal(seed):
 
 def test_assumption_one_norm_bound():
     rng = np.random.default_rng(0)
-    fs = FeasibleSet(size=5, mass=0.25)
+    fs = Simplex(size=5, mass=0.25)
     for _ in range(500):
         u, v = sample_point(fs, rng), sample_point(fs, rng)
         nsq = float((u - v) @ (u - v))
@@ -94,8 +114,8 @@ def test_assumption_one_norm_bound():
 def test_floored_two_sided_bound():
     # With floor Lambda/n the KL divergence is squeezed by the squared distance.
     rng = np.random.default_rng(1)
-    fs = FeasibleSet(size=4, mass=0.25, floor=0.02)
-    gamma = ENTROPY.gamma(fs)
+    fs = Simplex(size=4, mass=0.25, floor=0.02)
+    gamma = ENTROPY.gamma(fs.floor)
     assert gamma == fs.floor
     for _ in range(500):
         u, v = sample_point(fs, rng), sample_point(fs, rng)
@@ -103,12 +123,13 @@ def test_floored_two_sided_bound():
         div = ENTROPY.divergence(u, v)
         assert gamma * div <= nsq + 1e-9
         assert nsq <= 2.0 * div + 1e-9
-    assert EUCLID.gamma(fs) == 2.0
+    assert EUCLID.gamma(fs.floor) == 2.0
 
 
 def test_entropy_gamma_needs_floor():
-    with pytest.raises(ConfigurationError):
-        ENTROPY.gamma(FeasibleSet(size=3, mass=1.0))
+    for floor in (0.0, -0.1):
+        with pytest.raises(ConfigurationError):
+            ENTROPY.gamma(floor)
 
 
 # -- projections -------------------------------------------------------------------
@@ -117,19 +138,19 @@ def test_entropy_gamma_needs_floor():
 def test_project_idempotent_on_feasible():
     rng = np.random.default_rng(2)
     for floor in (0.0, 0.05):
-        fs = FeasibleSet(size=3, mass=1.0, floor=floor)
+        fs = Simplex(size=3, mass=1.0, floor=floor)
         p = sample_point(fs, rng)
         for geo in (EUCLID, ENTROPY):
             assert np.allclose(project(geo, fs, p), p, atol=1e-12)
 
 
 def test_euclidean_project_outside_point():
-    fs = FeasibleSet(size=2, mass=1.0)
+    fs = Simplex(size=2, mass=1.0)
     assert np.allclose(project(EUCLID, fs, np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
 
 
 def test_euclidean_project_floored():
-    fs = FeasibleSet(size=2, mass=1.0, floor=0.1)
+    fs = Simplex(size=2, mass=1.0, floor=0.1)
     z = project(EUCLID, fs, np.array([1.0, 0.0]))
     assert np.allclose(z, [0.9, 0.1], atol=1e-12)
 
@@ -162,7 +183,7 @@ def _project_simplex_rows_inf(P: np.ndarray, mass) -> np.ndarray:
 
 @st.composite
 def padded_projections(draw):
-    """Padded (n, d) step inputs as padded_step builds them: entries with ties,
+    """Padded (n, d) step inputs as mirror_step builds them: entries with ties,
     padding anywhere but at least one entry per row, and floored rows whose
     free mass mass - size * floor stays positive."""
     n, d = draw(st.integers(1, 9)), draw(st.integers(1, 8))
@@ -196,22 +217,22 @@ def test_project_simplex_finite_padding_matches_inf_padding(case):
 def test_mirror_step_zero_gradient_fixed_point():
     rng = np.random.default_rng(4)
     for floor in (0.0, 0.03):
-        fs = FeasibleSet(size=3, mass=0.5, floor=floor)
+        fs = Simplex(size=3, mass=0.5, floor=floor)
         x = sample_point(fs, rng)
         g = np.zeros(3)
         for geo in (EUCLID, ENTROPY):
-            assert np.allclose(geo.mirror_step(fs, x, g, 0.7), x, atol=1e-12)
+            assert np.allclose(step(geo, fs, x, g, 0.7), x, atol=1e-12)
 
 
 def test_euclidean_step_known_value():
-    fs = FeasibleSet(size=2, mass=1.0)
-    z = EUCLID.mirror_step(fs, np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.5)
+    fs = Simplex(size=2, mass=1.0)
+    z = step(EUCLID, fs, np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.5)
     assert np.allclose(z, [0.25, 0.75], atol=1e-12)
 
 
 def test_entropy_step_known_value():
-    fs = FeasibleSet(size=2, mass=1.0)
-    z = ENTROPY.mirror_step(fs, np.array([0.5, 0.5]), np.array([math.log(2.0), 0.0]), 1.0)
+    fs = Simplex(size=2, mass=1.0)
+    z = step(ENTROPY, fs, np.array([0.5, 0.5]), np.array([math.log(2.0), 0.0]), 1.0)
     assert np.allclose(z, [1 / 3, 2 / 3], atol=1e-12)
 
 
@@ -220,12 +241,12 @@ def test_entropy_step_known_value():
 def test_mirror_step_beats_dense_sampling(kind, floor):
     geo = make_geometry(kind)
     rng = np.random.default_rng(5)
-    fs = FeasibleSet(size=4, mass=0.5, floor=floor)
+    fs = Simplex(size=4, mass=0.5, floor=floor)
     for trial in range(5):
         x = sample_point(fs, rng)
         g = rng.uniform(-1.0, 1.0, size=4)
         eta = rng.uniform(0.05, 1.0)
-        z = geo.mirror_step(fs, x, g, eta)
+        z = step(geo, fs, x, g, eta)
         assert z.shape == (fs.size,)
         assert np.all(z >= fs.floor - 1e-9) and abs(z.sum() - fs.mass) <= 1e-9
         best = step_objective(geo, fs, x, g, eta, z)
@@ -243,12 +264,12 @@ def test_mirror_step_variational_inequality(kind, floor):
     # <eta*g + grad R(z) - grad R(x), w - z> >= 0 for all feasible w
     geo = make_geometry(kind)
     rng = np.random.default_rng(6)
-    fs = FeasibleSet(size=4, mass=0.5, floor=floor)
+    fs = Simplex(size=4, mass=0.5, floor=floor)
     for trial in range(10):
         x = sample_point(fs, rng)
         g = rng.uniform(-1.0, 1.0, size=4)
         eta = rng.uniform(0.05, 1.0)
-        z = geo.mirror_step(fs, x, g, eta)
+        z = step(geo, fs, x, g, eta)
         if kind == "negative-entropy":
             z = np.maximum(z, 1e-300)
         # grad R(u) is u (Euclidean) or log u (negative entropy)
@@ -266,23 +287,23 @@ def test_mirror_step_variational_inequality(kind, floor):
 
 def test_entropy_step_equals_multiplicative_update():
     rng = np.random.default_rng(7)
-    fs = FeasibleSet(size=5, mass=0.2)
+    fs = Simplex(size=5, mass=0.2)
     for _ in range(50):
         x = sample_point(fs, rng)
         g = rng.uniform(0.0, 2.0, size=5)
         eta = rng.uniform(0.01, 0.8)
-        z = ENTROPY.mirror_step(fs, x, g, eta)
+        z = step(ENTROPY, fs, x, g, eta)
         w = x * np.exp(-eta * g)
         assert np.allclose(z, w * (fs.mass / w.sum()), atol=1e-12)
 
 
 def test_entropy_floored_step_respects_floor_and_mass():
     rng = np.random.default_rng(8)
-    fs = FeasibleSet(size=4, mass=0.25, floor=0.03)
+    fs = Simplex(size=4, mass=0.25, floor=0.03)
     for _ in range(200):
         x = sample_point(fs, rng)
         g = rng.uniform(-3.0, 3.0, size=4)
-        z = ENTROPY.mirror_step(fs, x, g, 0.9)
+        z = step(ENTROPY, fs, x, g, 0.9)
         assert np.all(z >= fs.floor - 1e-12)
         assert math.isclose(z.sum(), fs.mass, abs_tol=1e-12)
 
@@ -290,28 +311,10 @@ def test_entropy_floored_step_respects_floor_and_mass():
 # -- configuration errors -----------------------------------------------------------
 
 
-def test_empty_interior_set_rejected():
-    with pytest.raises(ConfigurationError):
-        FeasibleSet(size=4, mass=0.2, floor=0.05)  # 4 * 0.05 = mass, empty interior
-    with pytest.raises(ConfigurationError):
-        FeasibleSet(size=4, mass=0.1, floor=0.05)
-
-
 def test_bad_step_arguments():
-    fs = FeasibleSet(size=2, mass=1.0)
-    with pytest.raises(ConfigurationError):
-        EUCLID.mirror_step(fs, np.array([0.5, 0.5]), np.array([1.0, 0.0]), -1.0)
-    with pytest.raises(ConfigurationError):
-        EUCLID.mirror_step(fs, np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0]), 0.1)
     for kind in ("hyperbolic", "entropy"):
         with pytest.raises(ConfigurationError, match="unknown geometry"):
             make_geometry(kind)
-
-
-def test_entropy_step_needs_positive_iterate():
-    fs = FeasibleSet(size=2, mass=1.0)
-    with pytest.raises(DivergenceDomainError):
-        ENTROPY.mirror_step(fs, np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.1)
 
 
 # -- the padded step ----------------------------------------------------------------
@@ -333,13 +336,13 @@ def test_padded_step_with_binding_floor_matches_one_row_steps(kind):
     g = np.array([0.1, 5.0, 0.2, 0.3, 0.4, 0.1, 0.2, 4.0, 0.1])
     geo = make_geometry(kind)
 
-    Z = geo.padded_step(game.path_mask, etas, mass, floor)(game.padded(x), game.padded(g))
+    Z = geo.mirror_step(game.path_mask, etas, mass, floor)(game.padded(x), game.padded(g))
 
     for i in range(game.n):
         sl = game.player_slice(i)
-        fs = FeasibleSet(size=game.sizes[i], mass=mass, floor=floor)
+        fs = Simplex(size=game.sizes[i], mass=mass, floor=floor)
         row = Z[i, : game.sizes[i]]
-        assert np.allclose(row, geo.mirror_step(fs, x[sl], g[sl], float(etas[i])), rtol=0.0, atol=1e-15)
+        assert np.allclose(row, step(geo, fs, x[sl], g[sl], float(etas[i])), rtol=0.0, atol=1e-15)
         assert np.all(row >= floor)
         assert math.isclose(row.sum(), mass, rel_tol=0.0, abs_tol=1e-15)
     assert Z[0, 1] == floor and Z[2, 1] == floor

@@ -88,8 +88,8 @@ def test_monotone_descent_heterogeneous_rates(kind, reference_cache):
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
 def test_run_loop_step_matches_mirror_step(kind, reference_cache):
-    # one recorded update of the vectorized loop equals the per-player solver
-    from congames import FeasibleSet, make_geometry
+    # one recorded update of the vectorized loop equals each player's one-row step
+    from congames import make_geometry
 
     game = generate_random_game(seed=43, n=4, m=5, d=3)
     lam = game.smoothness_params().lam
@@ -103,8 +103,8 @@ def test_run_loop_step_matches_mirror_step(kind, reference_cache):
     grad = game.path_costs(x0)
     for i in range(game.n):
         sl = game.player_slice(i)
-        fs = FeasibleSet(size=game.sizes[i], mass=1.0 / game.n)
-        expected = geo.mirror_step(fs, x0[sl], grad[sl], float(etas[i]))
+        step = geo.mirror_step(np.ones((1, game.sizes[i]), dtype=bool), etas[i], 1.0 / game.n)
+        expected = step(x0[sl][None], grad[sl][None])[0]
         assert np.allclose(x1[sl], expected, atol=1e-12)
 
 
@@ -181,6 +181,20 @@ def test_zero_step_cap_evaluates_the_start_only(g1, reference_cache):
     assert rep.delta_gaps.tolist() == [0.25]
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_zero_step_run_has_no_ascent(g1, kind, reference_cache):
+    cfg = BulletinConfig(geometry=kind, max_steps=0)
+    assert run_bulletin(g1, cfg, reference=reference_cache(g1)).max_ascent == 0.0
+
+
+@pytest.mark.parametrize("max_steps", [0, 3])
+def test_run_without_target_has_no_hit_and_no_budget(g1, max_steps, reference_cache):
+    rep = run_bulletin(g1, BulletinConfig(max_steps=max_steps), reference=reference_cache(g1))
+    assert rep.first_certified_hit is None
+    with pytest.raises(ValueError, match="no target gap to budget against"):
+        rep.theorem_budget()
+
+
 def _per_step_run(game, config, reference):
     """The bulletin loop one step at a time: every report field of the step
     evaluated before the stop rule reads the potential, and the multiplicative
@@ -189,7 +203,7 @@ def _per_step_run(game, config, reference):
     etas = config.resolve_etas(game)
     mask, inc, mass = game.path_mask, game.incidence, 1.0 / game.n
     X = game.padded(game.uniform_profile() if config.x0 is None else config.x0)
-    euclidean_step = EuclideanGeometry().padded_step(mask, etas, mass)
+    euclidean_step = EuclideanGeometry().mirror_step(mask, etas, mass)
     rates = np.reshape(etas, (-1, 1))
     fields = ("phi", "avg_costs", "delta_gaps", "theorem_delta_gaps", "max_costs", "profiles")
     out = {name: [] for name in fields}

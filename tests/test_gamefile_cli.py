@@ -270,6 +270,11 @@ def test_cli_gen_string_validation():
     assert gen == {"n": 2, "m": 3, "d": 2, "deg": 2, "sym": 1}
 
 
+@pytest.mark.parametrize("text", ["n=2,m=3,d=2,", " n=2 ,, m=3,d=2"])
+def test_cli_gen_string_skips_empty_entries(text):
+    assert parse_gen_string(text) == {"n": 2, "m": 3, "d": 2}
+
+
 @pytest.mark.parametrize(
     "gen, message",
     [

@@ -15,7 +15,7 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(congames.__all__) == public
-    assert len(congames.__all__) == len(public) == 46
+    assert len(congames.__all__) == len(public) == 45
 
 
 def test_every_unexported_definition_has_a_use():
