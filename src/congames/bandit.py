@@ -13,7 +13,11 @@ Sampling contract: player i draws from stream i of SeedSequence(seed).spawn(n)
 (GuideTable).  The kernel counts integer events, one per (path, edge slot,
 load on that edge) that a pick makes, into one histogram per episode; visits
 and cost sums are functions of that histogram and the c_e(k/n) table, so no
-tile length changes a bit of them.
+tile length changes a bit of them.  With two CPUs an episode may be counted in
+two step ranges at once, the second on a thread of its own from copies of the
+streams advanced past the first (PCG64 jumps ahead); each range has its own
+histogram and its own rows of the choice log, so the split changes no bit
+either, and the caller's streams end where drawing every uniform leaves them.
 
 The mixed equilibrium gap reads E[c_s(X)] off each edge's load law against the
 kernel's c_e(k/n) table.  The law is exact (`expected_path_costs`) or counted
@@ -26,6 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,16 +342,22 @@ class BanditReport:
         return np.asarray([r.grad_error for r in self.records])
 
 
-def _edge_counts(game: CongestionGame, picks: np.ndarray, keys: np.ndarray | None = None):
+def _edge_counts(game: CongestionGame, picks: np.ndarray, steps_keys: np.ndarray, keys=None):
     """Players per step and edge for flat picks (n, steps), as counts (steps, m+1)
     with the padding column m zeroed, and the keys t*(m+1) + e of each pick's
-    edges, written into keys (n, steps, m_path) if given."""
+    edges, written into keys (n, steps, m_path) if given.  steps_keys holds
+    t*(m+1) in column 0 for at least `steps` rows."""
     m = game.m
     keys = np.take(game.edge_ids, picks, axis=0, out=keys, mode="clip")
-    keys += (np.arange(picks.shape[1]) * (m + 1))[:, None]
+    keys += steps_keys[: picks.shape[1]]
     counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * (m + 1)).reshape(-1, m + 1)
     counts[:, m] = 0
     return keys, counts
+
+
+def _steps_keys(game: CongestionGame, tile: int) -> np.ndarray:
+    """The key offsets t*(m+1) of steps t < tile, as a column for _edge_counts."""
+    return (np.arange(tile) * (game.m + 1))[:, None]
 
 
 # The Monte-Carlo gap draws uniforms one (n, _BATCH) block at a time, the unit
@@ -371,37 +383,91 @@ def _load_cost_table(game: CongestionGame) -> np.ndarray:
     return table
 
 
-def _simulate_episode(game, flat, streams, steps, record):
+def _count_steps(game, sampler, streams, lo, hi, tile, log):
+    """Count steps [lo, hi) of an episode, in tiles of `tile` steps from lo, into
+    an int64 histogram of its own.  Each stream gives its player's uniforms of
+    those steps in order; rows lo:hi of log, if given, get the picks."""
     n, m_path = game.n, game.m_path
-    sampler = GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws=steps)
     # Each pick of path s makes one event per edge slot j (padding slots see
     # load 0 and cost 0), with key (s*m_path + j)*(n+1) + k at load k.
     bases = np.arange(game.dim * m_path).reshape(-1, m_path) * (n + 1)
-    hist = np.zeros(game.dim * m_path * (n + 1), dtype=np.int64)
-    log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
+    hist = np.zeros(bases.size * (n + 1), dtype=np.int64)
+    starts = game.offsets[:-1, None]
 
-    # A tile holds at least as many events as hist has bins, so its bincount
-    # costs no more than its events.  Its buffers serve the whole episode: fresh
-    # arrays every tile would be returned to the system and page-faulted again.
-    # (mode="clip" lets take write straight into out; every index is in range.)
-    tile = min(_tile_steps(game, hist.size), steps)
+    # The tile buffers serve the whole range: fresh arrays every tile would be
+    # returned to the system and page-faulted again.  (mode="clip" lets take
+    # write straight into out; every index is in range.)
+    tile = min(tile, hi - lo)
+    steps_keys = _steps_keys(game, tile)
     u, picks_buf = np.empty((n, tile)), np.empty((n, tile), dtype=np.intp)
     keys_buf = np.empty((n, tile, m_path), dtype=np.intp)
     events_buf = np.empty_like(keys_buf)
-    for lo in range(0, steps, tile):
-        width = min(tile, steps - lo)
+    for first in range(lo, hi, tile):
+        width = min(tile, hi - first)
         for row, stream in zip(u, streams):
             stream.random(out=row[:width])
         picks = sampler.picks(u[:, :width], out=picks_buf[:, :width])
-        keys, counts = _edge_counts(game, picks, keys_buf[:, :width])
+        keys, counts = _edge_counts(game, picks, steps_keys, keys_buf[:, :width])
         events = np.take(counts, keys, out=events_buf[:, :width], mode="clip")
         events += np.take(bases, picks, axis=0, out=keys, mode="clip")
         hist += np.bincount(events.ravel(), minlength=hist.size)
-        if record:
-            log[lo : lo + width] = (picks - game.offsets[:-1, None]).T
+        if log is not None:
+            log[first : first + width] = (picks - starts).T
+    return hist
+
+
+def _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log):
+    """_count_steps over [0, steps), with [cut, steps) counted on a thread of its
+    own from copies of the streams advanced by cut draws; the caller's streams
+    end advanced by steps draws, as if they had drawn every uniform."""
+    ahead = []
+    for stream in streams:
+        copy = type(stream.bit_generator)()
+        copy.state = stream.bit_generator.state
+        ahead.append(np.random.Generator(copy.advance(cut)))
+    rest: dict[str, object] = {}
+
+    def count_rest():
+        try:
+            rest["hist"] = _count_steps(game, sampler, ahead, cut, steps, tile, log)
+        except BaseException as exc:  # raised again in the caller
+            rest["error"] = exc
+
+    worker = threading.Thread(target=count_rest)
+    worker.start()
+    try:
+        hist = _count_steps(game, sampler, streams, 0, cut, tile, log)
+    finally:
+        worker.join()
+    if "error" in rest:
+        raise rest["error"]
+    for stream in streams:
+        stream.bit_generator.advance(steps - cut)
+    return hist + rest["hist"]
+
+
+def _simulate_episode(game, flat, streams, steps, record):
+    n, m_path, ids = game.n, game.m_path, game.edge_ids  # cached here, before any thread
+    sampler = GuideTable([p.cumsum() for p in _choice_probs(game, flat)], draws=steps)
+    bins = game.dim * m_path * (n + 1)
+    log = np.empty((steps, n), dtype=_LOG_DTYPE) if record else None
+    # A tile holds at least as many events as the histogram has bins, so its
+    # bincount costs no more than its events.
+    tile = min(_tile_steps(game, bins), steps)
+    # Integer counts have no order and each stream can jump ahead, so with two
+    # CPUs an episode of two or more tiles is counted in two ranges at once,
+    # cut at the tile boundary nearest its middle, with every draw unchanged.
+    # Histograms larger than a tile's entries stay on one range, so the memory
+    # of their tiles is not doubled.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if steps > tile and bins <= _TILE_ENTRIES and cpus >= 2:
+        cut = tile * max(1, (steps + tile) // (2 * tile))
+        hist = _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log)
+    else:
+        hist = _count_steps(game, sampler, streams, 0, steps, tile, log)
     hist = hist.reshape(game.dim, m_path, n + 1)
     visits = hist[:, 0].sum(axis=1)
-    sums = (hist * _load_cost_table(game)[game.edge_ids]).sum(axis=(1, 2))
+    sums = (hist * _load_cost_table(game)[ids]).sum(axis=(1, 2))
     return visits, sums, log
 
 
@@ -536,10 +602,11 @@ def _sampled_load_law(game: CongestionGame, flat: np.ndarray, samples: int, seed
     rows = np.arange(m + 1) * (n + 1)  # edge e's count of k players has key e*(n+1) + k
     law = np.zeros((m + 1) * (n + 1), dtype=np.int64)
     tile = _tile_steps(game)
+    steps_keys = _steps_keys(game, tile)
     for done in range(0, samples, _BATCH):
         u = rng.random((n, min(_BATCH, samples - done)))
         for lo in range(0, u.shape[1], tile):
-            _, counts = _edge_counts(game, sampler.picks(u[:, lo : lo + tile]))
+            _, counts = _edge_counts(game, sampler.picks(u[:, lo : lo + tile]), steps_keys)
             law += np.bincount((counts + rows).ravel(), minlength=law.size)
     return law.reshape(m + 1, n + 1)[:m]
 

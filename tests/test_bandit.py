@@ -1,7 +1,13 @@
 import hashlib
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,13 +61,17 @@ def brute_force_expected_costs(game: CongestionGame, flat: np.ndarray) -> np.nda
 # -- choice sampling ---------------------------------------------------------------
 
 
-def _episode(game: CongestionGame, x: np.ndarray, seed: int, steps: int, record: bool = False):
-    """One episode of the kernel on run_bandit's per-player streams of `seed`."""
-    streams = [
+def _streams(game: CongestionGame, seed: int) -> list[np.random.Generator]:
+    """run_bandit's per-player streams of `seed`."""
+    return [
         np.random.Generator(np.random.PCG64(ss))
         for ss in np.random.SeedSequence(seed).spawn(game.n)
     ]
-    return bandit._simulate_episode(game, x, streams, steps, record)
+
+
+def _episode(game: CongestionGame, x: np.ndarray, seed: int, steps: int, record: bool = False):
+    """One episode of the kernel on run_bandit's per-player streams of `seed`."""
+    return bandit._simulate_episode(game, x, _streams(game, seed), steps, record)
 
 
 def test_sample_choices_degenerate():
@@ -476,39 +486,163 @@ def reference_episode(game, flat, streams, steps):
     return visits, sums, (picks - starts).T.astype(np.int16)
 
 
+def _digest(visits, sums, log):
+    return visits.tolist(), [v.hex() for v in sums], hashlib.sha256(log.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the kernel see two CPUs, so an episode of two or more tiles is split."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """The (lo, hi, on the main thread) of every range the kernel counts."""
+    seen, count = [], bandit._count_steps
+
+    def spy(game, sampler, streams, lo, hi, tile, log):
+        seen.append((lo, hi, threading.current_thread() is threading.main_thread()))
+        return count(game, sampler, streams, lo, hi, tile, log)
+
+    monkeypatch.setattr(bandit, "_count_steps", spy)
+    return seen
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("the kernel started a thread")
+
+
 @pytest.mark.parametrize("name", sorted(TILE_GAMES))
-def test_episode_kernel_tile_invariance(monkeypatch, name):
+def test_episode_kernel_tile_invariance(monkeypatch, two_cpus, ranges, name):
     """Tiles of 1 step, 7 steps, the histogram rule's length or the whole
     episode give the same visits, cost-sum bits and choice log; these match
     the reference kernel (its float sums round per step, so to 1e-13), and
-    the choice log changes nothing when it is not recorded."""
+    the choice log changes nothing when it is not recorded.  Tiles of 1 and 7
+    steps (odd tile counts) split the episode into two ranges where the
+    histogram fits one tile's entries; each stream always ends where one that
+    drew every uniform of the episode ends, and a one-tile episode starts no
+    thread."""
     game = TILE_GAMES[name]()
     flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
-    steps = 2500
+    steps = 2497
     bins = game.dim * game.m_path * (game.n + 1)
     assert (bandit._tile_steps(game, bins) > bandit._tile_steps(game)) == (name == "links64")
+    drawn = _streams(game, 7)
+    for stream in drawn:
+        stream.random(steps)
 
-    def streams():
-        return [
-            np.random.Generator(np.random.PCG64(ss))
-            for ss in np.random.SeedSequence(7).spawn(game.n)
-        ]
-
-    def digest(visits, sums, log):
-        return visits.tolist(), [v.hex() for v in sums], hashlib.sha256(log.tobytes()).hexdigest()
-
-    got = digest(*bandit._simulate_episode(game, flat, streams(), steps, True))
-    visits, sums, log = reference_episode(game, flat, streams(), steps)
+    got = _digest(*bandit._simulate_episode(game, flat, _streams(game, 7), steps, True))
+    visits, sums, log = reference_episode(game, flat, _streams(game, 7), steps)
     assert got[0] == visits.tolist() and sum(got[0]) == game.n * steps
     assert got[2] == hashlib.sha256(log.tobytes()).hexdigest()
     got_sums = np.array([float.fromhex(v) for v in got[1]])
     assert np.all(np.abs(got_sums - sums) <= 1e-13 * np.abs(sums))
-    for tile in (1, 7, steps):
+    for tile, cut in ((1, 1249), (7, 1246), (steps, None)):
         monkeypatch.setattr(bandit, "_tile_steps", lambda game, bins=0, tile=tile: tile)
-        assert digest(*bandit._simulate_episode(game, flat, streams(), steps, True)) == got
-    visits, sums, log = bandit._simulate_episode(game, flat, streams(), steps, False)
+        if cut is None:
+            monkeypatch.setattr(threading, "Thread", _no_thread)
+        if name == "links64" or cut is None:
+            cut = steps
+        streams, ranges[:] = _streams(game, 7), []
+        assert _digest(*bandit._simulate_episode(game, flat, streams, steps, True)) == got
+        assert [s.bit_generator.state for s in streams] == [s.bit_generator.state for s in drawn]
+        expected = [(0, cut, True), (cut, steps, False)] if cut < steps else [(0, steps, True)]
+        assert sorted(ranges) == expected
+    visits, sums, log = bandit._simulate_episode(game, flat, _streams(game, 7), steps, False)
     assert log is None
     assert (visits.tolist(), [v.hex() for v in sums]) == got[:2]
+
+
+def test_two_range_episode_counts_each_players_own_load(two_cpus, ranges):
+    """On one link every pick sees all n players, its own unit of load included,
+    so each path's cost sum is exactly visits * c(1) on both ranges."""
+    game = parallel_links_game(3, [[0.25, 0.5]])  # c(1) = 0.75, c(2/3) = 7/18
+    steps = 3 * bandit._tile_steps(game) + 5
+    visits, sums, _ = _episode(game, game.uniform_profile(), 0, steps)
+    assert len(ranges) == 2
+    assert visits.tolist() == [steps] * 3
+    c1 = game.edge_costs(np.ones((1, 1)))[0, 0]
+    assert sums.tolist() == (visits * c1).tolist()
+
+
+@pytest.mark.parametrize("on_main", [False, True])
+def test_episode_range_error_raised_in_caller(monkeypatch, two_cpus, on_main):
+    """An error in either range reaches the caller, after the worker is joined."""
+    game = parallel_links_game(10, [[1.0]] * 10)
+    picks = GuideTable.picks
+
+    def failing(self, u, out=None):
+        if (threading.current_thread() is threading.main_thread()) == on_main:
+            raise RuntimeError("range failed")
+        return picks(self, u, out)
+
+    monkeypatch.setattr(GuideTable, "picks", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="range failed"):
+        _episode(game, game.uniform_profile(), 0, 4 * bandit._tile_steps(game))
+    assert threading.active_count() == before
+
+
+def test_concurrent_two_range_episodes_keep_their_bits(monkeypatch, two_cpus):
+    """Three two-range episodes at once, six threads, with the interpreter
+    switching threads every 10 us, each give their one-range bits."""
+    game = generate_random_game(n=16, m=8, d=3, seed=302)
+    flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
+    steps = 5 * bandit._tile_steps(game) + 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = [_digest(*_episode(game, flat, seed, steps, True)) for seed in range(3)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    got = [None] * 3
+
+    def run(seed):
+        got[seed] = _digest(*_episode(game, flat, seed, steps, True))
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_one_cpu_episode_is_one_range_with_the_same_bits(two_cpus, ranges):
+    """Pinned to one CPU, a links episode runs on one range, starts no thread,
+    and gives the bits of the two-range episode."""
+    game = parallel_links_game(10, [[1.0]] * 10)
+    steps = 3 * bandit._tile_steps(game) + 11
+    flat = restrict_profile(game, game.uniform_profile(), 0.05)
+    want = _digest(*_episode(game, flat, 3, steps, True))
+    assert len(ranges) == 2
+    code = (
+        "import hashlib, json, os, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "def no_thread(*args, **kwargs):\n"
+        "    raise AssertionError('the kernel started a thread')\n"
+        "threading.Thread = no_thread\n"
+        "import numpy as np\n"
+        "from congames import bandit, parallel_links_game, restrict_profile\n"
+        "game = parallel_links_game(10, [[1.0]] * 10)\n"
+        "flat = restrict_profile(game, game.uniform_profile(), 0.05)\n"
+        "streams = [np.random.Generator(np.random.PCG64(ss))\n"
+        "           for ss in np.random.SeedSequence(3).spawn(game.n)]\n"
+        f"visits, sums, log = bandit._simulate_episode(game, flat, streams, {steps}, True)\n"
+        "print(json.dumps([visits.tolist(), [v.hex() for v in sums],\n"
+        "                  hashlib.sha256(log.tobytes()).hexdigest()]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == list(want)
 
 
 @pytest.mark.parametrize("eta", [np.array([0.1, 0.1]), np.full((3, 1), 0.1), np.zeros((0,))])
