@@ -38,7 +38,7 @@ import numpy as np
 
 from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import CongestionGame
-from .minimize import CertifiedMinimum
+from .minimize import CertifiedMinimum, Check
 
 
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
@@ -224,6 +224,7 @@ class BanditConfig:
             theta=theta,
             delta=delta,
             threshold=3.0 * delta / theta,
+            lower_threshold=2.0 * delta / theta,
             tau0=math.ceil(smooth.alpha / delta),
             etas=etas,
             floor=floor,
@@ -241,6 +242,7 @@ class BanditParams:
     theta: float
     delta: float
     threshold: float  # 3*delta/theta, the post-convergence gap ceiling
+    lower_threshold: float  # 2*delta/theta: gaps below it stay under threshold
     tau0: int
     etas: np.ndarray  # per-player learning rates
     floor: float  # Lambda/n, the least probability mass of any path entry
@@ -542,23 +544,23 @@ def descent_step_check(
     return phi_next <= phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
 
 
-def bandit_checks(report: BanditReport) -> list[tuple[str, bool, str]]:
-    """The run's theorem checks as (name, ok, detail): certified gaps within
-    3*delta/theta from episode tau0 on, and from the first gap below
-    2*delta/theta on, and every played profile on the floor Lambda/n."""
+def bandit_checks(report: BanditReport) -> list[Check]:
+    """The run's theorem checks: the worst certified gap from episode tau0 on,
+    and from the first gap below 2*delta/theta on (-inf in an empty slice),
+    each within 3*delta/theta, with the potential bound alpha as limit, and
+    how far the least played probability falls under the floor Lambda/n."""
     p, gaps = report.params, report.certified_gaps
     ceiling = p.threshold + 1e-9
-    below = np.flatnonzero(gaps < 2.0 * p.delta / p.theta)
+    alpha = report.game.smoothness_params().alpha
+    below = np.flatnonzero(gaps < p.lower_threshold)
     after = gaps[below[0] :] if below.size else gaps[:0]
-    on_floor = all(bool(np.all(r.profile >= p.floor - 1e-12)) for r in report.records)
+    lowest = min(float(r.profile.min()) for r in report.records)
+    late, settled = (float(np.max(g, initial=-np.inf)) for g in (gaps[p.tau0 - 1 :], after))
+    detail = f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}"
     return [
-        (
-            "bandit-gap-threshold",
-            bool(np.all(gaps[p.tau0 - 1 :] <= ceiling)),
-            f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}",
-        ),
-        ("bandit-permanence", bool(np.all(after <= ceiling)), "post-threshold gaps stay bounded"),
-        ("exploration-floor", on_floor, f"floor {p.floor:.6g}"),
+        Check("bandit-gap-threshold", late, ceiling, detail, alpha),
+        Check("bandit-permanence", settled, ceiling, "post-threshold gaps stay bounded", alpha),
+        Check("exploration-floor", p.floor - lowest, 1e-12, f"floor {p.floor:.6g}"),
     ]
 
 

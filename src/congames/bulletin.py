@@ -23,7 +23,7 @@ from .game import (
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum, min_max_cost
+from .minimize import CertifiedMinimum, Check, min_max_cost
 
 
 @dataclass
@@ -98,13 +98,16 @@ class BulletinReport:
         hits = np.nonzero(self.certified_gaps <= self.target_gap)[0]
         return int(hits[0]) if hits.size else None
 
-    def theorem_budget(self) -> int:
-        """Step budget n*gamma/(eta*eps) at the run's target gap eps, with the
-        measured initial divergence."""
+    def theorem_budget(self) -> int | float:
+        """Step budget n*gamma/(eta*eps) at the run's target gap eps, with the measured
+        initial divergence gamma: 0 when gamma is, inf when the quotient is not finite."""
         if self.target_gap is None:
             raise ValueError("no target gap to budget against")
-        eta = float(self.etas.min())
-        return math.ceil(self.game.n * self.gamma_measured / (eta * self.target_gap))
+        if self.gamma_measured == 0.0:
+            return 0
+        eta_eps = float(self.etas.min()) * self.target_gap
+        budget = self.game.n * self.gamma_measured / eta_eps if eta_eps > 0.0 else math.inf
+        return math.ceil(budget) if budget < math.inf else math.inf
 
 
 # The diagnostics pass runs every _CHUNK_STEPS steps, and the potential, the
@@ -312,22 +315,26 @@ def step_budget(game: CongestionGame, geometry: str, eta: float, epsilon: float)
     return math.ceil(game.n * math.log(game.d * game.n) / (eta * epsilon))
 
 
-def bulletin_checks(report: BulletinReport) -> list[tuple[str, bool, str]]:
-    """The run's theorem checks as (name, ok, detail): monotone descent, the
-    equilibrium-gap ceiling at every step and, if the run had a target, its
-    first certified hit within `report.theorem_budget()` steps."""
+def bulletin_checks(report: BulletinReport) -> list[Check]:
+    """The run's theorem checks: monotone descent, the equilibrium-gap ceiling
+    at the step nearest to breaking it, with the largest path cost as limit,
+    and, if the run had a target, its first certified hit within
+    `report.theorem_budget()` steps; a run with no hit measures nan, which fails."""
+    game = report.game
     ascent = report.max_ascent
-    ceiling = equilibrium_gap_bound(report.game, report.certified_gaps) + 1e-6
-    worst = float((report.theorem_delta_gaps - ceiling).max())
+    ceiling = equilibrium_gap_bound(game, report.certified_gaps) + 1e-6
+    worst = int(np.argmax(report.theorem_delta_gaps - ceiling))
+    gap, bound = float(report.theorem_delta_gaps[worst]), float(ceiling[worst])
+    priciest = float((game.incidence @ game.edge_costs(np.ones(game.m))).max())
     checks = [
-        ("monotone-descent", ascent <= 1e-10, f"max one-step increase {ascent:.3e}"),
-        ("equilibrium-gap-bound", worst <= 0.0, f"worst margin {worst:.3e}"),
+        Check("monotone-descent", ascent, 1e-10, f"max one-step increase {ascent:.3e}"),
+        Check("equilibrium-gap-bound", gap, bound, f"worst margin {gap - bound:.3e}", priciest),
     ]
     if report.target_gap is not None:
         hit = report.first_certified_hit
         budget = report.theorem_budget()
         detail = f"first certified gap<= {report.target_gap:g} at step {hit}, budget {budget}"
-        checks.append(("convergence-budget", hit is not None and hit <= budget, detail))
+        checks.append(Check("convergence-budget", math.nan if hit is None else hit, budget, detail))
     return checks
 
 
@@ -337,22 +344,22 @@ def ratio_checks(
     sigma: float,
     average: CertifiedMinimum,
     maximum: CertifiedMinimum | None = None,
-) -> list[tuple[str, bool, str]]:
-    """The social-cost checks at slack sigma as (name, ok, detail): C_A(x) within
-    (b/a)(1 + sigma) of min C_A and, on symmetric games only, C_M(x) within
-    `max_ratio_bound` at the gap a*sigma**2/(32m) of `maximum`, which is solved
-    here when not given.  A `maximum` given for an asymmetric game is refused."""
+) -> list[Check]:
+    """The social-cost checks at slack sigma: C_A(x) within (b/a)(1 + sigma) of
+    min C_A and, on symmetric games only, C_M(x) within `max_ratio_bound` at the
+    gap a*sigma**2/(32m) of `maximum`, which is solved here when not given.  A
+    `maximum` given for an asymmetric game is refused."""
     ratio = average_cost_ratio(game, flat, average)
     bound = (game.b / game.a) * (1.0 + sigma)
     detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
-    checks = [("average-cost-ratio", bool(ratio <= bound + 1e-9), detail)]
+    checks = [Check("average-cost-ratio", ratio, bound + 1e-9, detail)]
     max_gap = sigma_targets(game, sigma)[1]
     if max_gap is not None or maximum is not None:
         maximum = min_max_cost(game) if maximum is None else maximum
         ratio = max_cost_ratio(game, flat, average, maximum)
         bound = max_ratio_bound(game, max_gap)
         detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
-        checks.append(("maximum-cost-ratio", bool(ratio <= bound + 1e-9), detail))
+        checks.append(Check("maximum-cost-ratio", ratio, bound + 1e-9, detail))
     return checks
 
 
@@ -380,7 +387,7 @@ def average_cost_ratio(
 ) -> float:
     """C_A(x) against the certified lower bound on min C_A."""
     flat = game.check_vector(flat)
-    return game.average_cost(flat) / average.lower_bound
+    return float(certified_ratio(game.average_cost(flat), average.lower_bound))
 
 
 def max_cost_ratio(
@@ -395,7 +402,13 @@ def max_cost_ratio(
     if not game.symmetric:
         raise ConfigurationError("maximum-cost ratio guarantee only covers symmetric games")
     # min C_M >= min C_A, so the certified average lower bound is one too.
-    return game.max_cost(flat) / max(maximum.lower_bound, average.lower_bound)
+    return float(certified_ratio(game.max_cost(flat), max(maximum.lower_bound, average.lower_bound)))
+
+
+def certified_ratio(value, lower_bound: float):
+    """value / lower_bound, a certified lower bound on a minimum; inf where that
+    bound is not positive, as it then certifies no ratio.  value may be an array."""
+    return np.divide(value, lower_bound) if lower_bound > 0.0 else np.full(np.shape(value), np.inf)
 
 
 def regret(report: BulletinReport, player: int) -> float:

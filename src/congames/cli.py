@@ -20,9 +20,9 @@ from .bandit import bandit_checks, entropy_preset, euclidean_preset, mixed_delta
 from .bregman import ConfigurationError
 from .bulletin import (
     BulletinConfig,
-    average_cost_ratio,
     average_ratio_bound,
     bulletin_checks,
+    certified_ratio,
     ratio_checks,
     run_bulletin,
     sigma_targets,
@@ -185,7 +185,6 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     avg_min = min_average_cost(game) if args.out or check_ratios else None
 
     if args.out:
-        avg_lower = max(avg_min.lower_bound, 1e-300)
         _write_csv(
             args.out,
             ["step", "phi", "phi_gap", "delta_gap", "c_avg", "c_max", "ratio_avg", "bound_avg"],
@@ -196,12 +195,15 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
                 report.delta_gaps,
                 report.avg_costs,
                 report.max_costs,
-                report.avg_costs / avg_lower,
+                certified_ratio(report.avg_costs, avg_min.lower_bound),
                 average_ratio_bound(game, np.maximum(cert_gaps, 0.0)),
             ),
         )
 
     assertions = bulletin_checks(report)
+    if check_ratios:
+        assertions += ratio_checks(game, report.x_final, args.sigma, avg_min)
+    checks = {check.name: check for check in assertions}
     summary = {
         "algo": args.algo,
         "steps": report.steps,
@@ -213,10 +215,9 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     }
     if target is not None:
         summary["target_gap"] = target
-        summary["budget"] = report.theorem_budget()
+        summary["budget"] = checks["convergence-budget"].bound
     if check_ratios:
-        assertions += ratio_checks(game, report.x_final, args.sigma, avg_min)
-        summary["ratio_avg"] = average_cost_ratio(game, report.x_final, avg_min)
+        summary["ratio_avg"] = checks["average-cost-ratio"].measured
     return _finish(args, summary, assertions)
 
 
@@ -271,10 +272,9 @@ def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> in
 
 def _finish(args: argparse.Namespace, summary: dict, assertions) -> int:
     """Print one line per assertion and the summary; return the exit code."""
-    failed = [name for name, ok, _ in assertions if not ok]
-    for name, ok, detail in assertions:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
+    failed = [check.name for check in assertions if not check.ok]
+    for check in assertions:
+        print(f"[{'PASS' if check.ok else 'FAIL'}] {check.name}: {check.detail}")
     pairs = " ".join(f"{k}={_fmt(v)}" for k, v in summary.items() if not isinstance(v, str))
     print(f"summary: algo={summary['algo']} {pairs}")
     if failed:

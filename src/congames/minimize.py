@@ -87,6 +87,31 @@ class CertifiedMinimum:
         return self.value - self.certificate
 
 
+@dataclass(frozen=True)
+class Check:
+    """One theorem check: ok iff measured <= bound, the check's slack folded into
+    bound.  limit, if known, is the largest value the measured quantity can take;
+    a bound at or past it cannot fail, so the check is vacuous."""
+
+    name: str
+    measured: float
+    bound: float
+    detail: str
+    limit: float | None = None
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.measured <= self.bound)
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.measured
+
+    @property
+    def vacuous(self) -> bool:
+        return self.limit is not None and bool(self.bound >= self.limit)
+
+
 def _binomial(p: int, q: int) -> float:
     out = 1.0
     for i in range(q):

@@ -41,10 +41,20 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def by_name(checks) -> dict:
+    """The library's check records, by check name."""
+    return {check.name: check for check in checks}
+
+
 def passed(checks, *names) -> bool:
     """Whether the library's checks of these names passed; each must be present."""
-    oks = {name: ok for name, ok, _ in checks}
-    return all(oks[name] for name in names)
+    records = by_name(checks)
+    return all(records[name].ok for name in names)
+
+
+def _bulletin_records(runs, name: str) -> list:
+    """The record of the named `bulletin_checks` check on each run."""
+    return [by_name(bulletin_checks(rep))[name] for rep in runs]
 
 
 @dataclass
@@ -122,6 +132,12 @@ def _hits(runs) -> int:
     return sum(rep.stopped_at_target for rep in runs)
 
 
+def _latest_hit_share(runs) -> float:
+    """The largest first certified hit over the runs, as a share of the run's
+    budget n*gamma/(eta*eps) at its measured divergence."""
+    return max(c.measured / c.bound for c in _bulletin_records(runs, "convergence-budget"))
+
+
 def test_criterion_1_gradient_descent_budget(bulletin_runs):
     hits = _hits(bulletin_runs.gd)
     ok = hits == len(bulletin_runs.gd) and bulletin_runs.gd_seconds < 60.0
@@ -129,7 +145,8 @@ def test_criterion_1_gradient_descent_budget(bulletin_runs):
         1,
         ok,
         f"GD gap<= {EPS:g} within ceil(2/(n*eta*eps)) on {hits}/20 games "
-        f"in {bulletin_runs.gd_seconds:.2f}s (< 60s)",
+        f"in {bulletin_runs.gd_seconds:.2f}s (< 60s); latest first hit at "
+        f"{_latest_hit_share(bulletin_runs.gd):.2%} of n*gamma/(eta*eps)",
     )
 
 
@@ -140,26 +157,30 @@ def test_criterion_2_multiplicative_updates_budget(bulletin_runs):
         2,
         ok,
         f"MU gap<= {EPS:g} within ceil(n*ln(dn)/(eta*eps)) on {hits}/20 games "
-        f"in {bulletin_runs.mu_seconds:.2f}s (< 120s)",
+        f"in {bulletin_runs.mu_seconds:.2f}s (< 120s); latest first hit at "
+        f"{_latest_hit_share(bulletin_runs.mu):.2%} of n*gamma/(eta*eps)",
     )
 
 
 def test_criterion_3_monotone_descent(bulletin_runs):
     runs = bulletin_runs.all_runs()
-    descending = sum(passed(bulletin_checks(rep), "monotone-descent") for rep in runs)
-    worst = max(rep.max_ascent for rep in runs)
+    descent = _bulletin_records(runs, "monotone-descent")
+    descending = sum(c.ok for c in descent)
+    worst = max(c.measured for c in descent)
     steps = sum(rep.steps for rep in runs)
     report(
         3,
         descending == len(runs),
         f"monotone descent on {descending}/{len(runs)} runs, max one-step potential increase "
-        f"{worst:.3e} over {steps} steps (GD + MU + heterogeneous rates)",
+        f"{worst:.3e} over {steps} steps (GD + MU + heterogeneous rates), worst margin "
+        f"{min(c.margin for c in descent):.3e} to 1e-10",
     )
 
 
 def test_criterion_4_equilibrium_gap_bound(bulletin_runs):
     runs = bulletin_runs.all_runs()
-    failing = sum(not passed(bulletin_checks(rep), "equilibrium-gap-bound") for rep in runs)
+    ceilings = _bulletin_records(runs, "equilibrium-gap-bound")
+    failing = sum(not c.ok for c in ceilings)
     # the same check on the plain gaps, whose support rule keeps paths too light to move
     plain = [replace(rep, theorem_delta_gaps=rep.delta_gaps) for rep in runs]
     plain_failing = sum(not passed(bulletin_checks(rep), "equilibrium-gap-bound") for rep in plain)
@@ -167,14 +188,15 @@ def test_criterion_4_equilibrium_gap_bound(bulletin_runs):
     report(
         4,
         failing == 0,
-        f"{failing}/{len(runs)} runs break delta <= sqrt(8bm*gap)+1e-6 over {steps} steps "
+        f"{failing}/{len(runs)} runs break delta <= sqrt(8bm*gap)+1e-6 over {steps} steps, "
+        f"worst margin {min(c.margin for c in ceilings):.3e} "
         f"(movable-mass support rule; the bare 1e-9 support rule would break it on "
         f"{plain_failing} runs, see ledger)",
     )
 
 
 def test_criterion_5_social_cost_ratios(pools):
-    avg_ok = 0
+    avg_ok, records = 0, []
     for game in pools.games:
         eps_a, _ = sigma_targets(game, SIGMA)
         rep = run_bulletin(
@@ -184,6 +206,7 @@ def test_criterion_5_social_cost_ratios(pools):
         )
         checks = ratio_checks(game, rep.x_final, SIGMA, min_average_cost(game))
         avg_ok += rep.stopped_at_target and passed(checks, "average-cost-ratio")
+        records += checks
 
     max_ok = 0
     for game in pools.symmetric:
@@ -197,12 +220,18 @@ def test_criterion_5_social_cost_ratios(pools):
             game, rep.x_final, SIGMA, min_average_cost(game), min_max_cost(game)
         )
         max_ok += rep.stopped_at_target and passed(checks, "maximum-cost-ratio")
+        records += checks
 
+    margin = {
+        name: min(c.margin for c in records if c.name == name)
+        for name in ("average-cost-ratio", "maximum-cost-ratio")
+    }
     report(
         5,
         avg_ok == 20 and max_ok == 10,
         f"C_A ratio <= (b/a)(1+sigma) on {avg_ok}/20 games at eps=a*sigma/(2m); "
-        f"symmetric C_M bound on {max_ok}/10 games at eps=a*sigma^2/(32m)",
+        f"symmetric C_M bound on {max_ok}/10 games at eps=a*sigma^2/(32m); worst margins "
+        f"{margin['average-cost-ratio']:.3g} (C_A) and {margin['maximum-cost-ratio']:.3g} (C_M)",
     )
 
 
@@ -282,9 +311,11 @@ def bandit_runs(pools: Pools):
 
 def test_criterion_8_bandit_convergence(pools, bandit_runs):
     runs, elapsed = bandit_runs
-    passes = sum(
-        passed(bandit_checks(rep), "bandit-gap-threshold", "bandit-permanence") for rep in runs
-    )
+    names = ("bandit-gap-threshold", "bandit-permanence")
+    records = [[by_name(bandit_checks(rep))[name] for name in names] for rep in runs]
+    passes = sum(all(c.ok for c in checks) for checks in records)
+    vacuous = sum(all(c.vacuous for c in checks) for checks in records)
+    margins = [min(checks[k].margin for checks in records) for k in range(len(names))]
 
     thresholds = []
     for n in (5, 10, 20):
@@ -298,6 +329,8 @@ def test_criterion_8_bandit_convergence(pools, bandit_runs):
         ok,
         f"gap after tau0 <= 3*delta/theta with permanence in {passes}/20 seeded runs "
         f"(need >= 18) in {elapsed:.0f}s wall over {BANDIT_WORKERS} processes (< 600s); "
+        f"worst margins {margins[0]:.3g} (after tau0) and {margins[1]:.3g} (permanence); "
+        f"threshold at or above alpha, so both checks vacuous, on {vacuous}/20 runs; "
         f"threshold scaling n=5,10,20: "
         f"{thresholds[0]:.2f} > {thresholds[1]:.2f} > {thresholds[2]:.2f}: {scaling}",
     )
@@ -311,7 +344,7 @@ def test_criterion_9_conditional_descent(pools, bandit_runs):
         gaps = rep.gaps
         for i in range(len(gaps) - 1):
             clean = rep.grad_errors[i] <= p.epsilon and not rep.records[i].fallback.any()
-            if clean and gaps[i] >= 2.0 * p.delta / p.theta:
+            if clean and gaps[i] >= p.lower_threshold:
                 qualifying += 1
                 passing += rep.phis[i] - rep.phis[i + 1] >= p.delta - 1e-9
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,24 @@ from congames import (
     min_average_cost,
     min_max_cost,
     parallel_links_game,
+    parse_game_text,
     reference_minimizer,
     regret,
     run_bulletin,
     theorem_delta_gap,
 )
-from congames.bulletin import average_ratio_bound, max_ratio_bound
+from congames.bulletin import (
+    average_ratio_bound,
+    bulletin_checks,
+    max_ratio_bound,
+    ratio_checks,
+)
+
+
+def _passes(rep, *names) -> bool:
+    """Whether the run's library checks of these names all pass."""
+    checks = {check.name: check for check in bulletin_checks(rep)}
+    return all(checks[name].ok for name in names)
 
 
 def test_g1_gradient_descent_converges(g1, reference_cache):
@@ -33,17 +46,16 @@ def test_g1_gradient_descent_converges(g1, reference_cache):
     cfg = BulletinConfig(geometry="euclidean", eta=0.5, target_gap=1e-6, x0=np.array([0.5, 0.5]))
     rep = run_bulletin(g1, cfg, reference=ref)
     assert rep.stopped_at_target
-    assert rep.max_ascent <= 1e-10
+    assert _passes(rep, "monotone-descent", "convergence-budget")
     assert rep.certified_gaps[-1] <= 1e-6
     assert abs(rep.phi[-1] - 1 / 6) <= 2e-6
-    assert rep.first_certified_hit <= rep.theorem_budget()
 
 
 def test_g1_multiplicative_updates_converge(g1, reference_cache):
     cfg = BulletinConfig(geometry="negative-entropy", target_gap=1e-6, max_steps=500_000)
     rep = run_bulletin(g1, cfg, reference=reference_cache(g1))
     assert rep.stopped_at_target
-    assert rep.max_ascent <= 1e-10
+    assert _passes(rep, "monotone-descent")
     # uniform-start divergence stays below the ln(d n) closed form
     assert rep.gamma_measured <= math.log(g1.d * g1.n) + 1e-12
 
@@ -82,8 +94,7 @@ def test_monotone_descent_heterogeneous_rates(kind, reference_cache):
     cfg = BulletinConfig(geometry=kind, eta=etas, target_gap=1e-5, max_steps=200_000)
     rep = run_bulletin(game, cfg, reference=reference_cache(game))
     assert rep.stopped_at_target
-    assert rep.max_ascent <= 1e-10
-    assert rep.first_certified_hit <= rep.theorem_budget()
+    assert _passes(rep, "monotone-descent", "convergence-budget")
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
@@ -193,6 +204,18 @@ def test_run_without_target_has_no_hit_and_no_budget(g1, max_steps, reference_ca
     assert rep.first_certified_hit is None
     with pytest.raises(ValueError, match="no target gap to budget against"):
         rep.theorem_budget()
+
+
+def test_step_budget_reads_inf_past_every_integer(g1, reference_cache):
+    rep = run_bulletin(g1, BulletinConfig(max_steps=3), reference=reference_cache(g1))
+    assert rep.gamma_measured > 0.0
+    # eta*eps underflows to 0, then n*gamma/(eta*eps) overflows
+    for target in (5e-324, 1e-320):
+        missed = replace(rep, target_gap=target)
+        assert missed.theorem_budget() == math.inf
+        check = {c.name: c for c in bulletin_checks(missed)}["convergence-budget"]
+        assert check.bound == math.inf and not check.ok  # no hit fails an infinite budget
+    assert replace(rep, target_gap=5e-324, gamma_measured=0.0).theorem_budget() == 0
 
 
 def _per_step_run(game, config, reference):
@@ -415,6 +438,34 @@ def test_identical_links_ratios_are_one(identity_links):
     assert math.isclose(
         max_cost_ratio(game, q, average, min_max_cost(game)), 1.0, abs_tol=1e-6
     )
+
+
+def _tiny_link_game(coefficient: str):
+    """Two players on both of two links, the first with cost coefficient*y."""
+    paths = "path 1 e1\npath 1 e2\npath 2 e1\npath 2 e2\n"
+    return parse_game_text(f"players 2\nedge e1 poly {coefficient}\nedge e2 poly 1\n{paths}")
+
+
+def test_ratio_against_a_negative_lower_bound_fails():
+    # min C_A = 1e-12 with certificate 2e-12 certifies no ratio: the ratio reads inf
+    game = _tiny_link_game("1e-12")
+    average = min_average_cost(game)
+    assert average.lower_bound < 0.0
+    check = ratio_checks(game, game.uniform_profile(), 0.25, average)[0]
+    assert check.name == "average-cost-ratio"
+    assert check.measured == math.inf and not check.ok
+    assert average_cost_ratio(game, game.uniform_profile(), average) == math.inf
+
+
+def test_ratio_against_a_zero_lower_bound_reads_inf():
+    game = _tiny_link_game("1e-310")
+    average, maximum = min_average_cost(game), min_max_cost(game)
+    assert maximum.lower_bound == 0.0 and average.lower_bound < 0.0
+    flat = game.uniform_profile()
+    assert max_cost_ratio(game, flat, average, maximum) == math.inf
+    # b/a overflows too, so both bounds are inf as well
+    checks = ratio_checks(game, flat, 0.25, average, maximum)
+    assert [(c.measured, c.bound) for c in checks] == [(math.inf, math.inf)] * 2
 
 
 def test_max_ratio_refused_on_asymmetric_game():

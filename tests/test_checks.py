@@ -1,8 +1,9 @@
 """Every theorem check of the library can fail.
 
 Each case takes a real run, replaces one field with `dataclasses.replace` so
-that the named check must fail, and requires that check to pass on the run
-as it was and to fail after the change.
+that the named check must fail, and requires that check's record to pass with
+a margin of at least 0 on the run as it was, and to fail with a negative
+margin after the change.
 """
 
 from dataclasses import dataclass, replace
@@ -21,12 +22,14 @@ from congames import (
     generate_random_game,
     min_average_cost,
     min_max_cost,
+    parallel_links_game,
     reference_minimizer,
     run_bandit,
     run_bulletin,
 )
 from congames.bandit import bandit_checks
 from congames.bulletin import bulletin_checks, ratio_checks, sigma_targets
+from congames.minimize import Check
 
 SIGMA = 0.25
 
@@ -52,18 +55,18 @@ def runs() -> Runs:
     bandit = run_bandit(bandit_game, config, reference_minimizer(bandit_game))
     p = bandit.params
     # every gap counts for both threshold checks
-    assert p.tau0 == 1 and np.all(bandit.certified_gaps < 2.0 * p.delta / p.theta)
+    assert p.tau0 == 1 and np.all(bandit.certified_gaps < p.lower_threshold)
     return Runs(bulletin, min_average_cost(game), min_max_cost(game), bandit)
 
 
-def _outcomes(runs: Runs) -> dict[str, bool]:
+def _outcomes(runs: Runs) -> dict[str, Check]:
     b = runs.bulletin
     checks = [
         *bulletin_checks(b),
         *ratio_checks(b.game, b.x_final, SIGMA, runs.average, runs.maximum),
         *bandit_checks(runs.bandit),
     ]
-    return {name: ok for name, ok, _ in checks}
+    return {check.name: check for check in checks}
 
 
 def _potential_rise(runs: Runs) -> Runs:
@@ -144,13 +147,46 @@ def test_every_check_has_a_mutation(runs):
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_check_fails_after_one_field_changes(runs, name):
-    assert _outcomes(runs)[name]
-    assert not _outcomes(MUTATIONS[name](runs))[name]
+    before, after = _outcomes(runs)[name], _outcomes(MUTATIONS[name](runs))[name]
+    assert before.ok and before.margin >= 0.0
+    assert not after.ok and after.margin < 0.0
 
 
 def test_permanence_fails_where_the_tau0_check_passes(runs):
     outcomes = _outcomes(_late_tau0_over_early_gap(runs))
-    assert outcomes["bandit-gap-threshold"] and not outcomes["bandit-permanence"]
+    assert outcomes["bandit-gap-threshold"].ok and not outcomes["bandit-permanence"].ok
+
+
+def test_ok_is_measured_within_bound():
+    assert Check("c", 1.0, 1.0, "").ok and Check("c", 1.0, 1.0, "").margin == 0.0
+    assert not Check("c", 1.0 + 2**-52, 1.0, "").ok
+    assert not Check("c", float("nan"), float("inf"), "").ok  # a run with no hit
+    assert not Check("c", 0.0, 1.0, "").vacuous and Check("c", 0.0, 1.0, "", 1.0).vacuous
+    assert not Check("c", 0.0, 1.0, "", 1.5).vacuous
+
+
+def test_threshold_checks_are_vacuous_on_the_links_game():
+    # criterion 8's game: 3*delta/theta = 10.7 against the potential bound alpha = 5;
+    # the threshold is derived from the game alone, so exact gradients suffice
+    links = parallel_links_game(10, [[1.0]] * 10)
+    config = euclidean_preset(links, episodes=1, exact_gradient=True)
+    report = run_bandit(links, config, reference_minimizer(links))
+    checks = {check.name: check for check in bandit_checks(report)}
+    for name in ("bandit-gap-threshold", "bandit-permanence"):
+        assert checks[name].limit == links.smoothness_params().alpha == 5.0
+        assert checks[name].bound > 10.0 and checks[name].vacuous and checks[name].ok
+    assert checks["exploration-floor"].limit is None and not checks["exploration-floor"].vacuous
+
+
+def test_equilibrium_gap_check_is_not_vacuous(runs):
+    b = runs.bulletin
+    game = b.game
+    # the largest path cost, max_s sum_{e in s} c_e(1): no equilibrium gap exceeds it
+    unit = [sum(cost.coefficients) for cost in game.edges]  # c_e(1)
+    priciest = max(sum(unit[e] for e in path) for player in game.paths for path in player)
+    check = _outcomes(runs)["equilibrium-gap-bound"]
+    assert check.limit == pytest.approx(priciest, rel=1e-12)
+    assert not check.vacuous and 0.0 <= check.margin < check.limit
 
 
 def test_maximum_cost_check_on_symmetric_games_only(runs):
@@ -162,7 +198,7 @@ def test_maximum_cost_check_on_symmetric_games_only(runs):
     game = runs.bandit.game
     assert not game.symmetric
     flat, average = game.uniform_profile(), min_average_cost(game)
-    assert [name for name, _, _ in ratio_checks(game, flat, SIGMA, average)] == [
+    assert [check.name for check in ratio_checks(game, flat, SIGMA, average)] == [
         "average-cost-ratio"
     ]
     with pytest.raises(ConfigurationError, match="symmetric"):

@@ -329,6 +329,48 @@ def test_cli_names_sigma_when_its_gap_target_underflows(capsys):
     assert captured.out == ""
 
 
+# two players on both of two links, the first with a cost coefficient of 1e-310
+TINY_LINK_TEXT = """\
+players 2
+edge e1 poly {}
+edge e2 poly 1
+path 1 e1
+path 1 e2
+path 2 e1
+path 2 e2
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--gen", "n=2,m=2,d=2", "--algo", "bulletin-gd", "--eps", "5e-324", "--steps", "3"],
+        ["--gen", "n=2,m=2,d=2", "--algo", "bulletin-mu", "--eta", "1e-300", "--eps", "1e-20",
+         "--steps", "3"],
+        ["--game", "TINY", "--algo", "bulletin-gd", "--sigma", "0.25", "--steps", "5"],
+    ],
+)
+def test_cli_step_budget_past_every_integer_reads_inf(args, tmp_path, capsys):
+    # n*gamma/(eta*eps) divides by 0 or overflows; the run still fails its budget
+    path = tmp_path / "tiny.game"
+    path.write_text(TINY_LINK_TEXT.format("1e-310"))
+    assert main([str(path) if a == "TINY" else a for a in args]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] convergence-budget" in captured.out and " budget inf" in captured.out
+    assert "budget=inf" in captured.out and "Traceback" not in captured.err
+
+
+def test_cli_ratio_column_is_inf_without_a_positive_lower_bound(tmp_path):
+    # min C_A = 1e-12 with certificate 2e-12: its certified lower bound is negative
+    path, out = tmp_path / "tiny.game", tmp_path / "tiny.csv"
+    path.write_text(TINY_LINK_TEXT.format("1e-12"))
+    args = ["--game", str(path), "--algo", "bulletin-gd", "--eps", "1e-3", "--out", str(out)]
+    assert main(args) == 0
+    header, *rows = out.read_text().splitlines()
+    column = header.split(",").index("ratio_avg")
+    assert rows and all(row.split(",")[column] == "inf" for row in rows)
+
+
 def test_cli_rejects_zero_episodes(capsys):
     args = ["--gen", "n=3,m=3,d=3,deg=1", "--algo", "bandit-gd", "--episodes", "0"]
     assert main(args) == 2
