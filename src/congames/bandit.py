@@ -27,11 +27,11 @@ k players on edge e, so, as in the kernel, no tile length changes a bit of it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +107,17 @@ def restrict_profile(game: CongestionGame, flat: np.ndarray, lam: float) -> np.n
     (1 - Lambda) mixing this preserves each player's mass exactly, attains the
     same floor, and moves the profile by at most 2 * |S_i| * Lambda / n in l1.
     """
-    flat = game.check_vector(flat).copy()
+    flat = game.check_vector(flat)
     if not 0.0 < lam < math.inf:
         raise ConfigurationError(f"Lambda must be a positive finite number, got {lam}")
-    for i in range(game.n):
-        size = game.sizes[i]
-        if size * lam >= 1.0:
-            raise ConfigurationError(
-                f"floor infeasible: player {i} has {size} paths but Lambda = {lam}"
-            )
-        sl = game.player_slice(i)
-        flat[sl] = (1.0 - size * lam) * flat[sl] + lam / game.n
-    return flat
+    sizes = np.asarray(game.sizes)
+    infeasible = sizes * lam >= 1.0
+    if infeasible.any():
+        i = int(np.argmax(infeasible))
+        raise ConfigurationError(
+            f"floor infeasible: player {i} has {sizes[i]} paths but Lambda = {lam}"
+        )
+    return np.repeat(1.0 - sizes * lam, sizes) * flat + lam / game.n
 
 
 def episode_length(nu: float, n: int, d: int, lam_eff: float, m_path: int, tau: int) -> int:
@@ -419,33 +418,20 @@ def _count_steps(game, sampler, streams, lo, hi, tile, log):
 
 
 def _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log):
-    """_count_steps over [0, steps), with [cut, steps) counted on a thread of its
-    own from copies of the streams advanced by cut draws; the caller's streams
-    end advanced by steps draws, as if they had drawn every uniform."""
-    ahead = []
-    for stream in streams:
-        copy = type(stream.bit_generator)()
-        copy.state = stream.bit_generator.state
-        ahead.append(np.random.Generator(copy.advance(cut)))
-    rest: dict[str, object] = {}
+    """_count_steps over [0, steps), [cut, steps) on a worker thread (joined even if
+    either range raises) from copies of the streams advanced by cut draws; the
+    caller's streams end advanced by steps draws, as if they had drawn every uniform."""
+    from concurrent.futures import ThreadPoolExecutor  # only split episodes import it
 
-    def count_rest():
-        try:
-            rest["hist"] = _count_steps(game, sampler, ahead, cut, steps, tile, log)
-        except BaseException as exc:  # raised again in the caller
-            rest["error"] = exc
-
-    worker = threading.Thread(target=count_rest)
-    worker.start()
-    try:
+    ahead = [copy.deepcopy(stream) for stream in streams]
+    for stream in ahead:
+        stream.bit_generator.advance(cut)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rest = pool.submit(_count_steps, game, sampler, ahead, cut, steps, tile, log)
         hist = _count_steps(game, sampler, streams, 0, cut, tile, log)
-    finally:
-        worker.join()
-    if "error" in rest:
-        raise rest["error"]
     for stream in streams:
         stream.bit_generator.advance(steps - cut)
-    return hist + rest["hist"]
+    return hist + rest.result()
 
 
 def _simulate_episode(game, flat, streams, steps, record):

@@ -212,12 +212,13 @@ class CongestionGame:
             raise GameStructureError("flow has a non-finite entry")
         if np.any(flat < -tol):
             raise GameStructureError("flow has a negative entry")
-        for i in range(self.n):
-            mass = flat[self.player_slice(i)].sum()
-            if abs(mass - 1.0 / self.n) > tol:
-                raise GameStructureError(
-                    f"player {i} mass {mass} deviates from 1/n by more than {tol}"
-                )
+        masses = np.add.reduceat(flat, self.offsets[:-1])
+        off = np.abs(masses - 1.0 / self.n) > tol
+        if off.any():
+            i = int(np.argmax(off))
+            raise GameStructureError(
+                f"player {i} mass {masses[i]} deviates from 1/n by more than {tol}"
+            )
         return flat
 
     def edge_loads(self, flat: np.ndarray) -> np.ndarray:

@@ -90,8 +90,8 @@ class CertifiedMinimum:
 @dataclass(frozen=True)
 class Check:
     """One theorem check: ok iff measured <= bound, the check's slack folded into
-    bound.  limit, if known, is the largest value the measured quantity can take;
-    a bound at or past it cannot fail, so the check is vacuous."""
+    bound.  limit is the largest value the measured quantity can take (+inf when
+    unknown); a bound at or past it cannot fail, so the check is vacuous."""
 
     name: str
     measured: float
@@ -109,14 +109,7 @@ class Check:
 
     @property
     def vacuous(self) -> bool:
-        return self.limit is not None and bool(self.bound >= self.limit)
-
-
-def _binomial(p: int, q: int) -> float:
-    out = 1.0
-    for i in range(q):
-        out = out * (p - i) / (i + 1)
-    return out
+        return bool(self.bound >= (math.inf if self.limit is None else self.limit))
 
 
 class _EdgeSeparableObjective:
@@ -130,7 +123,7 @@ class _EdgeSeparableObjective:
         # taylor[j][q] = dtable[:, q+j] * C(q+j, q): the coefficient of loads**j in
         # the t**q term of the derivative along a line, for q + j < P.
         self.taylor = [
-            np.array([self.dtable[:, q + j] * _binomial(q + j, q) for q in range(P - j)])
+            np.array([self.dtable[:, q + j] * math.comb(q + j, q) for q in range(P - j)])
             for j in range(P)
         ]
 

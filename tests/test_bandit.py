@@ -35,7 +35,7 @@ from congames import (
 )
 from congames import bandit
 from congames.bandit import GuideTable
-from conftest import random_feasible
+from conftest import random_feasible, uneven_links
 
 
 def brute_force_expected_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
@@ -214,6 +214,23 @@ def test_restrict_profile_infeasible_floor():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ConfigurationError, match="floor"):
         restrict_profile(game, game.uniform_profile(), 0.5)
+
+
+def test_restrict_profile_matches_the_per_player_loop():
+    """The one array expression gives the bits of mixing each player's block in
+    turn, and the infeasible floor names the first player it fails."""
+    game = uneven_links((2, 5, 1, 3, 5))
+    rng = np.random.default_rng(11)
+    for lam in (0.01, 0.1, 0.19):
+        for _ in range(10):
+            x = random_feasible(game, rng)
+            want = x.copy()
+            for i, size in enumerate(game.sizes):
+                sl = game.player_slice(i)
+                want[sl] = (1.0 - size * lam) * x[sl] + lam / game.n
+            assert restrict_profile(game, x, lam).tobytes() == want.tobytes()
+    with pytest.raises(ConfigurationError, match="player 1 has 5 paths but Lambda = 0.25$"):
+        restrict_profile(game, game.uniform_profile(), 0.25)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf])

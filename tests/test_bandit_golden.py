@@ -3,7 +3,8 @@
 The recorded file pins the determinism contract: one spawned PCG64 stream per
 player, picks equal to the inverse CDF of the frozen strategy, and
 byte-identical CLI CSVs for the same flags and seed.  Regenerate it only on
-purpose, from a commit whose outputs are trusted:
+purpose, from a commit whose outputs are trusted; the recorder prints every
+entry that changed, old -> new:
 
     PYTHONPATH=src python tests/test_bandit_golden.py
 """
@@ -115,6 +116,8 @@ def test_cli_bandit_csv_bytes(golden, args, tmp_path, capsys):
 if __name__ == "__main__":
     import tempfile
 
+    from golden import write_golden
+
     with tempfile.TemporaryDirectory() as tmp:
         cli = {args: _cli_sha(args, Path(tmp)) for args in CLI_RUNS}
     record = {
@@ -122,5 +125,4 @@ if __name__ == "__main__":
         "monte_carlo": _monte_carlo(),
         "cli_sha256": cli,
     }
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
+    write_golden(GOLDEN, record)

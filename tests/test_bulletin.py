@@ -214,7 +214,8 @@ def test_step_budget_reads_inf_past_every_integer(g1, reference_cache):
         missed = replace(rep, target_gap=target)
         assert missed.theorem_budget() == math.inf
         check = {c.name: c for c in bulletin_checks(missed)}["convergence-budget"]
-        assert check.bound == math.inf and not check.ok  # no hit fails an infinite budget
+        # no hit measures nan, which fails even a budget that cannot be missed
+        assert check.bound == math.inf and check.vacuous and not check.ok
     assert replace(rep, target_gap=5e-324, gamma_measured=0.0).theorem_budget() == 0
 
 
@@ -463,9 +464,11 @@ def test_ratio_against_a_zero_lower_bound_reads_inf():
     assert maximum.lower_bound == 0.0 and average.lower_bound < 0.0
     flat = game.uniform_profile()
     assert max_cost_ratio(game, flat, average, maximum) == math.inf
-    # b/a overflows too, so both bounds are inf as well
+    # b/a overflows too, so both bounds are inf as well: each check passes, and
+    # says it cannot fail
     checks = ratio_checks(game, flat, 0.25, average, maximum)
     assert [(c.measured, c.bound) for c in checks] == [(math.inf, math.inf)] * 2
+    assert all(c.ok and c.vacuous for c in checks)
 
 
 def test_max_ratio_refused_on_asymmetric_game():

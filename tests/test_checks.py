@@ -163,6 +163,9 @@ def test_ok_is_measured_within_bound():
     assert not Check("c", float("nan"), float("inf"), "").ok  # a run with no hit
     assert not Check("c", 0.0, 1.0, "").vacuous and Check("c", 0.0, 1.0, "", 1.0).vacuous
     assert not Check("c", 0.0, 1.0, "", 1.5).vacuous
+    # an unknown limit reads as +inf, so only an infinite bound is vacuous without one
+    assert Check("c", float("nan"), float("inf"), "").vacuous
+    assert not Check("c", float("nan"), float("nan"), "").vacuous
 
 
 def test_threshold_checks_are_vacuous_on_the_links_game():

@@ -7,7 +7,8 @@ four `--algo` values, `--eps` and `--sigma` targets, the game file and
 symmetric and asymmetric generated games, two runs whose checks fail (one
 again under `--no-assert`), and the seed-302 bandit run whose unconverged
 reference warns on stderr.  Regenerate it only on purpose, from a commit
-whose outputs are trusted:
+whose outputs are trusted; the recorder prints every entry that changed,
+old -> new:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -66,6 +67,7 @@ def test_cli_output_matches_golden(golden, args, monkeypatch):
 if __name__ == "__main__":
     import os
 
+    from golden import write_golden
+
     os.environ.pop("CONGESTION_LOG_LEVEL", None)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({args: _run(args) for args in RUNS}, indent=1) + "\n")
+    write_golden(GOLDEN, {args: _run(args) for args in RUNS})

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from congames import (
     parallel_links_game,
 )
 from congames.minimize import _flow_jacobian
-from conftest import random_feasible
+from conftest import random_feasible, uneven_links
 
 
 def quadrature_potential(game: CongestionGame, flat: np.ndarray) -> float:
@@ -334,6 +335,20 @@ def test_check_profile_validation(g1):
     for bad in ([np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [0.5, np.nan]):
         with pytest.raises(GameStructureError, match="non-finite"):
             g1.check_profile(np.array(bad), tol=1e-9)
+
+
+def test_check_profile_names_the_first_player_off_mass():
+    """The message gives the first offending player's mass as the per-player
+    sum of its block computes it."""
+    game = uneven_links((2, 3, 1, 3))
+    for first, later in ((1, 3), (2, 3), (0, 1)):
+        bad = game.uniform_profile()
+        bad[game.player_slice(first)] *= 1.1
+        bad[game.player_slice(later)] *= 0.7
+        mass = bad[game.player_slice(first)].sum()
+        message = f"player {first} mass {mass} deviates from 1/n by more than 1e-09"
+        with pytest.raises(GameStructureError, match=re.escape(message) + "$"):
+            game.check_profile(bad, tol=1e-9)
 
 
 def test_uniform_profile_feasible():

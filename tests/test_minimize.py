@@ -176,6 +176,19 @@ def test_max_cost_certificate_of_a_worse_flow(monkeypatch):
     assert max_cost_ratio(game, flat, average, worse) >= max_cost_ratio(game, flat, average, best)
 
 
+def test_max_cost_certificate_when_backtracking_is_exhausted(monkeypatch):
+    """With no step long enough to try, every centering ends in the barrier's
+    exhausted backtracking: the flow stays uniform, the oracle says it did not
+    converge, and value - certificate is still a lower bound on min C_M."""
+    game = generate_random_game(seed=202, n=12, m=12, d=6, degree=2, symmetric=True)
+    best = min_max_cost(game)
+    monkeypatch.setattr(congames.minimize, "_SHORTEST_STEP", 2.0)
+    stuck = min_max_cost(game)
+    assert np.allclose(stuck.flat, game.uniform_profile(), rtol=0.0, atol=1e-15)
+    assert not stuck.converged and stuck.value > best.value + 0.3
+    assert stuck.value - stuck.certificate <= best.value
+
+
 def test_max_cost_players_list_paths_in_different_orders():
     base = generate_random_game(seed=5, n=3, m=6, d=4, symmetric=True)
     shared = base.paths[0]

@@ -5,7 +5,8 @@ bit: the hex of `value` and `certificate`, `iterations`, `converged` and the
 SHA-256 of the `flat` bytes.  The CLI writes `phi_gap = phi - value +
 certificate` and perfbench compares those rows to 1e-9 relative on values
 near 1e-6, so any change of the oracle's arithmetic order shows here first.
-Regenerate it only on purpose, from a commit whose outputs are trusted:
+Regenerate it only on purpose, from a commit whose outputs are trusted; the
+recorder prints every entry that changed, old -> new:
 
     PYTHONPATH=src python tests/test_minimize_golden.py
 """
@@ -76,6 +77,6 @@ def test_oracle_matches_golden(golden, name, oracle):
 
 
 if __name__ == "__main__":
-    record = {name: {o: _record(name, o) for o in ORACLES} for name in GAMES}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
+    from golden import write_golden
+
+    write_golden(GOLDEN, {name: {o: _record(name, o) for o in ORACLES} for name in GAMES})
