@@ -40,7 +40,7 @@ from .bulletin import (
     run_bulletin,
     theorem_delta_gap,
 )
-from .costs import CostValidationError, PolynomialCost, validate_cost
+from .costs import CostValidationError, PolynomialCost
 from .game import (
     CongestionGame,
     GameStructureError,
@@ -103,5 +103,4 @@ __all__ = [
     "run_bandit",
     "run_bulletin",
     "theorem_delta_gap",
-    "validate_cost",
 ]

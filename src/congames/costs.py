@@ -24,7 +24,8 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PolynomialCost:
-    """One edge's cost function c(y) = sum_j coefficients[j-1] * y**j, j >= 1."""
+    """One edge's cost c(y) = sum_j coefficients[j-1] * y**j, j >= 1.  Construction
+    raises CostValidationError on any cost outside the class the bounds below certify."""
 
     coefficients: tuple[float, ...]
 
@@ -70,19 +71,6 @@ class PolynomialCost:
     def _terms(self):
         return ((j + 1, c) for j, c in enumerate(self.coefficients))
 
-    @property
-    def _table(self) -> np.ndarray:
-        return np.asarray(self.coefficients)
-
-    def value(self, y):
-        """c(y); accepts scalars or arrays."""
-        return horner(self._table, y) * y
-
-    def slope(self, y):
-        """c'(y)."""
-        # adding 0 keeps a constant slope in the shape of y
-        return horner(slope_table(self._table), y) + np.zeros(np.shape(y))
-
 
 def horner(table: np.ndarray, y) -> np.ndarray:
     """sum_j table[..., j] * y**j, from the leading coefficient down.
@@ -110,22 +98,3 @@ def _check(cond: bool, reason: str) -> None:
     if not cond:
         raise CostValidationError(reason)
 
-
-def validate_cost(coefficients) -> PolynomialCost:
-    """Accept or reject a coefficient list, returning the certified cost.
-
-    Rejection raises CostValidationError carrying the violated condition.
-    Acceptance certifies, by construction, that c(0) = 0, c(1) <= 1,
-    c'(y) >= A > 0 and 0 <= c''(y) <= B on [0,1], and that
-    a*y <= c(y) <= b*y with a = A and b = envelope_upper <= B + 1.
-    """
-    seq = tuple(float(c) for c in np.atleast_1d(np.asarray(coefficients, dtype=float)))
-    cost = PolynomialCost(seq)
-    # Direct numeric audit of the analytic envelope on a dense grid.
-    grid = np.linspace(1e-9, 1.0, 257)
-    vals = cost.value(grid)
-    a, b = cost.envelope_lower, cost.envelope_upper
-    _check(bool(np.all(vals >= a * grid - 1e-12)), "lower envelope a*y <= c(y) failed")
-    _check(bool(np.all(vals <= b * grid + 1e-12)), "upper envelope c(y) <= b*y failed")
-    _check(bool(np.all(cost.slope(grid) <= b + 1e-12)), "slope bound c'(y) <= b failed")
-    return cost

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .costs import CostValidationError, validate_cost
+from .costs import CostValidationError, PolynomialCost
 from .game import CongestionGame
 
 
@@ -59,7 +59,7 @@ def parse_game_text(text: str) -> CongestionGame:
             except ValueError:
                 raise GameFileError(f"line {lineno}: bad coefficient") from None
             try:
-                cost = validate_cost(coefs)
+                cost = PolynomialCost(coefs)
             except CostValidationError as exc:
                 raise GameFileError(f"line {lineno}: edge {name!r}: {exc}") from None
             edge_ids[name] = len(edge_costs)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .costs import PolynomialCost, validate_cost
+from .costs import PolynomialCost
 from .game import CongestionGame, GameStructureError
 
 
@@ -23,7 +23,7 @@ def _random_cost(rng: np.random.Generator, degree: int) -> PolynomialCost:
         coefs *= target / total
     while coefs.size > 1 and coefs[-1] == 0.0:
         coefs = coefs[:-1]
-    return validate_cost(coefs)
+    return PolynomialCost(coefs)
 
 
 def _random_paths(rng, m: int, count: int, max_len: int):

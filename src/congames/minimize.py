@@ -97,7 +97,7 @@ class Check:
     measured: float
     bound: float
     detail: str
-    limit: float | None = None
+    limit: float = math.inf
 
     @property
     def ok(self) -> bool:
@@ -109,7 +109,7 @@ class Check:
 
     @property
     def vacuous(self) -> bool:
-        return bool(self.bound >= (math.inf if self.limit is None else self.limit))
+        return bool(self.bound >= self.limit)
 
 
 class _EdgeSeparableObjective:

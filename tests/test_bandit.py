@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from congames import (
     BanditConfig,
@@ -49,7 +50,7 @@ def brute_force_expected_costs(game: CongestionGame, flat: np.ndarray) -> np.nda
             weight *= probs[i][pick]
             for e in game.paths[i][pick]:
                 loads[e] += 1.0 / game.n
-        ecosts = [game.edges[e].value(loads[e]) for e in range(game.m)]
+        ecosts = [polyval(loads[e], (0.0, *game.edges[e].coefficients)) for e in range(game.m)]
         row = 0
         for i in range(game.n):
             for path in game.paths[i]:

@@ -6,6 +6,7 @@ a margin of at least 0 on the run as it was, and to fail with a negative
 margin after the change.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_threshold_checks_are_vacuous_on_the_links_game():
     for name in ("bandit-gap-threshold", "bandit-permanence"):
         assert checks[name].limit == links.smoothness_params().alpha == 5.0
         assert checks[name].bound > 10.0 and checks[name].vacuous and checks[name].ok
-    assert checks["exploration-floor"].limit is None and not checks["exploration-floor"].vacuous
+    assert checks["exploration-floor"].limit == math.inf and not checks["exploration-floor"].vacuous
 
 
 def test_equilibrium_gap_check_is_not_vacuous(runs):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from congames import (
@@ -21,7 +22,7 @@ def quadrature_potential(game: CongestionGame, flat: np.ndarray) -> float:
     loads = game.edge_loads(flat)
     total = 0.0
     for e, cost in enumerate(game.edges):
-        val, _ = quad(cost.value, 0.0, loads[e])
+        val, _ = quad(polyval, 0.0, loads[e], args=((0.0, *cost.coefficients),))
         total += val
     return total
 

@@ -67,6 +67,8 @@ MALFORMED_FILES = [
         ("players 1\nedge a poly 1\nedge a poly 1\npath 1 a\n", "duplicate edge id"),
         ("players 1\nroad a poly 1\n", "unknown directive"),
         ("players 1\nedge a poly 0.9 0.9\npath 1 a\n", "exceeds 1"),
+        ("players 1\nedge a poly nan\npath 1 a\n", "not finite"),
+        ("players 1\nedge a poly 0 1\npath 1 a\n", "linear coefficient must be positive"),
         *MALFORMED_FILES,
     ],
 )

@@ -1,9 +1,12 @@
 import ast
+import importlib
 import re
+import tomllib
 import types
 from pathlib import Path
 
 import congames
+import congames.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,7 +18,16 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(congames.__all__) == public
-    assert len(congames.__all__) == len(public) == 45
+    assert len(congames.__all__) == len(public) == 44
+
+
+def test_console_script_resolves_to_cli_main():
+    """The installed `congames` command runs cli.main (tier-1 imports from src/,
+    so a stale [project.scripts] entry would otherwise go unnoticed)."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["congames"]
+    module, _, attr = entry.partition(":")
+    assert getattr(importlib.import_module(module), attr) is congames.cli.main
 
 
 def test_every_unexported_definition_has_a_use():
