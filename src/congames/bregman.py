@@ -41,8 +41,9 @@ def resolve_learning_rates(eta, n: int, lam: float) -> np.ndarray:
     return etas
 
 
-def project_simplex_rows(P: np.ndarray, mass) -> np.ndarray:
-    """Row-wise sorted-threshold projection onto {z >= 0, sum z = mass}.
+def project_simplex_rows(P: np.ndarray, mass, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise sorted-threshold projection onto {z >= 0, sum z = mass}, into out
+    if given (which may be P itself).
 
     mass is a scalar or a column of positive per-row masses; entries padded to
     -1e300 are ignored and come out 0.
@@ -52,7 +53,7 @@ def project_simplex_rows(P: np.ndarray, mass) -> np.ndarray:
     css = np.cumsum(U, axis=1) - mass
     rho = ((U - css / (idx + 1) > 0) * idx).max(axis=1)  # the last index that holds
     tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
-    return np.maximum(P - tau[:, None], 0.0)
+    return np.maximum(P - tau[:, None], 0.0, out=out)
 
 
 class EuclideanGeometry:
@@ -72,7 +73,8 @@ class EuclideanGeometry:
         return 2.0
 
     def mirror_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
-        """The mirror step of every row of the padded (n, d) layout, as step(X, G).
+        """The mirror step of every row of the padded (n, d) layout, as
+        step(X, G, out=None), written into out when given (out may be X).
 
         Row i is player i: her entries are where mask[i] holds, X and G hold 0
         elsewhere, and she steps with rate etas[i] over {z >= floor, sum z =
@@ -84,10 +86,14 @@ class EuclideanGeometry:
         etas = np.reshape(etas, (-1, 1))
         shift = np.where(mask, 0.0, -1e300) - floor
         if not floor:
-            return lambda X, G: project_simplex_rows(X - etas * G + shift, mass)
+            return lambda X, G, out=None: project_simplex_rows(X - etas * G + shift, mass, out)
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
-        return lambda X, G: project_simplex_rows(X - etas * G + shift, free) + lift
+
+        def step(X, G, out=None):
+            return np.add(project_simplex_rows(X - etas * G + shift, free), lift, out=out)
+
+        return step
 
 
 class EntropyGeometry:
@@ -124,16 +130,20 @@ class EntropyGeometry:
         """
         rates = np.broadcast_to(np.reshape(etas, (-1, 1)), mask.shape).copy()
 
-        def step(X, G):
+        def step(X, G, out=None):
             W = np.multiply(rates, G)
             np.subtract(np.minimum.reduce(W, axis=1, keepdims=True), W, out=W)
             np.exp(W, out=W)
             np.multiply(W, X, out=W)
             if floor:
-                return _pin_to_floor(W, mask, mass, floor)
+                Z = _pin_to_floor(W, mask, mass, floor)
+                if out is None:
+                    return Z
+                np.copyto(out, Z)
+                return out
             scale = np.add.reduce(W, axis=1, keepdims=True)
             np.divide(mass, scale, out=scale)
-            return np.multiply(W, scale, out=W)
+            return np.multiply(W, scale, out=W if out is None else out)
 
         return step
 

@@ -166,30 +166,32 @@ def run_bulletin(
     mass = 1.0 / game.n
     mask = game.path_mask
     sel = np.flatnonzero(mask)
-    X = game.padded(x0)
     step = geometry.mirror_step(mask, etas, mass)
+    edge_costs = game.edge_costs
     target = config.target_gap
     last = config.max_steps
 
-    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // X.size, last + 1))
-    Xs = np.empty((rows, *X.shape))
-    PCs = np.zeros((rows, *X.shape))  # the padding stays 0; the entropy step reads it
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ENTRIES // mask.size, last + 1))
+    Xs = np.empty((rows, *mask.shape))  # row j: the iterate of chunk step j
+    PCs = np.zeros((rows, *mask.shape))  # the padding stays 0; the entropy step reads it
     block = max(1, min(_STOP_BLOCK, _CHUNK_ENTRIES // game.m, rows))
     Ls = np.empty((block, game.m))  # row j - done: the loads of the block's steps
     Es = np.empty((block, game.m))
+    pc = np.empty(game.dim)  # the step's path costs, before they enter PCs
     phis = np.empty(rows)
     avgs = np.empty(rows)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
+    # row views bound once: a list index is cheaper than numpy's on every step
+    X_rows, PC_rows, L_rows, E_rows = list(Xs), list(PCs), list(Ls), list(Es)
 
+    X = X_rows[0]
+    X[...] = game.padded(x0)
     stopped = False
     j = done = 0  # next chunk row; rows before done have their potentials
     for t in range(last + 1):
-        flat = X.take(sel)
-        loads = np.matmul(flat, inc, out=Ls[j - done])
-        ecosts = Es[j - done] = game.edge_costs(loads)
-        PC = PCs[j]
-        PC.put(sel, inc @ ecosts)
-        Xs[j] = X
+        loads = np.dot(X.take(sel), inc, out=L_rows[j - done])
+        PC = PC_rows[j]
+        PC.put(sel, np.dot(inc, edge_costs(loads, out=E_rows[j - done]), out=pc))
         j += 1
 
         if j - done == block or j == rows or t == last:
@@ -209,7 +211,7 @@ def run_bulletin(
                 diagnostics.add(Xs, PCs, phis, avgs)
                 j = done = 0
 
-        X = step(X, PC)
+        X = step(X, PC, out=X_rows[j])  # the next step's row; X itself in a one-row chunk
         if not entropy:
             X *= mass / X.sum(axis=1, keepdims=True)  # kill thresholding round-off
     diagnostics.add(Xs[:j], PCs[:j], phis[:j], avgs[:j])
@@ -414,9 +416,7 @@ def certified_ratio(value, lower_bound: float):
 def regret(report: BulletinReport, player: int) -> float:
     """Average per-unit-flow cost paid minus the best fixed path in hindsight."""
     game = report.game
-    if not (0 <= player < game.n):
-        raise ValueError(f"no player {player}")
-    sl = game.player_slice(player)
+    sl = game.player_slice(player)  # ValueError for a player that does not exist
     T = len(report.phi)
     best_fixed = report.cum_path_costs[sl].min()
     return float((report.cum_unit_costs[player] - best_fixed) / T)

@@ -72,16 +72,26 @@ class PolynomialCost:
         return ((j + 1, c) for j, c in enumerate(self.coefficients))
 
 
-def horner(table: np.ndarray, y) -> np.ndarray:
-    """sum_j table[..., j] * y**j, from the leading coefficient down.
+def horner(rows, y, out=None) -> np.ndarray:
+    """sum_j rows[j] * y**j, from the leading coefficient down, into out if given.
 
-    table is one polynomial's coefficients or one row per edge; y broadcasts
-    against the rows (edge loads (..., m) against an (m, deg) table).
+    rows holds one contiguous (m,) coefficient array per power, as
+    `power_rows` builds them; y broadcasts against the rows (edge loads
+    (..., m)).  Each step is one multiply and one add; a single row is
+    returned as it is.
     """
-    acc = table[..., -1]
-    for j in range(table.shape[-1] - 2, -1, -1):
-        acc = acc * y + table[..., j]
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = np.multiply(acc, y, out=out)
+        np.add(acc, row, out=acc)
+        out = acc
     return acc
+
+
+def power_rows(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns of an (m, P) coefficient table as P contiguous (m,) rows, the
+    power-major layout of `horner`."""
+    return tuple(np.ascontiguousarray(table.T))
 
 
 def slope_table(table: np.ndarray) -> np.ndarray:

@@ -9,12 +9,13 @@ cost, so its gradient entries are exactly the path costs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .costs import PolynomialCost, horner, primitive_table, slope_table
+from .costs import PolynomialCost, horner, power_rows, primitive_table, slope_table
 
 FEASIBILITY_TOL = 1e-12
 SUPPORT_TOL = 1e-9  # entries above this count as used paths
@@ -152,43 +153,52 @@ class CongestionGame:
 
     @cached_property
     def _coef_table(self) -> np.ndarray:
+        """(m, deg) coefficients of c_e(y)/y, one row per edge."""
         deg = max(e.degree for e in self.edges)
         table = np.zeros((self.m, deg))
         for e, cost in enumerate(self.edges):
             table[e, : cost.degree] = cost.coefficients
         return table
 
-    @cached_property
-    def _primitive_table(self) -> np.ndarray:
-        return primitive_table(self._coef_table)
+    # The evaluators read each table as power-major rows, built once per game.
 
     @cached_property
-    def _slope_table(self) -> np.ndarray:
-        return slope_table(self._coef_table)
+    def _cost_rows(self) -> tuple[np.ndarray, ...]:
+        return power_rows(self._coef_table)
 
     @cached_property
-    def _curvature_table(self) -> np.ndarray:
+    def _primitive_rows(self) -> tuple[np.ndarray, ...]:
+        return power_rows(primitive_table(self._coef_table))
+
+    @cached_property
+    def _slope_rows(self) -> tuple[np.ndarray, ...]:
+        return power_rows(slope_table(self._coef_table))
+
+    @cached_property
+    def _curvature_rows(self) -> tuple[np.ndarray, ...]:
         # c''(y) for y**j is (j + 1) times the slope coefficient of y**(j + 1); the
-        # zero column keeps a table for linear costs
-        curvature = self._slope_table[:, 1:] * np.arange(1, self._slope_table.shape[1])
-        return np.pad(curvature, ((0, 0), (0, 1)))
+        # zero row keeps a table for linear costs
+        slope = slope_table(self._coef_table)
+        curvature = slope[:, 1:] * np.arange(1, slope.shape[1])
+        return power_rows(np.pad(curvature, ((0, 0), (0, 1))))
 
-    def edge_costs(self, loads: np.ndarray) -> np.ndarray:
-        """c_e(load_e) for every edge; loads may be batched (..., m)."""
-        return horner(self._coef_table, loads) * loads
+    def edge_costs(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """c_e(load_e) for every edge, into out (not loads itself) if given; loads may be
+        batched (..., m)."""
+        return np.multiply(horner(self._cost_rows, loads, out), loads, out=out)
 
     def edge_primitives(self, loads: np.ndarray) -> np.ndarray:
         """F_e(load_e), the per-edge potential contributions."""
-        return horner(self._primitive_table, loads) * loads * loads
+        return horner(self._primitive_rows, loads) * loads * loads
 
     def edge_slopes(self, loads: np.ndarray) -> np.ndarray:
         """c'_e(load_e)."""
         # adding 0 keeps a constant (linear-cost) slope in the shape of loads
-        return horner(self._slope_table, loads) + np.zeros(np.shape(loads))
+        return horner(self._slope_rows, loads) + np.zeros(np.shape(loads))
 
     def edge_curvatures(self, loads: np.ndarray) -> np.ndarray:
         """c''_e(load_e)."""
-        return horner(self._curvature_table, loads) + np.zeros(np.shape(loads))
+        return horner(self._curvature_rows, loads) + np.zeros(np.shape(loads))
 
     # -- flows and costs -------------------------------------------------------
 
@@ -251,6 +261,9 @@ class CongestionGame:
         )
 
     def player_slice(self, i: int) -> slice:
+        """Player i's block of the flat strategy vector; i must be an integer in [0, n)."""
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < self.n:
+            raise ValueError(f"no player {i!r}")
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 

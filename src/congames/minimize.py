@@ -62,7 +62,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .bregman import ConfigurationError
-from .costs import horner
+from .costs import horner, power_rows, primitive_table
 from .game import CongestionGame
 
 
@@ -116,28 +116,29 @@ class _EdgeSeparableObjective:
     """G(x) = sum_e F_e(load_e(x)) for per-edge polynomials F_e with powers >= 1."""
 
     def __init__(self, table: np.ndarray):
-        self.table = table  # (m, P): F_e(y) = sum_p table[e, p-1] * y**p
-        powers = np.arange(1, table.shape[1] + 1)
-        self.dtable = table * powers  # derivative coefficients over powers 0..P-1
-        P = self.dtable.shape[1]
-        # taylor[j][q] = dtable[:, q+j] * C(q+j, q): the coefficient of loads**j in
+        # table is (m, P): F_e(y) = sum_p table[e, p-1] * y**p
+        dtable = table * np.arange(1, table.shape[1] + 1)  # derivative over powers 0..P-1
+        self.rows = power_rows(table)
+        self.drows = power_rows(dtable)
+        P, self.m = len(self.drows), table.shape[0]
+        # taylor[j][q] = drows[q+j] * C(q+j, q): the coefficient of loads**j in
         # the t**q term of the derivative along a line, for q + j < P.
         self.taylor = [
-            np.array([self.dtable[:, q + j] * math.comb(q + j, q) for q in range(P - j)])
+            np.array([self.drows[q + j] * math.comb(q + j, q) for q in range(P - j)])
             for j in range(P)
         ]
 
     def value_from_loads(self, loads: np.ndarray) -> float:
-        return float((horner(self.table, loads) * loads).sum())
+        return float((horner(self.rows, loads) * loads).sum())
 
     def edge_gradient(self, loads: np.ndarray) -> np.ndarray:
-        return horner(self.dtable, loads)
+        return horner(self.drows, loads)
 
     def line_derivative(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """line_derivative_poly(loads, dloads): coefficients (ascending in t) of
         d/dt G(x + t*d) along load direction dloads.  Its arrays belong to one
         solve: each call overwrites them and returns a fresh result."""
-        P, m = len(self.taylor), self.table.shape[0]
+        P, m = len(self.taylor), self.m
         inner, dpow, lpow = np.empty((P, m)), np.empty((P, m)), np.empty(m)
 
         def line_derivative_poly(loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
@@ -158,7 +159,7 @@ class _EdgeSeparableObjective:
 
 def potential_objective(game: CongestionGame) -> _EdgeSeparableObjective:
     # integral of c_j y^(j+1) is c_j y^(j+2) / (j + 2)
-    return _EdgeSeparableObjective(np.pad(game._primitive_table, ((0, 0), (1, 0))))
+    return _EdgeSeparableObjective(np.pad(primitive_table(game._coef_table), ((0, 0), (1, 0))))
 
 
 def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:

@@ -13,6 +13,7 @@ from congames import (
     EntropyGeometry,
     EuclideanGeometry,
     PolynomialCost,
+    generate_random_game,
     make_geometry,
 )
 from congames.bregman import project_simplex_rows
@@ -348,3 +349,29 @@ def test_padded_step_with_binding_floor_matches_one_row_steps(kind):
     assert Z[0, 1] == floor and Z[2, 1] == floor
     assert np.all(np.delete(Z[0], 1) > floor) and Z[2, 0] > floor and Z[2, 2] > floor
     assert np.all(Z[~game.path_mask] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+@pytest.mark.parametrize("floor_frac", [0.0, 0.1])
+def test_step_written_into_out_matches_fresh_step(kind, floor_frac):
+    # the bulletin loop writes each step into its chunk row, X itself when a
+    # chunk has one row; the bandit's steps are floored
+    rng = np.random.default_rng(11)
+    geo = make_geometry(kind)
+    for seed, n, m, d in [(1, 2, 3, 2), (2, 4, 6, 3), (3, 8, 5, 4)]:
+        game = generate_random_game(seed=seed, n=n, m=m, d=d)
+        mass = 1.0 / game.n
+        floor = floor_frac * mass / game.d
+        etas = rng.uniform(0.1, 1.0, size=game.n)
+        step_fn = geo.mirror_step(game.path_mask, etas, mass, floor)
+        for _ in range(5):
+            x = np.concatenate(
+                [floor + rng.dirichlet(np.ones(sz)) * (mass - sz * floor) for sz in game.sizes]
+            )
+            X, G = game.padded(x), game.padded(rng.uniform(0.0, 2.0, size=game.dim))
+            want = step_fn(X, G)
+            out = np.full(X.shape, np.nan)
+            assert step_fn(X, G, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            assert step_fn(X, G, out=X) is X
+            assert X.tobytes() == want.tobytes()

@@ -504,5 +504,23 @@ def test_regret_g1_long_run(g1, reference_cache):
     cfg = BulletinConfig(geometry="euclidean", eta=0.5, max_steps=10_000, x0=np.array([0.5, 0.5]))
     rep = run_bulletin(g1, cfg, reference=reference_cache(g1))
     assert regret(rep, 0) <= 1e-2
-    with pytest.raises(ValueError):
-        regret(rep, 5)
+    for player in (5, -1, True, 1.0):
+        with pytest.raises(ValueError, match="no player"):
+            regret(rep, player)
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, d", [(1, 2, 2, 2), (103, 4, 6, 3), (5, 8, 8, 4), (1, 2, 40, 2), (9, 64, 30, 8)]
+)
+def test_dot_products_of_the_loop_equal_matmul(seed, n, m, d):
+    # the loop computes loads and path costs with np.dot into buffers, where
+    # the per-step reference writes x @ inc and inc @ c: their bits agree
+    game = generate_random_game(seed=seed, n=n, m=m, d=d)
+    inc = game.incidence
+    rng = np.random.default_rng(seed)
+    loads, costs = np.empty(game.m), np.empty(game.dim)
+    for _ in range(20):
+        flat = rng.dirichlet(np.ones(game.dim))
+        ecosts = rng.uniform(0.0, 1.0, size=game.m)
+        assert np.dot(flat, inc, out=loads).tobytes() == (flat @ inc).tobytes()
+        assert np.dot(inc, ecosts, out=costs).tobytes() == (inc @ ecosts).tobytes()

@@ -355,3 +355,16 @@ def test_check_profile_names_the_first_player_off_mass():
 def test_uniform_profile_feasible():
     game = generate_random_game(seed=61, n=5, m=6, d=4)
     game.check_profile(game.uniform_profile())
+
+
+@pytest.mark.parametrize(
+    "player, exists", [(-1, False), (3, False), (True, False), (1.0, False), (np.int64(1), True)]
+)
+def test_player_slice_takes_only_players_that_exist(player, exists):
+    # n = 3: only the integers 0, 1 and 2 name players; True and 1.0 are not indices
+    game = generate_random_game(seed=7, n=3, m=5, d=3)
+    if exists:
+        assert game.player_slice(player) == slice(int(game.offsets[1]), int(game.offsets[2]))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"no player {player!r}")):
+            game.player_slice(player)
