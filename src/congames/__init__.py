@@ -38,7 +38,6 @@ from .bulletin import (
     max_cost_ratio,
     regret,
     run_bulletin,
-    theorem_delta_gap,
 )
 from .costs import CostValidationError, PolynomialCost
 from .game import (
@@ -102,5 +101,4 @@ __all__ = [
     "restrict_profile",
     "run_bandit",
     "run_bulletin",
-    "theorem_delta_gap",
 ]

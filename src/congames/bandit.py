@@ -419,13 +419,12 @@ def _count_steps(game, sampler, streams, lo, hi, tile, log):
 
 def _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log):
     """_count_steps over [0, steps), [cut, steps) on a worker thread (joined even if
-    either range raises) from copies of the streams advanced by cut draws; the
-    caller's streams end advanced by steps draws, as if they had drawn every uniform."""
+    either range raises) from generators on copies of the streams' bit generators
+    (copy.copy takes a PCG64's full state) advanced by cut draws; the caller's
+    streams end advanced by steps draws, as if they had drawn every uniform."""
     from concurrent.futures import ThreadPoolExecutor  # only split episodes import it
 
-    ahead = [copy.deepcopy(stream) for stream in streams]
-    for stream in ahead:
-        stream.bit_generator.advance(cut)
+    ahead = [np.random.Generator(copy.copy(s.bit_generator).advance(cut)) for s in streams]
     with ThreadPoolExecutor(max_workers=1) as pool:
         rest = pool.submit(_count_steps, game, sampler, ahead, cut, steps, tile, log)
         hist = _count_steps(game, sampler, streams, 0, cut, tile, log)
@@ -524,10 +523,11 @@ _DESCENT_SLACK = 1e-9  # the rounding allowed in descent_step_check's potentials
 
 def descent_step_check(
     phi_prev: float, phi_next: float, phi_min: float, theta: float, delta: float
-) -> bool:
+) -> Check:
     """One-episode progress test: Phi_next <= Phi_prev - theta*(Phi_prev - Phi_min) + delta,
     up to _DESCENT_SLACK."""
-    return phi_next <= phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
+    bound = phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
+    return Check("descent-step", phi_next, bound, f"Phi_next {phi_next:.6g} vs {bound:.6g}")
 
 
 def bandit_checks(report: BanditReport) -> list[Check]:

@@ -23,7 +23,7 @@ from .game import (
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum, Check, min_max_cost
+from .minimize import CertifiedMinimum, Check
 
 
 @dataclass
@@ -274,10 +274,18 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
 
 
-def delta_equilibrium_gap(game: CongestionGame, flat: np.ndarray) -> float:
-    """Worst over players of (priciest used path) - (cheapest allowed path), floored at 0."""
+def delta_equilibrium_gap(game: CongestionGame, flat: np.ndarray, epsilon: float = 0.0) -> float:
+    """Worst over players of (priciest used path) - (cheapest allowed path), floored
+    at 0; a used path carries mass above SUPPORT_TOL and above sqrt(eps/(2*b*m)).
+
+    The sqrt(8*b*m*eps) ceiling is proved by shifting delta/(4*b*m) of load
+    off the priciest used path, so at a potential gap eps it binds only paths
+    that actually carry that much.  Paths lighter than this can sit
+    arbitrarily far above the cheapest one at vanishing potential cost, which
+    is why the plain gap is reported separately and checked against nothing.
+    """
     flat = game.check_vector(flat)
-    return game.equilibrium_gap(flat, game.path_costs(flat))
+    return game.equilibrium_gap(flat, game.path_costs(flat), _heavy_floor(game, epsilon))
 
 
 def equilibrium_gap_bound(game: CongestionGame, epsilon):
@@ -348,35 +356,19 @@ def ratio_checks(
     maximum: CertifiedMinimum | None = None,
 ) -> list[Check]:
     """The social-cost checks at slack sigma: C_A(x) within (b/a)(1 + sigma) of
-    min C_A and, on symmetric games only, C_M(x) within `max_ratio_bound` at the
-    gap a*sigma**2/(32m) of `maximum`, which is solved here when not given.  A
-    `maximum` given for an asymmetric game is refused."""
+    min C_A and, when `maximum` is given, C_M(x) within `max_ratio_bound` at the
+    gap a*sigma**2/(32m) of it.  A `maximum` given for an asymmetric game is
+    refused."""
     ratio = average_cost_ratio(game, flat, average)
     bound = (game.b / game.a) * (1.0 + sigma)
     detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
     checks = [Check("average-cost-ratio", ratio, bound + 1e-9, detail)]
-    max_gap = sigma_targets(game, sigma)[1]
-    if max_gap is not None or maximum is not None:
-        maximum = min_max_cost(game) if maximum is None else maximum
+    if maximum is not None:
         ratio = max_cost_ratio(game, flat, average, maximum)
-        bound = max_ratio_bound(game, max_gap)
+        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1])
         detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
         checks.append(Check("maximum-cost-ratio", ratio, bound + 1e-9, detail))
     return checks
-
-
-def theorem_delta_gap(game: CongestionGame, flat: np.ndarray, epsilon: float) -> float:
-    """Equilibrium gap over paths heavy enough for the potential argument.
-
-    The sqrt(8*b*m*eps) ceiling is proved by shifting delta/(4*b*m) of load
-    off the priciest used path, so it binds only paths that actually carry
-    that much: mass at least sqrt(eps/(2*b*m)).  Paths lighter than this can
-    sit arbitrarily far above the cheapest one at vanishing potential cost,
-    which is why the plain gap is reported separately and checked against
-    nothing.
-    """
-    flat = game.check_vector(flat)
-    return game.equilibrium_gap(flat, game.path_costs(flat), _heavy_floor(game, epsilon))
 
 
 def _heavy_floor(game: CongestionGame, gap):

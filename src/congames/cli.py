@@ -30,7 +30,7 @@ from .bulletin import (
 from .game import CongestionGame
 from .gamefile import parse_game
 from .generator import generate_random_game
-from .minimize import CertifiedMinimum, min_average_cost, reference_minimizer
+from .minimize import CertifiedMinimum, min_average_cost, min_max_cost, reference_minimizer
 
 log = logging.getLogger("congames")
 
@@ -181,8 +181,9 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     report = run_bulletin(game, config, reference=_reference(game))
     cert_gaps = report.certified_gaps
     check_ratios = args.sigma is not None and report.stopped_at_target
-    # the certified average-cost minimum is solved only when the CSV or a ratio check reads it
+    # each certified social-cost minimum is solved only when the CSV or a ratio check reads it
     avg_min = min_average_cost(game) if args.out or check_ratios else None
+    max_min = min_max_cost(game) if check_ratios and game.symmetric else None
 
     if args.out:
         _write_csv(
@@ -202,7 +203,7 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
 
     assertions = bulletin_checks(report)
     if check_ratios:
-        assertions += ratio_checks(game, report.x_final, args.sigma, avg_min)
+        assertions += ratio_checks(game, report.x_final, args.sigma, avg_min, max_min)
     checks = {check.name: check for check in assertions}
     summary = {
         "algo": args.algo,

@@ -359,7 +359,7 @@ def test_zero_noise_mode_passes_descent_checks(reference_cache):
     p = rep.params
     phis = rep.phis
     for prev, nxt in zip(phis, phis[1:]):
-        assert descent_step_check(prev, nxt, rep.reference.value, p.theta, p.delta)
+        assert descent_step_check(prev, nxt, rep.reference.value, p.theta, p.delta).ok
 
 
 def test_bandit_determinism_and_replay(reference_cache):
@@ -720,8 +720,8 @@ def test_entropy_preset_lowers_eta_until_theta_is_one():
 
 
 def test_descent_step_check_gap_zero_case():
-    assert descent_step_check(1.0, 1.0 + 0.05, 1.0, theta=0.5, delta=0.1)
-    assert not descent_step_check(1.0, 1.2, 1.0, theta=0.5, delta=0.1)
+    assert descent_step_check(1.0, 1.0 + 0.05, 1.0, theta=0.5, delta=0.1).ok
+    assert not descent_step_check(1.0, 1.2, 1.0, theta=0.5, delta=0.1).ok
 
 
 def test_descent_step_check_at_twice_delta_over_theta():
@@ -729,8 +729,16 @@ def test_descent_step_check_at_twice_delta_over_theta():
     theta, delta = 0.4, 0.02
     phi_min = 0.3
     phi_prev = phi_min + 2 * delta / theta
-    assert descent_step_check(phi_prev, phi_prev - delta, phi_min, theta, delta)
-    assert not descent_step_check(phi_prev, phi_prev - delta + 1e-6, phi_min, theta, delta)
+    assert descent_step_check(phi_prev, phi_prev - delta, phi_min, theta, delta).ok
+    assert not descent_step_check(phi_prev, phi_prev - delta + 1e-6, phi_min, theta, delta).ok
+    # the record's pass rule: ok at equality with margin 0, not one ulp above, not at nan
+    bound = phi_prev - theta * (phi_prev - phi_min) + delta + 1e-9
+    at = descent_step_check(phi_prev, bound, phi_min, theta, delta)
+    assert at.name == "descent-step" and at.bound == bound
+    assert at.ok and at.margin == 0.0
+    above = descent_step_check(phi_prev, np.nextafter(bound, np.inf), phi_min, theta, delta)
+    assert not above.ok and above.margin < 0.0
+    assert not descent_step_check(phi_prev, math.nan, phi_min, theta, delta).ok
 
 
 # -- mixed delta gap ----------------------------------------------------------------

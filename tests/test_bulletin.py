@@ -25,7 +25,6 @@ from congames import (
     reference_minimizer,
     regret,
     run_bulletin,
-    theorem_delta_gap,
 )
 from congames.bulletin import (
     average_ratio_bound,
@@ -33,6 +32,7 @@ from congames.bulletin import (
     max_ratio_bound,
     ratio_checks,
 )
+from congames.game import SUPPORT_TOL
 
 
 def _passes(rep, *names) -> bool:
@@ -147,7 +147,7 @@ def test_plain_delta_gap_can_exceed_bound_on_light_paths():
     plain = delta_equilibrium_gap(game, x)
     bound = equilibrium_gap_bound(game, eps)
     assert plain > bound  # the literal reading of the ceiling fails here
-    assert theorem_delta_gap(game, x, eps) <= bound + 1e-6
+    assert delta_equilibrium_gap(game, x, eps) <= bound + 1e-6
 
 
 def test_learning_rate_gate(reference_cache):
@@ -244,7 +244,7 @@ def _per_step_run(game, config, reference):
         out["phi"].append(phi)
         out["avg_costs"].append(float(loads @ ecosts))
         out["delta_gaps"].append(delta_equilibrium_gap(game, flat))
-        out["theorem_delta_gaps"].append(theorem_delta_gap(game, flat, cert_gap))
+        out["theorem_delta_gaps"].append(delta_equilibrium_gap(game, flat, cert_gap))
         out["max_costs"].append(game.max_cost(flat))
         out["profiles"].append(flat)
         cum_unit = cum_unit + game.n * (PC * X).sum(axis=1)
@@ -390,6 +390,26 @@ def test_delta_gap_cheapest_path_concentration():
         paths=((frozenset({0}), frozenset({0, 1})),),
     )
     assert delta_equilibrium_gap(game, np.array([1.0, 0.0])) == 0.0
+
+
+def test_delta_gap_folds_both_support_rules_bit_for_bit():
+    # entries at the support tolerance and one ulp either side, and potential
+    # gaps whose heavy-path floor lands below, at and above it
+    rng = np.random.default_rng(30)
+    edge = [np.nextafter(SUPPORT_TOL, 0.0), SUPPORT_TOL, np.nextafter(SUPPORT_TOL, 1.0)]
+    for seed in range(6):
+        game = generate_random_game(seed=seed, n=3, m=5, d=4, degree=2)
+        scale = 2.0 * game.b * game.m
+        for _ in range(20):
+            x = np.concatenate([rng.dirichlet(np.ones(k)) / game.n for k in game.sizes])
+            picks = rng.choice(game.dim, size=4, replace=False)
+            x[picks] = rng.choice(edge, size=4)
+            costs = game.path_costs(x)
+            assert delta_equilibrium_gap(game, x).hex() == game.equilibrium_gap(x, costs).hex()
+            for eps in (-1e-3, 0.0, scale * 1e-18, scale * 4e-18, 1e-9, 1e-3):
+                floor = np.maximum(SUPPORT_TOL, np.sqrt(np.maximum(eps, 0.0) / scale))
+                heavy = game.equilibrium_gap(x, costs, floor)
+                assert delta_equilibrium_gap(game, x, eps).hex() == heavy.hex()
 
 
 # -- social ratios ----------------------------------------------------------------

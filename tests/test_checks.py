@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+import congames.minimize
 from congames import (
     BanditReport,
     BulletinConfig,
@@ -28,7 +29,7 @@ from congames import (
     run_bandit,
     run_bulletin,
 )
-from congames.bandit import bandit_checks
+from congames.bandit import bandit_checks, descent_step_check
 from congames.bulletin import bulletin_checks, ratio_checks, sigma_targets
 from congames.minimize import Check
 
@@ -195,10 +196,11 @@ def test_equilibrium_gap_check_is_not_vacuous(runs):
 
 def test_maximum_cost_check_on_symmetric_games_only(runs):
     b = runs.bulletin
-    # on a symmetric game the maximum-cost minimum is solved when not given
-    assert ratio_checks(b.game, b.x_final, SIGMA, runs.average) == ratio_checks(
-        b.game, b.x_final, SIGMA, runs.average, runs.maximum
-    )
+    # the maximum-cost ratio is checked only against a given minimum, even on a symmetric game
+    assert b.game.symmetric
+    assert [check.name for check in ratio_checks(b.game, b.x_final, SIGMA, runs.average)] == [
+        "average-cost-ratio"
+    ]
     game = runs.bandit.game
     assert not game.symmetric
     flat, average = game.uniform_profile(), min_average_cost(game)
@@ -207,3 +209,18 @@ def test_maximum_cost_check_on_symmetric_games_only(runs):
     ]
     with pytest.raises(ConfigurationError, match="symmetric"):
         ratio_checks(game, flat, SIGMA, average, average)
+
+
+def test_no_check_solves_an_oracle(runs, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a theorem check solved an oracle")
+
+    monkeypatch.setattr(congames.minimize, "minimize_edge_separable", refuse)
+    monkeypatch.setattr(congames.minimize, "_epigraph_barrier", refuse)
+    b, p = runs.bulletin, runs.bandit.params
+    bulletin_checks(b)
+    ratio_checks(b.game, b.x_final, SIGMA, runs.average)
+    ratio_checks(b.game, b.x_final, SIGMA, runs.average, runs.maximum)
+    bandit_checks(runs.bandit)
+    phis = runs.bandit.phis
+    descent_step_check(phis[0], phis[1], runs.bandit.reference.value, p.theta, p.delta)

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import congames.bulletin
 import congames.cli
 from congames import (
     GameFileError,
@@ -225,7 +224,7 @@ def test_cli_skips_max_cost_oracle_when_the_target_is_missed(monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("min_max_cost solved for a ratio that is not printed")
 
-    monkeypatch.setattr(congames.bulletin, "min_max_cost", refuse)
+    monkeypatch.setattr(congames.cli, "min_max_cost", refuse)
     # a symmetric game 10 steps short of its sigma target
     args = ["--gen", "n=4,m=6,d=3,sym=1", "--algo", "bulletin-gd", "--sigma", "0.25"]
     assert main([*args, "--steps", "10"]) == 1  # the convergence budget fails

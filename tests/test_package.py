@@ -18,7 +18,7 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(congames.__all__) == public
-    assert len(congames.__all__) == len(public) == 44
+    assert len(congames.__all__) == len(public) == 43
 
 
 def test_console_script_resolves_to_cli_main():
