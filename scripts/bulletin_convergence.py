@@ -19,7 +19,7 @@ from congames import (
     reference_minimizer,
     run_bulletin,
 )
-from congames.bulletin import step_budget
+from congames.checks import step_budget
 
 
 def main() -> None:

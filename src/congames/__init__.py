@@ -11,13 +11,11 @@ from .bandit import (
     BanditReport,
     EpisodeRecord,
     MixedDeltaResult,
-    descent_step_check,
     entropy_preset,
     episode_length,
     estimate_gradient,
     euclidean_preset,
     expected_path_costs,
-    mixed_delta_bound,
     mixed_delta_gap,
     restrict_profile,
     run_bandit,
@@ -29,15 +27,14 @@ from .bregman import (
     EuclideanGeometry,
     make_geometry,
 )
-from .bulletin import (
-    BulletinConfig,
-    BulletinReport,
+from .bulletin import BulletinConfig, BulletinReport, regret, run_bulletin
+from .checks import (
     average_cost_ratio,
     delta_equilibrium_gap,
+    descent_step_check,
     equilibrium_gap_bound,
     max_cost_ratio,
-    regret,
-    run_bulletin,
+    mixed_delta_bound,
 )
 from .costs import CostValidationError, PolynomialCost
 from .game import (

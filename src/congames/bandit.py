@@ -38,7 +38,7 @@ import numpy as np
 
 from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import CongestionGame
-from .minimize import CertifiedMinimum, Check
+from .minimize import CertifiedMinimum
 
 
 def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
@@ -518,38 +518,6 @@ def run_bandit(
     )
 
 
-_DESCENT_SLACK = 1e-9  # the rounding allowed in descent_step_check's potentials
-
-
-def descent_step_check(
-    phi_prev: float, phi_next: float, phi_min: float, theta: float, delta: float
-) -> Check:
-    """One-episode progress test: Phi_next <= Phi_prev - theta*(Phi_prev - Phi_min) + delta,
-    up to _DESCENT_SLACK."""
-    bound = phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
-    return Check("descent-step", phi_next, bound, f"Phi_next {phi_next:.6g} vs {bound:.6g}")
-
-
-def bandit_checks(report: BanditReport) -> list[Check]:
-    """The run's theorem checks: the worst certified gap from episode tau0 on,
-    and from the first gap below 2*delta/theta on (-inf in an empty slice),
-    each within 3*delta/theta, with the potential bound alpha as limit, and
-    how far the least played probability falls under the floor Lambda/n."""
-    p, gaps = report.params, report.certified_gaps
-    ceiling = p.threshold + 1e-9
-    alpha = report.game.smoothness_params().alpha
-    below = np.flatnonzero(gaps < p.lower_threshold)
-    after = gaps[below[0] :] if below.size else gaps[:0]
-    lowest = min(float(r.profile.min()) for r in report.records)
-    late, settled = (float(np.max(g, initial=-np.inf)) for g in (gaps[p.tau0 - 1 :], after))
-    detail = f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}"
-    return [
-        Check("bandit-gap-threshold", late, ceiling, detail, alpha),
-        Check("bandit-permanence", settled, ceiling, "post-threshold gaps stay bounded", alpha),
-        Check("exploration-floor", p.floor - lowest, 1e-12, f"floor {p.floor:.6g}"),
-    ]
-
-
 @dataclass(frozen=True)
 class MixedDeltaResult:
     delta: float
@@ -625,10 +593,3 @@ def mixed_delta_gap(
     else:
         raise ValueError("mode must be 'enumerate' or 'monte-carlo'")
     return MixedDeltaResult(game.equilibrium_gap(flat, expected), expected)
-
-
-def mixed_delta_bound(game: CongestionGame, gap: float) -> float:
-    """Theory ceiling sqrt(8*b*m*gap) + B*m_path/n for the mixed equilibrium gap."""
-    return math.sqrt(max(8.0 * game.b * game.m * gap, 0.0)) + (
-        game.second_derivative_upper * game.m_path / game.n
-    )

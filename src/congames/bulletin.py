@@ -20,10 +20,11 @@ from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
 from .game import (
     SUPPORT_TOL,
     CongestionGame,
+    _heavy_floor,
     padded_equilibrium_gaps,
     reduce_paths,
 )
-from .minimize import CertifiedMinimum, Check
+from .minimize import CertifiedMinimum
 
 
 @dataclass
@@ -97,17 +98,6 @@ class BulletinReport:
             return None
         hits = np.nonzero(self.certified_gaps <= self.target_gap)[0]
         return int(hits[0]) if hits.size else None
-
-    def theorem_budget(self) -> int | float:
-        """Step budget n*gamma/(eta*eps) at the run's target gap eps, with the measured
-        initial divergence gamma: 0 when gamma is, inf when the quotient is not finite."""
-        if self.target_gap is None:
-            raise ValueError("no target gap to budget against")
-        if self.gamma_measured == 0.0:
-            return 0
-        eta_eps = float(self.etas.min()) * self.target_gap
-        budget = self.game.n * self.gamma_measured / eta_eps if eta_eps > 0.0 else math.inf
-        return math.ceil(budget) if budget < math.inf else math.inf
 
 
 # The diagnostics pass runs every _CHUNK_STEPS steps, and the potential, the
@@ -272,137 +262,6 @@ class _Diagnostics:
 def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """total + rows[0] + rows[1] + ..., added in row order as a per-step loop would."""
     return np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
-
-
-def delta_equilibrium_gap(game: CongestionGame, flat: np.ndarray, epsilon: float = 0.0) -> float:
-    """Worst over players of (priciest used path) - (cheapest allowed path), floored
-    at 0; a used path carries mass above SUPPORT_TOL and above sqrt(eps/(2*b*m)).
-
-    The sqrt(8*b*m*eps) ceiling is proved by shifting delta/(4*b*m) of load
-    off the priciest used path, so at a potential gap eps it binds only paths
-    that actually carry that much.  Paths lighter than this can sit
-    arbitrarily far above the cheapest one at vanishing potential cost, which
-    is why the plain gap is reported separately and checked against nothing.
-    """
-    flat = game.check_vector(flat)
-    return game.equilibrium_gap(flat, game.path_costs(flat), _heavy_floor(game, epsilon))
-
-
-def equilibrium_gap_bound(game: CongestionGame, epsilon):
-    """delta <= sqrt(8*b*m*eps) for any x with Phi(x) <= Phi(q) + eps; eps may be an array."""
-    return np.sqrt(np.maximum(8.0 * game.b * game.m * epsilon, 0.0))
-
-
-def average_ratio_bound(game: CongestionGame, epsilon):
-    """C_A(x) / min C_A <= (b/a)(1 + 2*m*eps/a) when Phi(x) <= min Phi + eps; eps may be an array."""
-    a = game.a
-    return (game.b / a) * (1.0 + 2.0 * game.m * epsilon / a)
-
-
-def max_ratio_bound(game: CongestionGame, epsilon):
-    """C_M(x) / min C_M <= (b/a)(1 + 2*m*eps/a + delta*m/b) when Phi(x) <= min Phi + eps.
-
-    Symmetric games only; delta is the equilibrium-gap bound sqrt(8*b*m*eps),
-    and eps may be an array.
-    """
-    a, b, m = game.a, game.b, game.m
-    return (b / a) * (1.0 + 2.0 * m * epsilon / a + equilibrium_gap_bound(game, epsilon) * m / b)
-
-
-def sigma_targets(game: CongestionGame, sigma: float) -> tuple[float, float | None]:
-    """The potential gaps that give social-cost slack sigma: a*sigma/(2m) for the
-    average-cost ratio and, on symmetric games only (else None), a*sigma**2/(32m)
-    for the maximum-cost ratio."""
-    average = game.a * sigma / (2.0 * game.m)
-    return average, game.a * sigma**2 / (32.0 * game.m) if game.symmetric else None
-
-
-def step_budget(game: CongestionGame, geometry: str, eta: float, epsilon: float) -> int:
-    """Steps within which the theorem puts a gap of epsilon at learning rate eta:
-    2/(n*eta*eps) for gradient descent, n*ln(d*n)/(eta*eps) for multiplicative updates."""
-    if make_geometry(geometry).kind == "euclidean":
-        return math.ceil(2.0 / (game.n * eta * epsilon))
-    return math.ceil(game.n * math.log(game.d * game.n) / (eta * epsilon))
-
-
-def bulletin_checks(report: BulletinReport) -> list[Check]:
-    """The run's theorem checks: monotone descent, the equilibrium-gap ceiling
-    at the step nearest to breaking it, with the largest path cost as limit,
-    and, if the run had a target, its first certified hit within
-    `report.theorem_budget()` steps; a run with no hit measures nan, which fails."""
-    game = report.game
-    ascent = report.max_ascent
-    ceiling = equilibrium_gap_bound(game, report.certified_gaps) + 1e-6
-    worst = int(np.argmax(report.theorem_delta_gaps - ceiling))
-    gap, bound = float(report.theorem_delta_gaps[worst]), float(ceiling[worst])
-    priciest = float((game.incidence @ game.edge_costs(np.ones(game.m))).max())
-    checks = [
-        Check("monotone-descent", ascent, 1e-10, f"max one-step increase {ascent:.3e}"),
-        Check("equilibrium-gap-bound", gap, bound, f"worst margin {gap - bound:.3e}", priciest),
-    ]
-    if report.target_gap is not None:
-        hit = report.first_certified_hit
-        budget = report.theorem_budget()
-        detail = f"first certified gap<= {report.target_gap:g} at step {hit}, budget {budget}"
-        checks.append(Check("convergence-budget", math.nan if hit is None else hit, budget, detail))
-    return checks
-
-
-def ratio_checks(
-    game: CongestionGame,
-    flat: np.ndarray,
-    sigma: float,
-    average: CertifiedMinimum,
-    maximum: CertifiedMinimum | None = None,
-) -> list[Check]:
-    """The social-cost checks at slack sigma: C_A(x) within (b/a)(1 + sigma) of
-    min C_A and, when `maximum` is given, C_M(x) within `max_ratio_bound` at the
-    gap a*sigma**2/(32m) of it.  A `maximum` given for an asymmetric game is
-    refused."""
-    ratio = average_cost_ratio(game, flat, average)
-    bound = (game.b / game.a) * (1.0 + sigma)
-    detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
-    checks = [Check("average-cost-ratio", ratio, bound + 1e-9, detail)]
-    if maximum is not None:
-        ratio = max_cost_ratio(game, flat, average, maximum)
-        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1])
-        detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
-        checks.append(Check("maximum-cost-ratio", ratio, bound + 1e-9, detail))
-    return checks
-
-
-def _heavy_floor(game: CongestionGame, gap):
-    """sqrt(gap / (2*b*m)), at least SUPPORT_TOL: the least mass the gap argument can move."""
-    return np.maximum(SUPPORT_TOL, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
-
-
-def average_cost_ratio(
-    game: CongestionGame, flat: np.ndarray, average: CertifiedMinimum
-) -> float:
-    """C_A(x) against the certified lower bound on min C_A."""
-    flat = game.check_vector(flat)
-    return float(certified_ratio(game.average_cost(flat), average.lower_bound))
-
-
-def max_cost_ratio(
-    game: CongestionGame,
-    flat: np.ndarray,
-    average: CertifiedMinimum,
-    maximum: CertifiedMinimum,
-) -> float:
-    """C_M(x) against the certified lower bound on min C_M; refused on asymmetric
-    games, which the guarantee does not cover."""
-    flat = game.check_vector(flat)
-    if not game.symmetric:
-        raise ConfigurationError("maximum-cost ratio guarantee only covers symmetric games")
-    # min C_M >= min C_A, so the certified average lower bound is one too.
-    return float(certified_ratio(game.max_cost(flat), max(maximum.lower_bound, average.lower_bound)))
-
-
-def certified_ratio(value, lower_bound: float):
-    """value / lower_bound, a certified lower bound on a minimum; inf where that
-    bound is not positive, as it then certifies no ratio.  value may be an array."""
-    return np.divide(value, lower_bound) if lower_bound > 0.0 else np.full(np.shape(value), np.inf)
 
 
 def regret(report: BulletinReport, player: int) -> float:

@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import bandit_checks, entropy_preset, euclidean_preset, mixed_delta_gap, run_bandit
+from .bandit import entropy_preset, euclidean_preset, mixed_delta_gap, run_bandit
 from .bregman import ConfigurationError
-from .bulletin import (
-    BulletinConfig,
+from .bulletin import BulletinConfig, run_bulletin
+from .checks import (
     average_ratio_bound,
+    bandit_checks,
     bulletin_checks,
     certified_ratio,
     ratio_checks,
-    run_bulletin,
     sigma_targets,
 )
 from .game import CongestionGame

@@ -298,6 +298,11 @@ def padded_equilibrium_gaps(
     return np.maximum((worst - best).max(axis=-1), 0.0)
 
 
+def _heavy_floor(game: CongestionGame, gap):
+    """sqrt(gap / (2*b*m)), at least SUPPORT_TOL: the least mass the gap argument can move."""
+    return np.maximum(SUPPORT_TOL, np.sqrt(np.maximum(gap, 0.0) / (2.0 * game.b * game.m)))
+
+
 def parallel_links_game(n: int, coefficient_lists) -> CongestionGame:
     """Every player may use every single-edge path; classic load balancing."""
     edges = tuple(PolynomialCost(tuple(np.atleast_1d(c))) for c in coefficient_lists)

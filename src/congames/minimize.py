@@ -87,31 +87,6 @@ class CertifiedMinimum:
         return self.value - self.certificate
 
 
-@dataclass(frozen=True)
-class Check:
-    """One theorem check: ok iff measured <= bound, the check's slack folded into
-    bound.  limit is the largest value the measured quantity can take (+inf when
-    unknown); a bound at or past it cannot fail, so the check is vacuous."""
-
-    name: str
-    measured: float
-    bound: float
-    detail: str
-    limit: float = math.inf
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.measured <= self.bound)
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.measured
-
-    @property
-    def vacuous(self) -> bool:
-        return bool(self.bound >= self.limit)
-
-
 class _EdgeSeparableObjective:
     """G(x) = sum_e F_e(load_e(x)) for per-edge polynomials F_e with powers >= 1."""
 

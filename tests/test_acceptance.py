@@ -18,7 +18,6 @@ import pytest
 from congames import (
     BanditConfig,
     BulletinConfig,
-    descent_step_check,
     euclidean_preset,
     expected_path_costs,
     generate_random_game,
@@ -29,8 +28,14 @@ from congames import (
     run_bandit,
     run_bulletin,
 )
-from congames.bandit import bandit_checks
-from congames.bulletin import bulletin_checks, ratio_checks, sigma_targets, step_budget
+from congames.checks import (
+    bandit_checks,
+    bulletin_checks,
+    descent_step_check,
+    ratio_checks,
+    sigma_targets,
+    step_budget,
+)
 
 SIGMA = 0.25
 EPS = 1e-3

@@ -19,15 +19,12 @@ from congames import (
     BanditConfig,
     ConfigurationError,
     CongestionGame,
-    delta_equilibrium_gap,
-    descent_step_check,
     episode_length,
     estimate_gradient,
     euclidean_preset,
     entropy_preset,
     expected_path_costs,
     generate_random_game,
-    mixed_delta_bound,
     mixed_delta_gap,
     parallel_links_game,
     reference_minimizer,
@@ -36,6 +33,7 @@ from congames import (
 )
 from congames import bandit
 from congames.bandit import GuideTable
+from congames.checks import delta_equilibrium_gap, descent_step_check, mixed_delta_bound
 from conftest import random_feasible, uneven_links
 
 
@@ -907,3 +905,16 @@ def test_mixed_delta_theory_ceiling():
         gap = max(rep.certified_gaps[idx], 0.0)
         res = mixed_delta_gap(game, rec.profile, mode="enumerate")
         assert res.delta <= mixed_delta_bound(game, gap) + 1e-9
+
+
+def test_mixed_delta_bound_shares_the_gap_ceiling_bit_for_bit():
+    # the ceiling sqrt(8*b*m*gap) comes from equilibrium_gap_bound; it must equal
+    # the scalar formula on zero, signed zero, negative, subnormal and normal gaps
+    gaps = [0.0, -0.0, -1e-3, 5e-324, 1e-310, 2.2e-308, *np.logspace(-20, 2, 99)]
+    for seed in range(20):
+        n, m, degree = 2 + seed % 5, 3 + seed % 7, 1 + seed % 3
+        game = generate_random_game(seed=seed, n=n, m=m, d=3, degree=degree)
+        tail = game.second_derivative_upper * game.m_path / game.n
+        for gap in gaps:
+            old = math.sqrt(max(8.0 * game.b * game.m * gap, 0.0)) + tail
+            assert mixed_delta_bound(game, gap).hex() == old.hex()

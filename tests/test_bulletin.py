@@ -13,11 +13,7 @@ from congames import (
     EuclideanGeometry,
     GameStructureError,
     PolynomialCost,
-    average_cost_ratio,
-    delta_equilibrium_gap,
-    equilibrium_gap_bound,
     generate_random_game,
-    max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
@@ -26,11 +22,16 @@ from congames import (
     regret,
     run_bulletin,
 )
-from congames.bulletin import (
+from congames.checks import (
+    average_cost_ratio,
     average_ratio_bound,
     bulletin_checks,
+    delta_equilibrium_gap,
+    equilibrium_gap_bound,
+    max_cost_ratio,
     max_ratio_bound,
     ratio_checks,
+    step_budget,
 )
 from congames.game import SUPPORT_TOL
 
@@ -198,12 +199,15 @@ def test_zero_step_run_has_no_ascent(g1, kind, reference_cache):
     assert run_bulletin(g1, cfg, reference=reference_cache(g1)).max_ascent == 0.0
 
 
+def _budget_check(report):
+    return {c.name: c for c in bulletin_checks(report)}["convergence-budget"]
+
+
 @pytest.mark.parametrize("max_steps", [0, 3])
 def test_run_without_target_has_no_hit_and_no_budget(g1, max_steps, reference_cache):
     rep = run_bulletin(g1, BulletinConfig(max_steps=max_steps), reference=reference_cache(g1))
     assert rep.first_certified_hit is None
-    with pytest.raises(ValueError, match="no target gap to budget against"):
-        rep.theorem_budget()
+    assert "convergence-budget" not in [c.name for c in bulletin_checks(rep)]
 
 
 def test_step_budget_reads_inf_past_every_integer(g1, reference_cache):
@@ -211,12 +215,22 @@ def test_step_budget_reads_inf_past_every_integer(g1, reference_cache):
     assert rep.gamma_measured > 0.0
     # eta*eps underflows to 0, then n*gamma/(eta*eps) overflows
     for target in (5e-324, 1e-320):
-        missed = replace(rep, target_gap=target)
-        assert missed.theorem_budget() == math.inf
-        check = {c.name: c for c in bulletin_checks(missed)}["convergence-budget"]
+        check = _budget_check(replace(rep, target_gap=target))
         # no hit measures nan, which fails even a budget that cannot be missed
         assert check.bound == math.inf and check.vacuous and not check.ok
-    assert replace(rep, target_gap=5e-324, gamma_measured=0.0).theorem_budget() == 0
+    assert _budget_check(replace(rep, target_gap=5e-324, gamma_measured=0.0)).bound == 0
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_closed_form_step_budget_reads_inf_past_every_integer(g1, kind):
+    # eta*eps = 1e-320 makes the quotient overflow; 1e-200 * 1e-150 underflows to 0
+    for eta, eps in ((1e-160, 1e-160), (1e-200, 1e-150)):
+        assert step_budget(g1, kind, eta, eps) == math.inf
+    # finite budgets keep the bits of the closed forms
+    n, work = g1.n, 2.0 if kind == "euclidean" else g1.n * math.log(g1.d * g1.n)
+    for eta, eps in ((1.0, 1e-3), (0.3, 7e-5), (1e-150, 1e-150)):
+        rate = n * eta * eps if kind == "euclidean" else eta * eps
+        assert step_budget(g1, kind, eta, eps) == math.ceil(work / rate)
 
 
 def _per_step_run(game, config, reference):
@@ -412,6 +426,15 @@ def test_delta_gap_folds_both_support_rules_bit_for_bit():
                 assert delta_equilibrium_gap(game, x, eps).hex() == heavy.hex()
 
 
+def test_delta_gap_refuses_a_nan_potential_gap():
+    # a nan floor would count no path as used, and read every gap as 0
+    game = generate_random_game(seed=3, n=3, m=4, d=3)
+    x = game.uniform_profile()
+    assert round(delta_equilibrium_gap(game, x), 3) == 0.611
+    with pytest.raises(ValueError, match="epsilon is nan"):
+        delta_equilibrium_gap(game, x, math.nan)
+
+
 # -- social ratios ----------------------------------------------------------------
 
 
@@ -489,6 +512,15 @@ def test_ratio_against_a_zero_lower_bound_reads_inf():
     checks = ratio_checks(game, flat, 0.25, average, maximum)
     assert [(c.measured, c.bound) for c in checks] == [(math.inf, math.inf)] * 2
     assert all(c.ok and c.vacuous for c in checks)
+
+
+def test_ratios_refuse_a_wrong_shape_profile(g1, g1_minima):
+    _, average, maximum = g1_minima
+    for flat in (np.full(g1.dim + 1, 0.25), np.full((g1.dim, 1), 0.25)):
+        with pytest.raises(GameStructureError, match="shape"):
+            average_cost_ratio(g1, flat, average)
+        with pytest.raises(GameStructureError, match="shape"):
+            max_cost_ratio(g1, flat, average, maximum)
 
 
 def test_max_ratio_refused_on_asymmetric_game():

@@ -19,7 +19,6 @@ from congames import (
     BulletinReport,
     CertifiedMinimum,
     ConfigurationError,
-    equilibrium_gap_bound,
     euclidean_preset,
     generate_random_game,
     min_average_cost,
@@ -29,9 +28,15 @@ from congames import (
     run_bandit,
     run_bulletin,
 )
-from congames.bandit import bandit_checks, descent_step_check
-from congames.bulletin import bulletin_checks, ratio_checks, sigma_targets
-from congames.minimize import Check
+from congames.checks import (
+    Check,
+    bandit_checks,
+    bulletin_checks,
+    descent_step_check,
+    equilibrium_gap_bound,
+    ratio_checks,
+    sigma_targets,
+)
 
 SIGMA = 0.25
 
@@ -87,7 +92,8 @@ def _gap_over_ceiling(runs: Runs) -> Runs:
 def _hit_past_budget(runs: Runs) -> Runs:
     # a smaller measured divergence halves the budget, to below the first hit
     b = runs.bulletin
-    gamma = b.gamma_measured * b.first_certified_hit / (2.0 * b.theorem_budget())
+    budget = _outcomes(runs)["convergence-budget"].bound
+    gamma = b.gamma_measured * b.first_certified_hit / (2.0 * budget)
     return replace(runs, bulletin=replace(b, gamma_measured=gamma))
 
 

@@ -19,7 +19,6 @@ from congames import (
     PolynomialCost,
     euclidean_preset,
     generate_random_game,
-    max_cost_ratio,
     min_average_cost,
     min_max_cost,
     parallel_links_game,
@@ -27,6 +26,7 @@ from congames import (
     run_bandit,
     run_bulletin,
 )
+from congames.checks import max_cost_ratio
 from congames.cli import main
 from congames.minimize import _line_search, potential_objective
 from conftest import random_feasible

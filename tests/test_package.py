@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import congames
+import congames.checks
 import congames.cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +20,39 @@ def test_all_lists_every_public_name():
     }
     assert set(congames.__all__) == public
     assert len(congames.__all__) == len(public) == 43
+
+
+def _imports_checks(node: ast.AST) -> bool:
+    """Whether an import statement loads congames.checks, relatively or by name."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "congames.checks" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    if module in (".", "congames"):
+        return any(alias.name == "checks" for alias in node.names)
+    return module in (".checks", "congames.checks")
+
+
+def test_checks_import_no_solver_and_only_the_cli_imports_checks():
+    """The theorem checks bind no oracle or dynamics runner, and no module but
+    the CLI and the package itself imports them."""
+    solvers = {
+        "run_bulletin",
+        "run_bandit",
+        "reference_minimizer",
+        "min_average_cost",
+        "min_max_cost",
+        "minimize_edge_separable",
+        "_epigraph_barrier",
+    }
+    assert solvers.isdisjoint(vars(congames.checks))
+    importers = {
+        path.name
+        for path in (ROOT / "src" / "congames").glob("*.py")
+        if any(_imports_checks(node) for node in ast.walk(ast.parse(path.read_text())))
+    }
+    assert importers == {"cli.py", "__init__.py"}
 
 
 def test_console_script_resolves_to_cli_main():
