@@ -48,11 +48,14 @@ def project_simplex_rows(P: np.ndarray, mass, out: np.ndarray | None = None) -> 
     mass is a scalar or a column of positive per-row masses; entries padded to
     -1e300 are ignored and come out 0.
     """
+    n, d = P.shape
     U = np.sort(P, axis=1)[:, ::-1]
-    idx = np.arange(P.shape[1])
-    css = np.cumsum(U, axis=1) - mass
-    rho = ((U - css / (idx + 1) > 0) * idx).max(axis=1)  # the last index that holds
-    tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
+    counts = np.arange(1.0, d + 1.0)
+    css = np.add.accumulate(U, axis=1) - mass
+    holds = np.greater(U, css / counts)
+    holds[:, 0] = True  # rho is 0 where no index holds
+    rho = (d - 1) - holds[:, ::-1].argmax(axis=1)  # the last index that holds
+    tau = css.take(rho + np.arange(0, n * d, d)) / counts.take(rho)
     return np.maximum(P - tau[:, None], 0.0, out=out)
 
 

@@ -36,7 +36,8 @@ class PolynomialCost:
         _check(all(np.isfinite(c) for c in coefs), "coefficient is not finite")
         _check(all(c >= 0.0 for c in coefs), "coefficient is negative")
         _check(coefs[0] > 0.0, "c'(0) = 0 violates c' >= A > 0 (linear coefficient must be positive)")
-        _check(sum(coefs) <= 1.0 + _UNIT_TOL, f"c(1) = {sum(coefs)} exceeds 1")
+        total = _left_sum(coefs)
+        _check(total <= 1.0 + _UNIT_TOL, f"c(1) = {total} exceeds 1")
 
     @property
     def degree(self) -> int:
@@ -50,7 +51,7 @@ class PolynomialCost:
     @property
     def second_derivative_upper(self) -> float:
         """B = max c'' on [0,1], attained at y = 1 for nonnegative coefficients."""
-        return float(sum(j * (j - 1) * c for j, c in self._terms()))
+        return _left_sum(j * (j - 1) * c for j, c in self._terms())
 
     @property
     def envelope_lower(self) -> float:
@@ -66,7 +67,7 @@ class PolynomialCost:
         c'(1) = sum_j j*coef_j satisfies both.  It never exceeds the generic
         B + 1 bound because c'(1) <= coef_1 + B <= 1 + B.
         """
-        return float(sum(j * c for j, c in self._terms()))
+        return _left_sum(j * c for j, c in self._terms())
 
     def _terms(self):
         return ((j + 1, c) for j, c in enumerate(self.coefficients))
@@ -102,6 +103,15 @@ def slope_table(table: np.ndarray) -> np.ndarray:
 def primitive_table(table: np.ndarray) -> np.ndarray:
     """Coefficients of F(y)/y**2 from those of c(y)/y: table[..., j] / (j + 2) for y**j."""
     return table / np.arange(2, table.shape[-1] + 2)
+
+
+def _left_sum(values) -> float:
+    """The float total of values added left to right, as sum() did before CPython
+    3.12 compensated it: the bounds keep their bits on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _check(cond: bool, reason: str) -> None:

@@ -20,28 +20,40 @@ V, w and the dict are filtered and rebuilt only when a weight drops to 1e-15.
 One gather scores every active vertex, the best response is one argmin over a
 (n, d) array padded with +inf, and the iterate is rebuilt from (V, w) every 64
 steps.  The arithmetic is fixed down to the bit: ties between away vertices go
-to the lexicographically smallest, the weight total is summed left to right,
-and the rebuild adds the vertices up in row order.  Outputs (flat, value,
-certificate, iterations, converged) are pinned by
-tests/test_minimize_golden.py; the CLI's phi_gap column subtracts the value, so
-a last-bit change there changes CSV bytes.
+to the lexicographically smallest, the weight total is added left to right by
+np.add.accumulate (the same on any Python, where the builtin sum of floats is
+compensated from CPython 3.12 on), and the rebuild adds the vertices up in row
+order.  Outputs (flat, value, certificate, iterations, converged) are pinned
+by tests/test_minimize_golden.py; the CLI's phi_gap column subtracts the
+value, so a last-bit change there changes CSV bytes.
 
 That fixes the line search too.  Its step t is the smallest real eigenvalue in
 [0, t_max] of the companion matrix np.roots would build for the derivative
 polynomial, computed by the LAPACK gufunc np.linalg.eigvals wraps
 (numpy.linalg._umath_linalg.eigvals, signature "d->D") under that wrapper's
-error state, so t equals the np.roots answer bit for bit.  Bisection remains
-the fallback when no eigenvalue lands inside, when row 0 of the matrix is not
-finite (a subnormal leading coefficient overflows it; eigvals and np.roots
-raised there), and when LAPACK does not converge (the invalid flag, raised as
-FloatingPointError; eigvals raised LinAlgError).  The two search directions,
-vertex - x and x - vertex, add the same terms as combination(...) - x but
-write the vertex's n entries in place; np.add.at only rebuilds x from (V, w).
+error state, so t equals the np.roots answer bit for bit.  A solve enters that
+error state once, around its whole loop, not once per line search, so the
+loop's other arithmetic runs in it too: overflow there is silent and an
+invalid operation raises.  Bisection remains the fallback when no eigenvalue
+lands inside, when row 0 of the matrix is not finite (a subnormal leading
+coefficient overflows it; eigvals and np.roots raised there), and when LAPACK
+does not converge (the invalid flag, raised as FloatingPointError; eigvals
+raised LinAlgError).  The two search directions, vertex - x and x - vertex,
+add the same terms as combination(...) - x but write the vertex's n entries
+in place; np.add.at only rebuilds x from (V, w).
+
+The line derivative's coefficients come from one reduction over a (P, P, m)
+table T[j, q], the coefficient of loads**j in the t**q term, zero-padded where
+q + j >= P and built once per solve.  Each call raises the loads and the load
+step to their powers with np.multiply.accumulate, sums T times the load powers
+over j with np.add.reduce (in the order of a loop over j; the padded zeros add
++0.0) and reduces the products with the step powers over the edges: about
+eight numpy calls for any P.
 
 Each call owns its scratch: the companion matrices (one per size, ones on the
 subdiagonal set once, row 0 rewritten per line search), the line-derivative
-terms and the search direction.  Nothing is kept between calls, so solves on
-different threads share no state.
+table and powers, and the search direction.  Nothing is kept between calls, so
+solves on different threads share no state.
 
 The maximum individual cost is piecewise smooth, not edge-separable.  On a
 symmetric game it depends only on the aggregate flow over the common paths, so
@@ -114,20 +126,23 @@ class _EdgeSeparableObjective:
         d/dt G(x + t*d) along load direction dloads.  Its arrays belong to one
         solve: each call overwrites them and returns a fresh result."""
         P, m = len(self.taylor), self.m
-        inner, dpow, lpow = np.empty((P, m)), np.empty((P, m)), np.empty(m)
+        # T[j, q] = taylor[j][q], zero where q + j >= P: those products are zeros,
+        # which leave a sum that starts at taylor[0] + 0.0 unchanged, so the
+        # reduction over j adds the same terms in the same order as a loop over j.
+        T = np.zeros((P, P, m))
+        for j, rows in enumerate(self.taylor):
+            np.add(rows, 0.0, out=T[j, : P - j])
+        lpow, dpow, inner = np.ones((P, m)), np.empty((P, m)), np.empty((P, m))
+        terms = np.empty((P, P, m))
+        lpow_j = lpow[:, None]  # loads**j against T[j]
 
         def line_derivative_poly(loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
-            np.add(self.taylor[0], 0.0, out=inner)  # sum_j taylor[j] * loads**j from 0.0
-            power = loads  # loads**j
-            for j in range(1, P):
-                term = np.multiply(self.taylor[j], power, out=dpow[: P - j])
-                inner[: P - j] += term
-                if j + 1 < P:
-                    power = np.multiply(power, loads, out=lpow)
-            dpow[0] = dloads  # dloads**(q+1), includes the outer chain factor
-            for q in range(1, P):
-                np.multiply(dpow[q - 1], dloads, out=dpow[q])
-            return np.multiply(dpow, inner, out=dpow).sum(axis=1)
+            lpow[1:] = loads  # row j becomes loads**j, multiplied left to right
+            np.multiply.accumulate(lpow, axis=0, out=lpow)
+            np.add.reduce(np.multiply(T, lpow_j, out=terms), axis=0, out=inner)
+            dpow[:] = dloads  # row q becomes dloads**(q+1), the outer chain factor included
+            np.multiply.accumulate(dpow, axis=0, out=dpow)
+            return np.add.reduce(np.multiply(dpow, inner, out=dpow), axis=1)
 
         return line_derivative_poly
 
@@ -142,10 +157,17 @@ def average_cost_objective(game: CongestionGame) -> _EdgeSeparableObjective:
     return _EdgeSeparableObjective(np.pad(game._coef_table, ((0, 0), (1, 0))))
 
 
+# The error state of the eigenvalue call, which np.linalg.eigvals enters around
+# it: LAPACK's non-convergence sets the invalid flag, raised here, and no other
+# flag warns.  A solve enters it once, around all its line searches.
+_EIGVALS_ERRSTATE = {"over": "ignore", "divide": "ignore", "under": "ignore", "invalid": "raise"}
+
+
 def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
     """poly_root_in(coeffs, t_max) for coefficient vectors up to this degree: the
-    unique sign change of a nondecreasing polynomial on [0, t_max].  Its companion
-    matrices belong to one solve: each call rewrites one of them."""
+    unique sign change of a nondecreasing polynomial on [0, t_max], to be called
+    under np.errstate(**_EIGVALS_ERRSTATE).  Its companion matrices belong to one
+    solve: each call rewrites one of them."""
     # np.roots' companion matrix of size k is np.eye(k, k=-1) with row 0 set to
     # -p[1:] / p[0] once leading zeros are stripped; only row 0 changes per call.
     companions = [np.eye(k, k=-1) for k in range(degree + 1)]
@@ -176,8 +198,7 @@ def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
             companion = companions[len(rest)]
             companion[0] = row
             try:
-                with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
-                    roots = _eigvals(companion, signature="d->D").tolist()
+                roots = _eigvals(companion, signature="d->D").tolist()
             except FloatingPointError:
                 roots = []
             high = t_max * (1 + 1e-12)
@@ -229,58 +250,59 @@ def minimize_edge_separable(
 
     gap = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
-        loads = x @ inc
-        g = inc @ objective.edge_gradient(loads)
-        fw = best_response(g)
-        gx = float(g @ x)
-        gap = gx - float(g[fw].sum() / n)
-        if gap <= tol:
-            break
+    with np.errstate(**_EIGVALS_ERRSTATE):  # one error state for every line search
+        for it in range(1, max_iter + 1):
+            loads = x @ inc
+            g = inc @ objective.edge_gradient(loads)
+            fw = best_response(g)
+            gx = float(g @ x)
+            gap = gx - float(g[fw].sum() / n)
+            if gap <= tol:
+                break
 
-        s = scores(g, V)  # the away vertex scores highest, ties to the smallest row
-        ties = (s == s.max()).nonzero()[0]
-        away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
+            s = scores(g, V)  # the away vertex scores highest, ties to the smallest row
+            ties = np.equal(s, np.maximum.reduce(s)).nonzero()[0]
+            away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
 
-        fw_step = gap >= float(s[away]) - gx or len(w) == 1
-        if fw_step:  # vertex - x
-            np.subtract(0.0, x, out=direction)  # not -x: 0.0 - 0.0 is +0.0
-            direction[fw] += unit
-            t_max = 1.0
-        else:  # x - vertex
-            direction[:] = x
-            direction[V[away]] -= unit
-            w_away = float(w[away])
-            t_max = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0
+            fw_step = gap >= float(s[away]) - gx or len(w) == 1
+            if fw_step:  # vertex - x
+                np.subtract(0.0, x, out=direction)  # not -x: 0.0 - 0.0 is +0.0
+                direction[fw] += unit
+                t_max = 1.0
+            else:  # x - vertex
+                direction[:] = x
+                direction[V[away]] -= unit
+                w_away = float(w[away])
+                t_max = w_away / (1.0 - w_away) if w_away < 1.0 else 1.0
 
-        dloads = direction @ inc
-        t = poly_root_in(line_derivative_poly(loads, dloads), t_max)
-        if t <= 0.0:
-            break  # numerically stalled; certificate below still stands
+            dloads = direction @ inc
+            t = poly_root_in(line_derivative_poly(loads, dloads), t_max)
+            if t <= 0.0:
+                break  # numerically stalled; certificate below still stands
 
-        if fw_step:
-            w *= 1.0 - t
-            key = fw.tobytes()
-            hit = rows.get(key)
-            if hit is not None:
-                w[hit] += t
+            if fw_step:
+                w *= 1.0 - t
+                key = fw.tobytes()
+                hit = rows.get(key)
+                if hit is not None:
+                    w[hit] += t
+                else:
+                    rows[key] = len(w)
+                    V = np.concatenate([V, fw[None]])
+                    w = np.append(w, t)
             else:
-                rows[key] = len(w)
-                V = np.concatenate([V, fw[None]])
-                w = np.append(w, t)
-        else:
-            w *= 1.0 + t
-            w[away] -= t
-        keep = w > 1e-15
-        if not keep.all():
-            V, w = V[keep], w[keep]
-            rows = {v.tobytes(): k for k, v in enumerate(V)}
-        w /= sum(w.tolist())  # left to right: np.sum's pairwise order changes bits
+                w *= 1.0 + t
+                w[away] -= t
+            keep = w > 1e-15
+            if not keep.all():
+                V, w = V[keep], w[keep]
+                rows = {v.tobytes(): k for k, v in enumerate(V)}
+            w /= np.add.accumulate(w)[-1]  # left to right: np.sum's pairwise order changes bits
 
-        direction *= t
-        x += direction  # the bits of x + t * direction
-        if it % 64 == 0:  # resync from the convex combination to kill drift
-            x = combination(V, w)
+            direction *= t
+            x += direction  # the bits of x + t * direction
+            if it % 64 == 0:  # resync from the convex combination to kill drift
+                x = combination(V, w)
 
     x = combination(V, w)
     loads = x @ inc
@@ -337,7 +359,8 @@ def _lower_bound(
     """
     g = J @ lam
     terms = (float(lam @ c), float(g @ f), float(g.min()))
-    rounding = (flow._coef_table.shape[1] + flow.m + 2 * len(f)) * _EPS * sum(terms)
+    total = 0.0 + terms[0] + terms[1] + terms[2]  # sum() before 3.12, from 0.0 left to right
+    rounding = (flow._coef_table.shape[1] + flow.m + 2 * len(f)) * _EPS * total
     return terms[0] - terms[1] + terms[2] - rounding
 
 

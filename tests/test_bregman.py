@@ -212,6 +212,41 @@ def test_project_simplex_finite_padding_matches_inf_padding(case):
     assert np.all(got[~mask] == 0.0)
 
 
+def _project_simplex_rows_cumsum(P: np.ndarray, mass) -> np.ndarray:
+    """project_simplex_rows as it was before the direct ufunc calls, kept as the
+    reference."""
+    U = np.sort(P, axis=1)[:, ::-1]
+    idx = np.arange(P.shape[1])
+    css = np.cumsum(U, axis=1) - mass
+    rho = ((U - css / (idx + 1) > 0) * idx).max(axis=1)  # the last index that holds
+    tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
+    return np.maximum(P - tau[:, None], 0.0)
+
+
+@given(case=padded_projections())
+@settings(max_examples=300, deadline=None)
+def test_project_simplex_matches_the_cumsum_form_bit_for_bit(case):
+    X, mask, floor, mass = case
+    P = X + np.where(mask, 0.0, -1e300) - floor
+    assert project_simplex_rows(P, mass).tobytes() == _project_simplex_rows_cumsum(P, mass).tobytes()
+
+
+def test_project_simplex_matches_the_cumsum_form_on_random_padded_rows():
+    # 35,000 padded cases, n 1-64 and d 1-17, scalar and per-row column masses;
+    # quarter steps tie, and a 1e20 entry leaves no index where U > css / counts
+    rng = np.random.default_rng(35)
+    for n, d, kind, column in rng.integers((1, 1, 0, 0), (65, 18, 10, 2), size=(35_000, 4)).tolist():
+        P = rng.normal(size=(n, d))
+        if kind == 0:
+            P = np.round(4.0 * P) / 4.0
+        P[rng.random((n, d)) < 0.3] = -1e300
+        P[np.arange(n), rng.integers(0, d, size=n)] = 1e20 if kind == 1 else 0.5  # one entry per row
+        mass = rng.uniform(0.05, 2.0, size=(n, 1)) if column else float(rng.uniform(0.05, 2.0))
+        out = np.empty_like(P)
+        assert project_simplex_rows(P, mass, out) is out
+        assert out.tobytes() == _project_simplex_rows_cumsum(P, mass).tobytes()
+
+
 # -- mirror steps -------------------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,10 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import congames.costs
 import congames.minimize
 from congames import (
     BulletinConfig,
     CongestionGame,
+    CostValidationError,
     PolynomialCost,
     euclidean_preset,
     generate_random_game,
@@ -28,8 +33,14 @@ from congames import (
 )
 from congames.checks import max_cost_ratio
 from congames.cli import main
-from congames.minimize import _line_search, potential_objective
+from congames.minimize import (
+    _EIGVALS_ERRSTATE,
+    _line_search,
+    average_cost_objective,
+    potential_objective,
+)
 from conftest import random_feasible
+from test_minimize_golden import GAMES, GOLDEN, ORACLES, _record
 
 
 def test_g1_reference_minimizer(g1):
@@ -347,7 +358,7 @@ def _same_step(coeffs, t_max: float) -> float:
     """The line search's step: the old routine's bits where that routine returns, and
     where it raised, a step in [0, t_max] across which the polynomial changes sign."""
     coeffs = np.array(coeffs, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_EIGVALS_ERRSTATE):  # as a solve calls it
         step = _line_search(len(coeffs) - 1)(coeffs, t_max)
     old = _step_or_error(_np_roots_line_search, coeffs, t_max)
     if old == "LinAlgError":
@@ -491,7 +502,7 @@ def test_line_search_seed302_stall_unchanged():
 )
 def test_line_search_lapack_call_warns_nothing(coeffs, t_max):
     coeffs = np.array(coeffs)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(**_EIGVALS_ERRSTATE):
         warnings.simplefilter("error")
         step = _line_search(len(coeffs) - 1)(coeffs, t_max)
     old = _step_or_error(_np_roots_line_search, coeffs, t_max)
@@ -511,17 +522,147 @@ def test_line_search_skips_lapack_on_a_non_finite_row(monkeypatch):
     assert _line_search(len(coeffs) - 1)(coeffs, 1.0) == 0.5
 
 
-def test_line_search_bisects_when_eigenvalues_do_not_converge(monkeypatch):
-    # LAPACK's non-convergence reaches numpy as the invalid flag; the public eigvals
-    # raised LinAlgError on it and the step came from the bisection.
-    def no_convergence(a, signature):
-        np.zeros(1) / np.zeros(1)  # sets the invalid flag, as a failed LAPACK call does
-        return np.full(len(a), 0.25, dtype=complex)  # inside the window, not a root
+def _no_convergence(a, signature):
+    """_eigvals as LAPACK's non-convergence reaches numpy: the invalid flag.  The
+    public eigvals raised LinAlgError on it and the step came from the bisection."""
+    np.zeros(1) / np.zeros(1)  # sets the invalid flag, as a failed LAPACK call does
+    return np.full(len(a), 0.25, dtype=complex)  # inside the window, not a root
 
+
+def test_line_search_bisects_when_eigenvalues_do_not_converge(monkeypatch):
+    # The solve enters the error state once around its loop; outside a solve the
+    # caller enters it.
     coeffs = np.array([-1.0, 1.0, 1.0, 1.0])
-    monkeypatch.setattr(congames.minimize, "_eigvals", no_convergence)
-    with warnings.catch_warnings():
+    monkeypatch.setattr(congames.minimize, "_eigvals", _no_convergence)
+    with warnings.catch_warnings(), np.errstate(**_EIGVALS_ERRSTATE):
         warnings.simplefilter("error")
         step = _line_search(len(coeffs) - 1)(coeffs, 1.0)
     assert step != 0.25
     assert _brackets_sign_change(coeffs, step, 1.0)
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_solve_bisects_every_line_search_when_eigenvalues_do_not_converge(monkeypatch, oracle):
+    # Every line search of a solve runs under its error state: each failed call
+    # raises there, none warns, and the bisected steps still certify the minimum.
+    calls = []
+
+    def no_convergence(a, signature):
+        calls.append(len(a))
+        return _no_convergence(a, signature)
+
+    game = generate_random_game(seed=101, n=4, m=4, d=3)
+    expected = ORACLES[oracle](game)
+    monkeypatch.setattr(congames.minimize, "_eigvals", no_convergence)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ORACLES[oracle](game)
+    assert calls and res.converged and res.certificate <= 1e-10
+    assert math.isclose(res.value, expected.value, rel_tol=0.0, abs_tol=1e-10)
+
+
+# -- line derivative and weight total ------------------------------------------
+
+
+def _line_derivative_loop(objective):
+    """line_derivative_poly as a loop over the powers, as it was before the single
+    reduction, kept as the reference."""
+    P, m = len(objective.taylor), objective.m
+    inner, dpow, lpow = np.empty((P, m)), np.empty((P, m)), np.empty(m)
+
+    def line_derivative_poly(loads, dloads):
+        np.add(objective.taylor[0], 0.0, out=inner)  # sum_j taylor[j] * loads**j from 0.0
+        power = loads  # loads**j
+        for j in range(1, P):
+            term = np.multiply(objective.taylor[j], power, out=dpow[: P - j])
+            inner[: P - j] += term
+            if j + 1 < P:
+                power = np.multiply(power, loads, out=lpow)
+        dpow[0] = dloads  # dloads**(q+1), includes the outer chain factor
+        for q in range(1, P):
+            np.multiply(dpow[q - 1], dloads, out=dpow[q])
+        return np.multiply(dpow, inner, out=dpow).sum(axis=1)
+
+    return line_derivative_poly
+
+
+@st.composite
+def line_derivative_cases(draw):
+    """A links game of m edges with cost degree 1-6 (zero coefficients included,
+    c(1) <= 1), loads in [0, 1] with 0 and 1 among them, and signed load steps."""
+    degree, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    coefficient = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    higher = st.lists(coefficient, min_size=degree - 1, max_size=degree - 1)
+    coefs = [[draw(st.floats(1e-3, 1.0)), *draw(higher)] for _ in range(m)]
+    coefs = [[c / (degree * 1.0000001) for c in row] for row in coefs]
+
+    def vector(entry):
+        return np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+
+    loads = vector(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    dloads = vector(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0))
+    return parallel_links_game(1, coefs), loads, dloads
+
+
+@given(case=line_derivative_cases())
+@settings(max_examples=300, deadline=None)
+def test_line_derivative_matches_the_power_loop_bit_for_bit(case):
+    game, loads, dloads = case
+    for objective in (potential_objective(game), average_cost_objective(game)):
+        want = _line_derivative_loop(objective)(loads, dloads)
+        poly = objective.line_derivative()
+        for _ in range(2):  # the per-solve buffers are rewritten, not accumulated
+            got = poly(loads, dloads)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@given(w=st.lists(st.floats(1e-15, 1.0), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_weight_total_is_a_left_to_right_fold(w):
+    # the solve normalizes its weights by np.add.accumulate(w)[-1]
+    total = np.add.accumulate(np.array(w))[-1]
+    assert float(total).hex() == functools.reduce(operator.add, w).hex()
+
+
+def _neumaier_sum(values, start=0):
+    """sum() of floats as CPython 3.12 and later compute it: compensated (Neumaier)."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_totals_do_not_depend_on_the_pythons_sum(monkeypatch):
+    # On Python 3.12+ sum() of floats is compensated; every float total of the
+    # oracles and the cost bounds is a left-to-right fold, so the golden bits, the
+    # bounds behind the default rates and the c(1) check hold on any Python.
+    bounded = [(0.318, 0.038, 0.346, 0.198), (0.153, 0.153, 0.104, 0.156, 0.334)]
+    too_costly = (0.216, 0.714, 0.234, 0.636)  # c(1) reads 1.8 when compensated
+    for coefs in bounded:  # each total has other bits when compensated
+        slopes = [j * c for j, c in enumerate(coefs, 1)]
+        curvatures = [j * (j - 1) * c for j, c in enumerate(coefs, 1)]
+        for terms in (coefs, slopes, curvatures):
+            assert _neumaier_sum(terms) != functools.reduce(operator.add, terms)
+    assert _neumaier_sum(too_costly) != functools.reduce(operator.add, too_costly)
+
+    def record():
+        costs = [PolynomialCost(c) for c in bounded]
+        bounds = [(c.second_derivative_upper.hex(), c.envelope_upper.hex()) for c in costs]
+        with pytest.raises(CostValidationError) as excinfo:
+            PolynomialCost(too_costly)
+        worst = min_max_cost(generate_random_game(seed=202, n=12, m=12, d=6, degree=2, symmetric=True))
+        return bounds, str(excinfo.value), worst.value.hex(), worst.certificate.hex()
+
+    plain = record()
+    golden = json.loads(GOLDEN.read_text())
+    monkeypatch.setattr(congames.minimize, "sum", _neumaier_sum, raising=False)
+    monkeypatch.setattr(congames.costs, "sum", _neumaier_sum, raising=False)
+    assert record() == plain
+    for name in GAMES:
+        for oracle in ORACLES:
+            assert _record(name, oracle) == golden[name][oracle], (name, oracle)
