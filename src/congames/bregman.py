@@ -11,11 +11,20 @@ by a sorted-threshold projection and the entropy case by a finite active-set
 loop on the multiplicative closed form.  Each geometry has one step,
 `mirror_step`, which steps every player at once in the padded (n, d) layout
 of `CongestionGame.padded`; a single player is the one-row layout.
+
+A step is built once per run and owns that run's scratch buffers, so each
+call does only the arithmetic.  One step must therefore not be called from
+two threads at once; build one step per thread.  What a step returns is never
+its scratch: without `out` it is a fresh array.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from .game import path_reduction
 
 
 class ConfigurationError(ValueError):
@@ -46,17 +55,38 @@ def project_simplex_rows(P: np.ndarray, mass, out: np.ndarray | None = None) -> 
     if given (which may be P itself).
 
     mass is a scalar or a column of positive per-row masses; entries padded to
-    -1e300 are ignored and come out 0.
+    -1e300 are ignored and come out 0.  The rows are sorted ascending and the
+    descending cumulative sums are written back to front, so column j holds
+    the sum of the d - j largest entries and every array is read in order.
     """
     n, d = P.shape
-    U = np.sort(P, axis=1)[:, ::-1]
-    counts = np.arange(1.0, d + 1.0)
-    css = np.add.accumulate(U, axis=1) - mass
-    holds = np.greater(U, css / counts)
-    holds[:, 0] = True  # rho is 0 where no index holds
-    rho = (d - 1) - holds[:, ::-1].argmax(axis=1)  # the last index that holds
-    tau = css.take(rho + np.arange(0, n * d, d)) / counts.take(rho)
-    return np.maximum(P - tau[:, None], 0.0, out=out)
+    counts, offsets = _rank_tables(n, d)
+    U = P.copy()
+    U.sort(axis=1)
+    css = np.empty((n, d))
+    np.add.accumulate(U[:, ::-1], axis=1, out=css[:, ::-1])
+    np.subtract(css, mass, out=css)
+    holds = np.greater(U, np.divide(css, counts))
+    holds[:, -1] = True  # the largest entry holds where no other does
+    first = holds.argmax(axis=1)  # the smallest entry that holds
+    tau = css.take(np.add(offsets, first)) / counts.take(first)
+    Z = np.subtract(P, tau[:, None], out=out)
+    return np.maximum(Z, 0.0, out=Z)
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of project_simplex_rows at (n, d): each column's descending
+    rank plus one, d down to 1, and the flat offset of each row."""
+    counts = np.arange(float(d), 0.0, -1.0)
+    offsets = np.arange(0, n * d, d)
+    counts.flags.writeable = offsets.flags.writeable = False
+    return counts, offsets
+
+
+def _full_rates(etas, shape: tuple[int, int]) -> np.ndarray:
+    """The per-row rates spread over the whole (n, d) layout, so no step broadcasts them."""
+    return np.broadcast_to(np.reshape(etas, (-1, 1)), shape).copy()
 
 
 class EuclideanGeometry:
@@ -86,15 +116,23 @@ class EuclideanGeometry:
         the floored set into {w >= 0, sum w = mass - size * floor}; padding
         enters the projection as -1e300 and comes out 0.
         """
-        etas = np.reshape(etas, (-1, 1))
+        rates = _full_rates(etas, mask.shape)
         shift = np.where(mask, 0.0, -1e300) - floor
+        P = np.empty(mask.shape)  # scratch: the point the step projects
+
+        def moved(X, G):
+            np.multiply(rates, G, out=P)
+            np.subtract(X, P, out=P)
+            return np.add(P, shift, out=P)
+
         if not floor:
-            return lambda X, G, out=None: project_simplex_rows(X - etas * G + shift, mass, out)
+            total = np.array(mass)  # 0-d: a Python float is converted on every call
+            return lambda X, G, out=None: project_simplex_rows(moved(X, G), total, out)
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
 
         def step(X, G, out=None):
-            return np.add(project_simplex_rows(X - etas * G + shift, free), lift, out=out)
+            return np.add(project_simplex_rows(moved(X, G), free, P), lift, out=out)
 
         return step
 
@@ -129,13 +167,20 @@ class EntropyGeometry:
         Shifting each row of eta * G by its minimum, padding included, keeps
         exp from underflowing; the shift cancels when the row is rescaled.
         exp(min - Z) equals exp(-(Z - min)) bit for bit: the two exponents
-        differ at most in the sign of a zero.
+        differ at most in the sign of a zero, and so does a minimum taken one
+        path column at a time from numpy's reduction of the row.
         """
-        rates = np.broadcast_to(np.reshape(etas, (-1, 1)), mask.shape).copy()
+        rates = _full_rates(etas, mask.shape)
+        W = np.empty(mask.shape)  # scratch: the unscaled update
+        low = np.empty((mask.shape[0], 1))
+        row_minimum = path_reduction(np.minimum, W, low[:, 0])
+        scale = np.empty((mask.shape[0], 1))
+        total = np.array(mass)
 
         def step(X, G, out=None):
-            W = np.multiply(rates, G)
-            np.subtract(np.minimum.reduce(W, axis=1, keepdims=True), W, out=W)
+            np.multiply(rates, G, out=W)
+            row_minimum()
+            np.subtract(low, W, out=W)
             np.exp(W, out=W)
             np.multiply(W, X, out=W)
             if floor:
@@ -144,9 +189,9 @@ class EntropyGeometry:
                     return Z
                 np.copyto(out, Z)
                 return out
-            scale = np.add.reduce(W, axis=1, keepdims=True)
-            np.divide(mass, scale, out=scale)
-            return np.multiply(W, scale, out=W if out is None else out)
+            np.add.reduce(W, axis=1, keepdims=True, out=scale)
+            np.divide(total, scale, out=scale)
+            return np.multiply(W, scale, out=out)
 
         return step
 

@@ -170,6 +170,8 @@ def run_bulletin(
     pc = np.empty(game.dim)  # the step's path costs, before they enter PCs
     phis = np.empty(rows)
     avgs = np.empty(rows)
+    scale = np.empty((game.n, 1))  # the gradient step's mass correction
+    total = np.array(mass)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
     # row views bound once: a list index is cheaper than numpy's on every step
     X_rows, PC_rows, L_rows, E_rows = list(Xs), list(PCs), list(Ls), list(Es)
@@ -202,8 +204,10 @@ def run_bulletin(
                 j = done = 0
 
         X = step(X, PC, out=X_rows[j])  # the next step's row; X itself in a one-row chunk
-        if not entropy:
-            X *= mass / X.sum(axis=1, keepdims=True)  # kill thresholding round-off
+        if not entropy:  # kill thresholding round-off
+            np.add.reduce(X, axis=1, keepdims=True, out=scale)
+            np.divide(total, scale, out=scale)
+            np.multiply(X, scale, out=X)
     diagnostics.add(Xs[:j], PCs[:j], phis[:j], avgs[:j])
 
     return BulletinReport(

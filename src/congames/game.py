@@ -163,8 +163,10 @@ class CongestionGame:
     # The evaluators read each table as power-major rows, built once per game.
 
     @cached_property
-    def _cost_rows(self) -> tuple[np.ndarray, ...]:
-        return power_rows(self._coef_table)
+    def _cost_rows(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        # leading-first for edge_costs: the leading row, then the lower ones
+        leading, *lower = power_rows(self._coef_table)[::-1]
+        return leading, tuple(lower)
 
     @cached_property
     def _primitive_rows(self) -> tuple[np.ndarray, ...]:
@@ -184,8 +186,17 @@ class CongestionGame:
 
     def edge_costs(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """c_e(load_e) for every edge, into out (not loads itself) if given; loads may be
-        batched (..., m)."""
-        return np.multiply(horner(self._cost_rows, loads, out), loads, out=out)
+        batched (..., m).
+
+        `horner(rows, loads) * loads` written out, so the same multiplies and
+        adds run in the same order, each in place into the result.
+        """
+        leading, lower = self._cost_rows
+        acc = np.multiply(leading, loads, out=out)
+        for row in lower:
+            np.add(acc, row, out=acc)
+            np.multiply(acc, loads, out=acc)
+        return acc
 
     def edge_primitives(self, loads: np.ndarray) -> np.ndarray:
         """F_e(load_e), the per-edge potential contributions."""
@@ -272,12 +283,32 @@ def reduce_paths(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
 
     One elementwise call per path column: numpy reduces a short contiguous
     axis one output at a time, several times slower at d <= 8.  Exact for min
-    and max, so the result equals A's ufunc.reduce over that axis.
+    and max, so the result equals A's ufunc.reduce over that axis up to the
+    sign of a zero, which numpy's reduction order decides.
     """
     acc = A[..., 0]
     for c in range(1, A.shape[-1]):
         acc = ufunc(acc, A[..., c])
     return acc
+
+
+def path_reduction(ufunc: np.ufunc, A: np.ndarray, out: np.ndarray):
+    """reduce_paths(ufunc, A) as a call that writes into out, for a caller that
+    reduces the same buffer A on every step.
+
+    The column views are bound here once, which saves their indexing on every
+    call but costs more than reduce_paths for a single reduction.
+    """
+    first, *others = [A[..., c] for c in range(A.shape[-1])]
+    second, *rest = others or [first]  # at d = 1 the column with itself
+
+    def by_columns():
+        ufunc(first, second, out=out)
+        for column in rest:
+            ufunc(out, column, out=out)
+        return out
+
+    return by_columns
 
 
 def padded_equilibrium_gaps(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congames import (
+    BulletinConfig,
     ConfigurationError,
     CongestionGame,
     DivergenceDomainError,
@@ -15,8 +16,10 @@ from congames import (
     PolynomialCost,
     generate_random_game,
     make_geometry,
+    reference_minimizer,
+    run_bulletin,
 )
-from congames.bregman import project_simplex_rows
+from congames.bregman import _pin_to_floor, project_simplex_rows
 
 EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
@@ -410,3 +413,127 @@ def test_step_written_into_out_matches_fresh_step(kind, floor_frac):
             assert out.tobytes() == want.tobytes()
             assert step_fn(X, G, out=X) is X
             assert X.tobytes() == want.tobytes()
+
+
+# -- the steps against their references ------------------------------------------
+
+
+def _euclidean_step_reference(mask, etas, mass, floor=0.0):
+    """EuclideanGeometry.mirror_step as it was before its per-run scratch, kept as
+    the reference: fresh temporaries on every call and the cumsum projection."""
+    etas = np.reshape(etas, (-1, 1))
+    shift = np.where(mask, 0.0, -1e300) - floor
+    if not floor:
+        return lambda X, G: _project_simplex_rows_cumsum(X - etas * G + shift, mass)
+    free = (mass - floor * mask.sum(axis=1))[:, None]
+    lift = np.where(mask, floor, 0.0)
+    return lambda X, G: _project_simplex_rows_cumsum(X - etas * G + shift, free) + lift
+
+
+def _entropy_step_reference(mask, etas, mass, floor=0.0):
+    """EntropyGeometry.mirror_step as it was before its per-run scratch, kept as the
+    reference: fresh temporaries on every call and the row minimum by one reduction."""
+    rates = np.reshape(etas, (-1, 1))
+
+    def step(X, G):
+        W = rates * G
+        W = np.exp(np.minimum.reduce(W, axis=1, keepdims=True) - W) * X
+        if floor:
+            return _pin_to_floor(W, mask, mass, floor)
+        return W * (mass / np.add.reduce(W, axis=1, keepdims=True))
+
+    return step
+
+
+REFERENCE_STEPS = {"euclidean": _euclidean_step_reference, "negative-entropy": _entropy_step_reference}
+
+
+def _step_layout(rng, d: int, floor_frac: float, per_player: bool):
+    """A padded (n, d) layout with at least one entry per row, its mass, floor and
+    rates: one rate for every player (a scalar) or one per player."""
+    n = int(rng.integers(1, 10))
+    mask = rng.random((n, d)) < 0.7
+    mask[np.arange(n), rng.integers(0, d, size=n)] = True
+    mass = float(rng.choice([1.0 / n, 0.5, 1.0]))
+    etas = rng.uniform(0.05, 1.0, size=n) if per_player else float(rng.uniform(0.05, 1.0))
+    return mask, etas, mass, floor_frac * mass / d
+
+
+def _step_inputs(rng, mask, mass: float, floor: float, ties: bool):
+    """A profile on the layout and costs, 0 on the padding as the run loops keep
+    them; with ties, even splits and costs on a coarse grid."""
+    X = np.zeros(mask.shape)
+    for row, entries in zip(X, mask):
+        size = int(entries.sum())
+        share = np.full(size, 1.0 / size) if ties else rng.dirichlet(np.ones(size))
+        row[entries] = floor + share * (mass - size * floor)
+    if ties:
+        G = rng.choice([0.0, 0.25, 0.5, 1.0], size=mask.shape)
+    else:
+        G = rng.uniform(0.0, 3.0, size=mask.shape)
+    return X, np.where(mask, G, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+@pytest.mark.parametrize("floor_frac", [0.0, 0.5])
+def test_steps_match_their_references_bit_for_bit(kind, floor_frac):
+    # widths 1 to 10: numpy's row sum adds left to right up to d = 7 and
+    # pairwise from d = 8 (wider rows at d = 17 and 33); one step object
+    # serves several calls, into a fresh array, into out and into X itself
+    geo = make_geometry(kind)
+    rng = np.random.default_rng(33)
+    for d in [*range(1, 11), 17, 33]:
+        for per_player in (False, True):
+            for _ in range(12):
+                mask, etas, mass, floor = _step_layout(rng, d, floor_frac, per_player)
+                step = geo.mirror_step(mask, etas, mass, floor)
+                reference = REFERENCE_STEPS[kind](mask, etas, mass, floor)
+                for ties, into in [(False, "fresh"), (True, "out"), (True, "X"), (False, "X")]:
+                    X, G = _step_inputs(rng, mask, mass, floor, ties)
+                    want = reference(X, G).tobytes()
+                    if into == "fresh":
+                        got = step(X, G)
+                    elif into == "out":
+                        got = step(X, G, out=np.full(X.shape, np.nan))
+                    else:
+                        got = step(X, G, out=X)
+                    assert got.tobytes() == want, (d, per_player, ties, into)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+@pytest.mark.parametrize("floor_frac", [0.0, 0.5])
+def test_step_without_out_returns_a_fresh_array(kind, floor_frac):
+    # run_bandit calls the step without out: its scratch must never come back
+    rng = np.random.default_rng(34)
+    mask, etas, mass, floor = _step_layout(rng, 4, floor_frac, True)
+    step = make_geometry(kind).mirror_step(mask, etas, mass, floor)
+    X1, G1 = _step_inputs(rng, mask, mass, floor, False)
+    X2, G2 = _step_inputs(rng, mask, mass, floor, False)
+    first = step(X1, G1)
+    kept = first.copy()
+    second = step(X2, G2)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()
+    assert not np.shares_memory(first, X1) and not np.shares_memory(second, X2)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
+def test_one_path_game_runs_bit_equal_to_the_reference_step(kind):
+    # every player has one path, so each row's minimum and sum is its one
+    # entry; each recorded step is the reference step of the one before
+    edges = (PolynomialCost((0.3,)), PolynomialCost((0.2, 0.5)), PolynomialCost((0.1, 0.2, 0.6)))
+    paths = tuple((frozenset(p),) for p in ({0}, {1, 2}, {0, 2}, {1}, {2}))
+    game = CongestionGame(n=5, edges=edges, paths=paths)
+    mass, mask, inc = 1.0 / game.n, game.path_mask, game.incidence
+    etas = np.linspace(0.3, 1.0, game.n) / game.smoothness_params().lam
+    cfg = BulletinConfig(geometry=kind, eta=etas, max_steps=20, record_profiles=True)
+    rep = run_bulletin(game, cfg, reference=reference_minimizer(game))
+    assert mask.shape == (game.n, 1) and rep.steps == 20
+    reference = REFERENCE_STEPS[kind](mask, etas, mass)
+    for before, after in zip(rep.profiles, rep.profiles[1:]):
+        G = game.padded(np.dot(inc, game.edge_costs(np.dot(before, inc))))
+        want = reference(game.padded(before), G)
+        if kind == "euclidean":
+            want *= mass / want.sum(axis=1, keepdims=True)  # the loop's round-off correction
+        assert after.tobytes() == want[mask].tobytes()

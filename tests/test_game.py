@@ -13,6 +13,7 @@ from congames import (
     generate_random_game,
     parallel_links_game,
 )
+from congames.game import path_reduction, reduce_paths
 from congames.minimize import _flow_jacobian
 from conftest import random_feasible, uneven_links
 
@@ -368,3 +369,24 @@ def test_player_slice_takes_only_players_that_exist(player, exists):
     else:
         with pytest.raises(ValueError, match=re.escape(f"no player {player!r}")):
             game.player_slice(player)
+
+
+# -- reductions over the path axis ---------------------------------------------
+
+
+@pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
+@pytest.mark.parametrize("lead", [(1,), (3,), (8,), (2, 5)])
+def test_path_reduction_matches_reduce_paths_bit_for_bit(ufunc, lead):
+    # every width from 1 to 40, with ties, infinities and signed zeros in the
+    # data; numpy's own reduction may pick the other zero of a tie of 0.0 and
+    # -0.0, so it is matched by value
+    rng = np.random.default_rng(282)
+    for d in range(1, 41):
+        A = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf], size=(*lead, d))
+        A[..., -1] = rng.normal(size=lead)
+        out = np.full(lead, np.nan)
+        reduce = path_reduction(ufunc, A, out)
+        for _ in range(2):  # the views are bound once: the second call reads new data
+            assert reduce() is out and out.tobytes() == reduce_paths(ufunc, A).tobytes(), d
+            assert np.array_equal(out, ufunc.reduce(A, axis=-1)), d
+            A[...] = -A
