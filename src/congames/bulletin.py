@@ -22,7 +22,7 @@ from .game import (
     CongestionGame,
     _heavy_floor,
     padded_equilibrium_gaps,
-    reduce_paths,
+    path_reduction,
 )
 from .minimize import CertifiedMinimum
 
@@ -255,7 +255,7 @@ class _Diagnostics:
         deltas, theorem_deltas = padded_equilibrium_gaps(X, PC, mask, floors)
         self.deltas.append(deltas)
         self.theorem_deltas.append(theorem_deltas)
-        self.maxs.append(reduce_paths(np.maximum, np.where(mask, PC, -np.inf)).max(axis=1))
+        self.maxs.append(path_reduction(np.maximum, np.where(mask, PC, -np.inf))().max(axis=1))
         unit = game.n * np.where(mask, PC * X, 0.0).sum(axis=2)
         self.cum_unit = _add_rows(self.cum_unit, unit)
         self.cum_paths = _add_rows(self.cum_paths, PC[:, mask])

@@ -194,21 +194,28 @@ def descent_step_check(
     return Check("descent-step", phi_next, bound, f"Phi_next {phi_next:.6g} vs {bound:.6g}")
 
 
+def _gap_check(name: str, gaps: np.ndarray, bound: float, detail: str, alpha: float) -> Check:
+    """The worst of gaps within bound, with the potential bound alpha as limit.  Over
+    no episode it measures -inf, the only value a maximum over nothing can take, so
+    its limit is -inf too and the check reads vacuous."""
+    if not gaps.size:
+        return Check(name, -math.inf, bound, detail, -math.inf)
+    return Check(name, float(gaps.max()), bound, detail, alpha)
+
+
 def bandit_checks(report: BanditReport) -> list[Check]:
     """The run's theorem checks: the worst certified gap from episode tau0 on,
-    and from the first gap below 2*delta/theta on (-inf in an empty slice),
-    each within 3*delta/theta, with the potential bound alpha as limit, and
-    how far the least played probability falls under the floor Lambda/n."""
+    and from the first gap below 2*delta/theta on, each within 3*delta/theta,
+    and how far the least played probability falls under the floor Lambda/n."""
     p, gaps = report.params, report.certified_gaps
     ceiling = p.threshold + 1e-9
     alpha = report.game.smoothness_params().alpha
     below = np.flatnonzero(gaps < p.lower_threshold)
     after = gaps[below[0] :] if below.size else gaps[:0]
     lowest = min(float(r.profile.min()) for r in report.records)
-    late, settled = (float(np.max(g, initial=-np.inf)) for g in (gaps[p.tau0 - 1 :], after))
     detail = f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}"
     return [
-        Check("bandit-gap-threshold", late, ceiling, detail, alpha),
-        Check("bandit-permanence", settled, ceiling, "post-threshold gaps stay bounded", alpha),
+        _gap_check("bandit-gap-threshold", gaps[p.tau0 - 1 :], ceiling, detail, alpha),
+        _gap_check("bandit-permanence", after, ceiling, "post-threshold gaps stay bounded", alpha),
         Check("exploration-floor", p.floor - lowest, 1e-12, f"floor {p.floor:.6g}"),
     ]

@@ -73,19 +73,18 @@ class PolynomialCost:
         return ((j + 1, c) for j, c in enumerate(self.coefficients))
 
 
-def horner(rows, y, out=None) -> np.ndarray:
-    """sum_j rows[j] * y**j, from the leading coefficient down, into out if given.
+def horner(rows, y) -> np.ndarray:
+    """sum_j rows[j] * y**j, from the leading coefficient down.
 
     rows holds one contiguous (m,) coefficient array per power, as
     `power_rows` builds them; y broadcasts against the rows (edge loads
-    (..., m)).  Each step is one multiply and one add; a single row is
-    returned as it is.
+    (..., m)).  Each step is one multiply and one add, in place after the
+    first; a single row is returned as it is.
     """
-    acc = rows[-1]
+    acc, out = rows[-1], None
     for row in rows[-2::-1]:
         acc = np.multiply(acc, y, out=out)
-        np.add(acc, row, out=acc)
-        out = acc
+        out = np.add(acc, row, out=acc)
     return acc
 
 

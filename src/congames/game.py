@@ -278,29 +278,21 @@ class CongestionGame:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
-def reduce_paths(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
-    """ufunc (np.minimum or np.maximum) over the last, path axis of A.
+def path_reduction(ufunc: np.ufunc, A: np.ndarray, out: np.ndarray | None = None):
+    """ufunc (np.minimum or np.maximum) over the last, path axis of A, as a call
+    that writes into out (a new array if None) and returns it.
 
     One elementwise call per path column: numpy reduces a short contiguous
-    axis one output at a time, several times slower at d <= 8.  Exact for min
-    and max, so the result equals A's ufunc.reduce over that axis up to the
-    sign of a zero, which numpy's reduction order decides.
-    """
-    acc = A[..., 0]
-    for c in range(1, A.shape[-1]):
-        acc = ufunc(acc, A[..., c])
-    return acc
-
-
-def path_reduction(ufunc: np.ufunc, A: np.ndarray, out: np.ndarray):
-    """reduce_paths(ufunc, A) as a call that writes into out, for a caller that
-    reduces the same buffer A on every step.
-
-    The column views are bound here once, which saves their indexing on every
-    call but costs more than reduce_paths for a single reduction.
+    axis one output at a time, several times slower at d <= 8.  The column
+    views are bound here once, so a caller that reduces the same buffer on
+    every step keeps the call, and each call rereads A's current data.  Exact
+    for min and max, so the result equals A's ufunc.reduce over that axis up
+    to the sign of a zero, which numpy's reduction order decides.
     """
     first, *others = [A[..., c] for c in range(A.shape[-1])]
     second, *rest = others or [first]  # at d = 1 the column with itself
+    if out is None:
+        out = np.empty(A.shape[:-1], A.dtype)
 
     def by_columns():
         ufunc(first, second, out=out)
@@ -323,9 +315,9 @@ def padded_equilibrium_gaps(
     floored at 0.  Only max and min are taken, so the value does not depend
     on the layout or batching.
     """
-    best = reduce_paths(np.minimum, np.where(mask, costs, np.inf))
+    best = path_reduction(np.minimum, np.where(mask, costs, np.inf))()
     used = mask & (X > np.expand_dims(floor, (-2, -1)))
-    worst = reduce_paths(np.maximum, np.where(used, costs, -np.inf))
+    worst = path_reduction(np.maximum, np.where(used, costs, -np.inf))()
     return np.maximum((worst - best).max(axis=-1), 0.0)
 
 

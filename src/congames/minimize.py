@@ -74,7 +74,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .bregman import ConfigurationError
-from .costs import horner, power_rows, primitive_table
+from .costs import _left_sum, horner, power_rows, primitive_table
 from .game import CongestionGame
 
 
@@ -359,7 +359,7 @@ def _lower_bound(
     """
     g = J @ lam
     terms = (float(lam @ c), float(g @ f), float(g.min()))
-    total = 0.0 + terms[0] + terms[1] + terms[2]  # sum() before 3.12, from 0.0 left to right
+    total = _left_sum(terms)
     rounding = (flow._coef_table.shape[1] + flow.m + 2 * len(f)) * _EPS * total
     return terms[0] - terms[1] + terms[2] - rounding
 

@@ -178,15 +178,38 @@ def test_ok_is_measured_within_bound():
 
 def test_threshold_checks_are_vacuous_on_the_links_game():
     # criterion 8's game: 3*delta/theta = 10.7 against the potential bound alpha = 5;
-    # the threshold is derived from the game alone, so exact gradients suffice
+    # the threshold is derived from the game alone, so exact gradients suffice; two
+    # episodes reach tau0 = 2, so both checks read a gap
     links = parallel_links_game(10, [[1.0]] * 10)
-    config = euclidean_preset(links, episodes=1, exact_gradient=True)
+    config = euclidean_preset(links, episodes=2, exact_gradient=True)
     report = run_bandit(links, config, reference_minimizer(links))
     checks = {check.name: check for check in bandit_checks(report)}
     for name in ("bandit-gap-threshold", "bandit-permanence"):
         assert checks[name].limit == links.smoothness_params().alpha == 5.0
         assert checks[name].bound > 10.0 and checks[name].vacuous and checks[name].ok
     assert checks["exploration-floor"].limit == math.inf and not checks["exploration-floor"].vacuous
+
+
+def test_gap_checks_over_no_episode_are_vacuous():
+    # tau0 = 4 on this game, so 3 episodes leave the threshold check no gap to read;
+    # a maximum over nothing is -inf, so it cannot fail whatever its bound
+    game = generate_random_game(seed=1, n=100, m=6, d=3)
+    report = run_bandit(
+        game, euclidean_preset(game, episodes=3, exact_gradient=True), reference_minimizer(game)
+    )
+    alpha = game.smoothness_params().alpha
+    assert report.params.tau0 == 4 and report.params.threshold < alpha
+    checks = {check.name: check for check in bandit_checks(report)}
+    late, settled = checks["bandit-gap-threshold"], checks["bandit-permanence"]
+    assert late.measured == late.limit == -math.inf and late.vacuous and late.ok
+    assert settled.measured >= 0.0 and settled.limit == alpha and not settled.vacuous
+    # no gap below 2*delta/theta leaves permanence nothing to read either
+    lowest = float(report.certified_gaps.min())
+    params = replace(report.params, lower_threshold=lowest)
+    checks = {check.name: check for check in bandit_checks(replace(report, params=params))}
+    settled = checks["bandit-permanence"]
+    assert settled.measured == settled.limit == -math.inf and settled.vacuous and settled.ok
+    assert checks["bandit-gap-threshold"].vacuous
 
 
 def test_equilibrium_gap_check_is_not_vacuous(runs):

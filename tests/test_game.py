@@ -13,7 +13,7 @@ from congames import (
     generate_random_game,
     parallel_links_game,
 )
-from congames.game import path_reduction, reduce_paths
+from congames.game import path_reduction
 from congames.minimize import _flow_jacobian
 from conftest import random_feasible, uneven_links
 
@@ -374,6 +374,14 @@ def test_player_slice_takes_only_players_that_exist(player, exists):
 # -- reductions over the path axis ---------------------------------------------
 
 
+def _reduce_paths(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """The one-shot column loop path_reduction replaced, kept as the reference."""
+    acc = A[..., 0]
+    for c in range(1, A.shape[-1]):
+        acc = ufunc(acc, A[..., c])
+    return acc
+
+
 @pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
 @pytest.mark.parametrize("lead", [(1,), (3,), (8,), (2, 5)])
 def test_path_reduction_matches_reduce_paths_bit_for_bit(ufunc, lead):
@@ -384,9 +392,15 @@ def test_path_reduction_matches_reduce_paths_bit_for_bit(ufunc, lead):
     for d in range(1, 41):
         A = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf], size=(*lead, d))
         A[..., -1] = rng.normal(size=lead)
-        out = np.full(lead, np.nan)
-        reduce = path_reduction(ufunc, A, out)
-        for _ in range(2):  # the views are bound once: the second call reads new data
-            assert reduce() is out and out.tobytes() == reduce_paths(ufunc, A).tobytes(), d
-            assert np.array_equal(out, ufunc.reduce(A, axis=-1)), d
-            A[...] = -A
+        for out in (np.full(lead, np.nan), None):  # given, or allocated by the call
+            reduce = path_reduction(ufunc, A, out)
+            result = reduce()
+            assert result.shape == lead and (out is None or result is out), d
+            assert not np.shares_memory(result, A), d
+            for _ in range(2):  # the views are bound once: the second call reads new data
+                assert reduce() is result, d
+                assert result.tobytes() == _reduce_paths(ufunc, A).tobytes(), d
+                assert np.array_equal(result, ufunc.reduce(A, axis=-1)), d
+                A[...] = -A
+    # with no out, each built call has an array of its own
+    assert path_reduction(ufunc, A)() is not path_reduction(ufunc, A)()
