@@ -10,7 +10,8 @@ exactly over a scaled simplex {z >= floor, sum z = mass}, the Euclidean case
 by a sorted-threshold projection and the entropy case by a finite active-set
 loop on the multiplicative closed form.  Each geometry has one step,
 `mirror_step`, which steps every player at once in the padded (n, d) layout
-of `CongestionGame.padded`; a single player is the one-row layout.
+of `CongestionGame.padded`; a single player is the one-row layout.  A step
+returns rows summing to the mass, so its caller applies no correction.
 
 A step is built once per run and owns that run's scratch buffers, so each
 call does only the arithmetic.  One step must therefore not be called from
@@ -114,25 +115,28 @@ class EuclideanGeometry:
         mass}.  The step is built once per run, so each call does only the
         arithmetic.  Here it projects x - eta * g, with z = floor + w turning
         the floored set into {w >= 0, sum w = mass - size * floor}; padding
-        enters the projection as -1e300 and comes out 0.
+        enters the projection as -1e300 and comes out 0.  Without a floor
+        each projected row is then rescaled to the mass, clearing the
+        round-off the threshold leaves in its sum.
         """
         rates = _full_rates(etas, mask.shape)
         shift = np.where(mask, 0.0, -1e300) - floor
         P = np.empty(mask.shape)  # scratch: the point the step projects
-
-        def moved(X, G):
-            np.multiply(rates, G, out=P)
-            np.subtract(X, P, out=P)
-            return np.add(P, shift, out=P)
-
-        if not floor:
-            total = np.array(mass)  # 0-d: a Python float is converted on every call
-            return lambda X, G, out=None: project_simplex_rows(moved(X, G), total, out)
+        scale = np.empty((mask.shape[0], 1))
+        total = np.array(mass)  # 0-d: a Python float is converted on every call
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
 
         def step(X, G, out=None):
-            return np.add(project_simplex_rows(moved(X, G), free, P), lift, out=out)
+            np.multiply(rates, G, out=P)
+            np.subtract(X, P, out=P)
+            np.add(P, shift, out=P)
+            if floor:
+                return np.add(project_simplex_rows(P, free, P), lift, out=out)
+            Z = project_simplex_rows(P, total, out)
+            np.add.reduce(Z, axis=1, keepdims=True, out=scale)
+            np.divide(total, scale, out=scale)
+            return np.multiply(Z, scale, out=Z)
 
         return step
 
@@ -183,38 +187,34 @@ class EntropyGeometry:
             np.subtract(low, W, out=W)
             np.exp(W, out=W)
             np.multiply(W, X, out=W)
-            if floor:
-                Z = _pin_to_floor(W, mask, mass, floor)
-                if out is None:
-                    return Z
-                np.copyto(out, Z)
-                return out
             np.add.reduce(W, axis=1, keepdims=True, out=scale)
             np.divide(total, scale, out=scale)
-            return np.multiply(W, scale, out=out)
+            Z = np.multiply(W, scale, out=out)
+            if floor:
+                _pin_to_floor(W, Z, mask, mass, floor)
+            return Z
 
         return step
 
 
-def _pin_to_floor(W: np.ndarray, mask: np.ndarray, mass: float, floor: float) -> np.ndarray:
-    """Row-wise argmin over {z >= floor, sum z = mass} of sum z ln(z/w).
+def _pin_to_floor(W: np.ndarray, Z: np.ndarray, mask: np.ndarray, mass: float, floor: float) -> None:
+    """Row-wise argmin over {z >= floor, sum z = mass} of sum z ln(z/w), in place
+    on Z, which holds w rescaled to the mass.
 
-    Rescaling w to the mass solves the problem without the floor.  Entries
-    that fall below the floor are pinned there and the remaining free mass is
+    That rescale solves the problem without the floor.  Entries that fall
+    below the floor are pinned there and the remaining free mass is
     redistributed over the rest.  Rescaling only shrinks the free entries, so
-    pinned entries stay pinned and the loop ends within d rounds at the exact
-    KKT point.  Padding (w = 0) stays 0.
+    pinned entries stay pinned; every round pins at least one more entry, and
+    the loop ends at the exact KKT point.  Padding (w = 0) stays 0.
     """
     pinned = np.zeros(W.shape, dtype=bool)
-    for _ in range(W.shape[1] + 1):
-        free = mass - floor * pinned.sum(axis=1, keepdims=True)
-        unpinned = np.where(pinned, 0.0, W)
-        Z = np.where(pinned, floor, W * (free / unpinned.sum(axis=1, keepdims=True)))
-        newly = mask & ~pinned & (Z < floor)
-        if not newly.any():
-            return Z
+    newly = mask & (Z < floor)
+    while newly.any():
         pinned |= newly
-    raise AssertionError("active-set loop failed to settle")  # pragma: no cover
+        free = mass - floor * pinned.sum(axis=1, keepdims=True)
+        np.multiply(W, free / np.where(pinned, 0.0, W).sum(axis=1, keepdims=True), out=Z)
+        np.putmask(Z, pinned, floor)
+        newly = mask & ~pinned & (Z < floor)
 
 
 _GEOMETRIES = {

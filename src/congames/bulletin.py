@@ -134,13 +134,12 @@ def run_bulletin(
     """
     etas = config.resolve_etas(game)
     geometry = make_geometry(config.geometry)
-    entropy = geometry.kind == "negative-entropy"
 
     if config.x0 is None:
         x0 = game.uniform_profile()
     else:
         x0 = game.check_profile(config.x0, tol=1e-9)
-    if entropy and np.any(x0 <= 0.0):
+    if geometry.kind == "negative-entropy" and np.any(x0 <= 0.0):
         raise ConfigurationError(
             "entropy dynamics need a strictly positive start (use the uniform profile)"
         )
@@ -153,10 +152,9 @@ def run_bulletin(
     )
 
     inc = game.incidence
-    mass = 1.0 / game.n
     mask = game.path_mask
     sel = np.flatnonzero(mask)
-    step = geometry.mirror_step(mask, etas, mass)
+    step = geometry.mirror_step(mask, etas, 1.0 / game.n)
     edge_costs = game.edge_costs
     target = config.target_gap
     last = config.max_steps
@@ -170,8 +168,6 @@ def run_bulletin(
     pc = np.empty(game.dim)  # the step's path costs, before they enter PCs
     phis = np.empty(rows)
     avgs = np.empty(rows)
-    scale = np.empty((game.n, 1))  # the gradient step's mass correction
-    total = np.array(mass)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
     # row views bound once: a list index is cheaper than numpy's on every step
     X_rows, PC_rows, L_rows, E_rows = list(Xs), list(PCs), list(Ls), list(Es)
@@ -204,10 +200,6 @@ def run_bulletin(
                 j = done = 0
 
         X = step(X, PC, out=X_rows[j])  # the next step's row; X itself in a one-row chunk
-        if not entropy:  # kill thresholding round-off
-            np.add.reduce(X, axis=1, keepdims=True, out=scale)
-            np.divide(total, scale, out=scale)
-            np.multiply(X, scale, out=X)
     diagnostics.add(Xs[:j], PCs[:j], phis[:j], avgs[:j])
 
     return BulletinReport(

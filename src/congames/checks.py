@@ -94,11 +94,12 @@ def sigma_targets(game: CongestionGame, sigma: float) -> tuple[float, float | No
 
 
 def _budget(work: float, rate: float) -> int | float:
-    """ceil(work/rate) steps: 0 when work is 0, inf when the quotient is not finite."""
+    """ceil(work/rate) steps: 0 when work is 0, inf when the quotient is not finite,
+    and the quotient itself from 2**53 up, where every float is an integer."""
     if work == 0.0:
         return 0
     steps = work / rate if rate > 0.0 else math.inf
-    return math.ceil(steps) if steps < math.inf else math.inf
+    return math.ceil(steps) if steps < 2.0**53 else steps
 
 
 def step_budget(game: CongestionGame, geometry: str, eta: float, epsilon: float) -> int | float:

@@ -19,7 +19,7 @@ from congames import (
     reference_minimizer,
     run_bulletin,
 )
-from congames.bregman import _pin_to_floor, project_simplex_rows
+from congames.bregman import project_simplex_rows
 
 EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
@@ -420,11 +420,17 @@ def test_step_written_into_out_matches_fresh_step(kind, floor_frac):
 
 def _euclidean_step_reference(mask, etas, mass, floor=0.0):
     """EuclideanGeometry.mirror_step as it was before its per-run scratch, kept as
-    the reference: fresh temporaries on every call and the cumsum projection."""
+    the reference: fresh temporaries on every call and the cumsum projection; at
+    floor 0 the rows are rescaled to the mass, as the bulletin loop once did."""
     etas = np.reshape(etas, (-1, 1))
     shift = np.where(mask, 0.0, -1e300) - floor
     if not floor:
-        return lambda X, G: _project_simplex_rows_cumsum(X - etas * G + shift, mass)
+
+        def step(X, G):
+            Z = _project_simplex_rows_cumsum(X - etas * G + shift, mass)
+            return Z * (mass / Z.sum(axis=1, keepdims=True))
+
+        return step
     free = (mass - floor * mask.sum(axis=1))[:, None]
     lift = np.where(mask, floor, 0.0)
     return lambda X, G: _project_simplex_rows_cumsum(X - etas * G + shift, free) + lift
@@ -439,10 +445,25 @@ def _entropy_step_reference(mask, etas, mass, floor=0.0):
         W = rates * G
         W = np.exp(np.minimum.reduce(W, axis=1, keepdims=True) - W) * X
         if floor:
-            return _pin_to_floor(W, mask, mass, floor)
+            return _pin_to_floor_reference(W, mask, mass, floor)
         return W * (mass / np.add.reduce(W, axis=1, keepdims=True))
 
     return step
+
+
+def _pin_to_floor_reference(W, mask, mass, floor):
+    """The floored multiplicative update's active-set loop as it was when every
+    round, the first rescale included, built its result on fresh temporaries."""
+    pinned = np.zeros(W.shape, dtype=bool)
+    for _ in range(W.shape[1] + 1):
+        free = mass - floor * pinned.sum(axis=1, keepdims=True)
+        unpinned = np.where(pinned, 0.0, W)
+        Z = np.where(pinned, floor, W * (free / unpinned.sum(axis=1, keepdims=True)))
+        newly = mask & ~pinned & (Z < floor)
+        if not newly.any():
+            return Z
+        pinned |= newly
+    raise AssertionError("active-set loop failed to settle")
 
 
 REFERENCE_STEPS = {"euclidean": _euclidean_step_reference, "negative-entropy": _entropy_step_reference}
@@ -500,6 +521,28 @@ def test_steps_match_their_references_bit_for_bit(kind, floor_frac):
                     assert got.tobytes() == want, (d, per_player, ties, into)
 
 
+def test_floor_that_binds_in_two_rounds_matches_the_reference():
+    # rescaled to the mass, player 0's update is (0.02, 0.105, 0.875): the
+    # rescale pins the first entry, and redistributing 0.9 over the other two
+    # takes the second to 0.105 * 0.9 / 0.98 < 0.1, so a second round pins it;
+    # player 1's row, with padding, leaves the floor unbound
+    mask = np.array([[True, True, True, False], [True, False, True, False]])
+    mass, floor, etas = 1.0, 0.1, np.array([1.0, 0.5])
+    X = np.where(mask, np.array([[1 / 3], [0.5]]), 0.0)
+    G = np.zeros(mask.shape)
+    G[0, :3] = -np.log([0.02, 0.105, 0.875])
+    G[1, [0, 2]] = [0.3, 0.1]
+    step = EntropyGeometry().mirror_step(mask, etas, mass, floor)
+    want = _entropy_step_reference(mask, etas, mass, floor)(X, G)
+    assert want[0, 0] == want[0, 1] == floor and want[0, 2] > floor and want[0, 3] == 0.0
+    rescaled = _entropy_step_reference(mask, etas, mass)(X, G)
+    assert rescaled[0, 0] < floor <= rescaled[0, 1] and np.all(rescaled[1, [0, 2]] > floor)
+    assert step(X, G).tobytes() == want.tobytes()
+    out = np.full(X.shape, np.nan)
+    assert step(X, G, out=out) is out and out.tobytes() == want.tobytes()
+    assert step(X, G, out=X) is X and X.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
 @pytest.mark.parametrize("floor_frac", [0.0, 0.5])
 def test_step_without_out_returns_a_fresh_array(kind, floor_frac):
@@ -534,6 +577,4 @@ def test_one_path_game_runs_bit_equal_to_the_reference_step(kind):
     for before, after in zip(rep.profiles, rep.profiles[1:]):
         G = game.padded(np.dot(inc, game.edge_costs(np.dot(before, inc))))
         want = reference(game.padded(before), G)
-        if kind == "euclidean":
-            want *= mass / want.sum(axis=1, keepdims=True)  # the loop's round-off correction
         assert after.tobytes() == want[mask].tobytes()

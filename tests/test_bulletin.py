@@ -23,6 +23,7 @@ from congames import (
     run_bulletin,
 )
 from congames.checks import (
+    _budget,
     average_cost_ratio,
     average_ratio_bound,
     bulletin_checks,
@@ -231,6 +232,11 @@ def test_closed_form_step_budget_reads_inf_past_every_integer(g1, kind):
     for eta, eps in ((1.0, 1e-3), (0.3, 7e-5), (1e-150, 1e-150)):
         rate = n * eta * eps if kind == "euclidean" else eta * eps
         assert step_budget(g1, kind, eta, eps) == math.ceil(work / rate)
+    # from 2**53 up every float is an integer: the quotient is the budget, no
+    # int of hundreds of float-noise digits; below it, the ceiling as an int
+    assert type(_budget(2.0**53 - 1, 1.0)) is int and _budget(2.0**53 - 1, 1.0) == 2**53 - 1
+    for steps in (2.0**53, 1e300, math.inf):
+        assert type(_budget(steps, 1.0)) is float and _budget(steps, 1.0) == steps
 
 
 def _per_step_run(game, config, reference):
@@ -270,7 +276,6 @@ def _per_step_run(game, config, reference):
             break
         if config.geometry == "euclidean":
             X = euclidean_step(X, PC)
-            X *= mass / X.sum(axis=1, keepdims=True)
         else:
             Z = rates * PC
             Z -= Z.min(axis=1, keepdims=True)

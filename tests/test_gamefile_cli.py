@@ -361,6 +361,16 @@ def test_cli_step_budget_past_every_integer_reads_inf(args, tmp_path, capsys):
     assert "budget=inf" in captured.out and "Traceback" not in captured.err
 
 
+def test_cli_step_budget_past_2_53_prints_in_e_notation(capsys):
+    # eta*eps of about 3e-302 puts the budget near 4.2e300, a float with no fraction
+    args = ["--gen", "n=2,m=2,d=2", "--algo", "bulletin-gd", "--sigma", "1e-300"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    line = next(s for s in out.splitlines() if s.startswith("[PASS] convergence-budget"))
+    assert re.search(r" budget \d\.\d+e\+300$", line), line
+    assert re.search(r" budget=\d\.\d+e\+300( |$)", out), out
+
+
 def test_cli_ratio_column_is_inf_without_a_positive_lower_bound(tmp_path):
     # min C_A = 1e-12 with certificate 2e-12: its certified lower bound is negative
     path, out = tmp_path / "tiny.game", tmp_path / "tiny.csv"
