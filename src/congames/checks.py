@@ -20,12 +20,13 @@ from .minimize import CertifiedMinimum
 class Check:
     """One theorem check: ok iff measured <= bound, the check's slack folded into
     bound.  limit is the largest value the measured quantity can take (+inf when
-    unknown); a bound at or past it cannot fail, so the check is vacuous."""
+    unknown); a bound at or past it cannot fail, so the check is vacuous and counts
+    as a pass.  str() is the report line `[PASS] name: measured m, bound b, margin
+    bound - measured` (`[FAIL]` unless ok), then `, vacuous (limit l)` if vacuous."""
 
     name: str
     measured: float
     bound: float
-    detail: str
     limit: float = math.inf
 
     @property
@@ -39,6 +40,11 @@ class Check:
     @property
     def vacuous(self) -> bool:
         return bool(self.bound >= self.limit)
+
+    def __str__(self) -> str:
+        line = f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: measured {self.measured:.6g}"
+        line += f", bound {self.bound:.6g}, margin {self.margin:.6g}"
+        return f"{line}, vacuous (limit {self.limit:.6g})" if self.vacuous else line
 
 
 def delta_equilibrium_gap(game: CongestionGame, flat: np.ndarray, epsilon: float = 0.0) -> float:
@@ -117,21 +123,19 @@ def bulletin_checks(report: BulletinReport) -> list[Check]:
     n*gamma/(eta_min*eps) steps, gamma the measured initial divergence; a run
     with no hit measures nan, which fails."""
     game = report.game
-    ascent = report.max_ascent
     ceiling = equilibrium_gap_bound(game, report.certified_gaps) + 1e-6
     worst = int(np.argmax(report.theorem_delta_gaps - ceiling))
     gap, bound = float(report.theorem_delta_gaps[worst]), float(ceiling[worst])
     priciest = float((game.incidence @ game.edge_costs(np.ones(game.m))).max())
     checks = [
-        Check("monotone-descent", ascent, 1e-10, f"max one-step increase {ascent:.3e}"),
-        Check("equilibrium-gap-bound", gap, bound, f"worst margin {gap - bound:.3e}", priciest),
+        Check("monotone-descent", report.max_ascent, 1e-10),
+        Check("equilibrium-gap-bound", gap, bound, priciest),
     ]
     if report.target_gap is not None:
         hit = report.first_certified_hit
         rate = float(report.etas.min()) * report.target_gap
         budget = _budget(game.n * report.gamma_measured, rate)
-        detail = f"first certified gap<= {report.target_gap:g} at step {hit}, budget {budget}"
-        checks.append(Check("convergence-budget", math.nan if hit is None else hit, budget, detail))
+        checks.append(Check("convergence-budget", math.nan if hit is None else hit, budget))
     return checks
 
 
@@ -146,15 +150,12 @@ def ratio_checks(
     min C_A and, when `maximum` is given, C_M(x) within `max_ratio_bound` at the
     gap a*sigma**2/(32m) of it.  A `maximum` given for an asymmetric game is
     refused."""
-    ratio = average_cost_ratio(game, flat, average)
-    bound = (game.b / game.a) * (1.0 + sigma)
-    detail = f"ratio {ratio:.6g} vs (b/a)(1+sigma) = {bound:.6g}"
-    checks = [Check("average-cost-ratio", ratio, bound + 1e-9, detail)]
+    bound = (game.b / game.a) * (1.0 + sigma) + 1e-9
+    checks = [Check("average-cost-ratio", average_cost_ratio(game, flat, average), bound)]
     if maximum is not None:
         ratio = max_cost_ratio(game, flat, average, maximum)
-        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1])
-        detail = f"ratio {ratio:.6g} vs bound {bound:.6g}"
-        checks.append(Check("maximum-cost-ratio", ratio, bound + 1e-9, detail))
+        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1]) + 1e-9
+        checks.append(Check("maximum-cost-ratio", ratio, bound))
     return checks
 
 
@@ -192,16 +193,16 @@ def descent_step_check(
     """One-episode progress test: Phi_next <= Phi_prev - theta*(Phi_prev - Phi_min) + delta,
     up to _DESCENT_SLACK."""
     bound = phi_prev - theta * (phi_prev - phi_min) + delta + _DESCENT_SLACK
-    return Check("descent-step", phi_next, bound, f"Phi_next {phi_next:.6g} vs {bound:.6g}")
+    return Check("descent-step", phi_next, bound)
 
 
-def _gap_check(name: str, gaps: np.ndarray, bound: float, detail: str, alpha: float) -> Check:
+def _gap_check(name: str, gaps: np.ndarray, bound: float, alpha: float) -> Check:
     """The worst of gaps within bound, with the potential bound alpha as limit.  Over
     no episode it measures -inf, the only value a maximum over nothing can take, so
     its limit is -inf too and the check reads vacuous."""
     if not gaps.size:
-        return Check(name, -math.inf, bound, detail, -math.inf)
-    return Check(name, float(gaps.max()), bound, detail, alpha)
+        return Check(name, -math.inf, bound, -math.inf)
+    return Check(name, float(gaps.max()), bound, alpha)
 
 
 def bandit_checks(report: BanditReport) -> list[Check]:
@@ -214,9 +215,8 @@ def bandit_checks(report: BanditReport) -> list[Check]:
     below = np.flatnonzero(gaps < p.lower_threshold)
     after = gaps[below[0] :] if below.size else gaps[:0]
     lowest = min(float(r.profile.min()) for r in report.records)
-    detail = f"gaps after tau0={p.tau0} vs threshold {p.threshold:.6g}"
     return [
-        _gap_check("bandit-gap-threshold", gaps[p.tau0 - 1 :], ceiling, detail, alpha),
-        _gap_check("bandit-permanence", after, ceiling, "post-threshold gaps stay bounded", alpha),
-        Check("exploration-floor", p.floor - lowest, 1e-12, f"floor {p.floor:.6g}"),
+        _gap_check("bandit-gap-threshold", gaps[p.tau0 - 1 :], ceiling, alpha),
+        _gap_check("bandit-permanence", after, ceiling, alpha),
+        Check("exploration-floor", p.floor - lowest, 1e-12),
     ]

@@ -275,7 +275,7 @@ def _finish(args: argparse.Namespace, summary: dict, assertions) -> int:
     """Print one line per assertion and the summary; return the exit code."""
     failed = [check.name for check in assertions if not check.ok]
     for check in assertions:
-        print(f"[{'PASS' if check.ok else 'FAIL'}] {check.name}: {check.detail}")
+        print(check)
     pairs = " ".join(f"{k}={_fmt(v)}" for k, v in summary.items() if not isinstance(v, str))
     print(f"summary: algo={summary['algo']} {pairs}")
     if failed:

@@ -3,10 +3,11 @@
 Each case takes a real run, replaces one field with `dataclasses.replace` so
 that the named check must fail, and requires that check's record to pass with
 a margin of at least 0 on the run as it was, and to fail with a negative
-margin after the change.
+margin after the change; the record's printed line must say the same.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,11 +154,17 @@ def test_every_check_has_a_mutation(runs):
     assert sorted(_outcomes(runs)) == sorted(MUTATIONS)
 
 
+def _printed_margin(check: Check) -> float:
+    return float(re.search(r", margin ([^,]+)", str(check)).group(1))
+
+
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_check_fails_after_one_field_changes(runs, name):
     before, after = _outcomes(runs)[name], _outcomes(MUTATIONS[name](runs))[name]
     assert before.ok and before.margin >= 0.0
     assert not after.ok and after.margin < 0.0
+    assert str(before).startswith(f"[PASS] {name}: ") and _printed_margin(before) >= 0.0
+    assert str(after).startswith(f"[FAIL] {name}: ") and _printed_margin(after) < 0.0
 
 
 def test_permanence_fails_where_the_tau0_check_passes(runs):
@@ -166,14 +173,25 @@ def test_permanence_fails_where_the_tau0_check_passes(runs):
 
 
 def test_ok_is_measured_within_bound():
-    assert Check("c", 1.0, 1.0, "").ok and Check("c", 1.0, 1.0, "").margin == 0.0
-    assert not Check("c", 1.0 + 2**-52, 1.0, "").ok
-    assert not Check("c", float("nan"), float("inf"), "").ok  # a run with no hit
-    assert not Check("c", 0.0, 1.0, "").vacuous and Check("c", 0.0, 1.0, "", 1.0).vacuous
-    assert not Check("c", 0.0, 1.0, "", 1.5).vacuous
+    assert Check("c", 1.0, 1.0).ok and Check("c", 1.0, 1.0).margin == 0.0
+    assert not Check("c", 1.0 + 2**-52, 1.0).ok
+    assert not Check("c", float("nan"), float("inf")).ok  # a run with no hit
+    assert not Check("c", 0.0, 1.0).vacuous and Check("c", 0.0, 1.0, 1.0).vacuous
+    assert not Check("c", 0.0, 1.0, 1.5).vacuous
     # an unknown limit reads as +inf, so only an infinite bound is vacuous without one
-    assert Check("c", float("nan"), float("inf"), "").vacuous
-    assert not Check("c", float("nan"), float("nan"), "").vacuous
+    assert Check("c", float("nan"), float("inf")).vacuous
+    assert not Check("c", float("nan"), float("nan")).vacuous
+    # the printed status is ok alone, so a missed target fails even against a vacuous bound
+    assert str(Check("c", 1.0, 1.0)) == "[PASS] c: measured 1, bound 1, margin 0"
+    assert str(Check("c", 0.5, 1.0, 1.0)) == (
+        "[PASS] c: measured 0.5, bound 1, margin 0.5, vacuous (limit 1)"
+    )
+    assert str(Check("c", float("nan"), float("inf"))) == (
+        "[FAIL] c: measured nan, bound inf, margin nan, vacuous (limit inf)"
+    )
+    assert str(Check("c", float("nan"), float("nan"))) == (
+        "[FAIL] c: measured nan, bound nan, margin nan"
+    )
 
 
 def test_threshold_checks_are_vacuous_on_the_links_game():
@@ -187,7 +205,10 @@ def test_threshold_checks_are_vacuous_on_the_links_game():
     for name in ("bandit-gap-threshold", "bandit-permanence"):
         assert checks[name].limit == links.smoothness_params().alpha == 5.0
         assert checks[name].bound > 10.0 and checks[name].vacuous and checks[name].ok
+        line = str(checks[name])
+        assert line.startswith(f"[PASS] {name}: ") and line.endswith(", vacuous (limit 5)")
     assert checks["exploration-floor"].limit == math.inf and not checks["exploration-floor"].vacuous
+    assert "vacuous" not in str(checks["exploration-floor"])
 
 
 def test_gap_checks_over_no_episode_are_vacuous():

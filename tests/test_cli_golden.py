@@ -1,7 +1,9 @@
 """Golden stdout, stderr and exit codes of the congames CLI.
 
-The CLI's report of the theorem checks is its stdout: one `[PASS]` or
-`[FAIL]` line per assertion, then the summary line.  The recorded file pins
+The CLI's report of the theorem checks is its stdout: one line per
+assertion, `[PASS] name: measured m, bound b, margin bound - measured` (or
+`[FAIL]`) with every number to 6 significant digits and `, vacuous (limit l)`
+after a check that cannot fail, then the summary line.  The recorded file pins
 that text byte for byte, with stderr and the exit code, on twelve runs: all
 four `--algo` values, `--eps` and `--sigma` targets, the game file and
 symmetric and asymmetric generated games, two runs whose checks fail (one

@@ -251,6 +251,17 @@ def test_cli_generated_bandit_run(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_cli_bandit_marks_both_gap_checks_vacuous(capsys):
+    # the threshold 3*delta/theta, about 67, lies past the largest potential gap, alpha
+    assert main(["--gen", "n=6,m=6,d=3", "--algo", "bandit-gd"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("bandit-gap-threshold", "bandit-permanence"):
+        line = next(s for s in lines if s.startswith(f"[PASS] {name}: "))
+        assert re.search(r", vacuous \(limit [^)]+\)$", line), line
+    floor = next(s for s in lines if s.startswith("[PASS] exploration-floor: "))
+    assert "vacuous" not in floor
+
+
 def test_cli_no_assert_masks_failures(g1_path):
     # a step cap far below the convergence time fails the budget assertion
     # unless assertions are disabled
@@ -357,7 +368,8 @@ def test_cli_step_budget_past_every_integer_reads_inf(args, tmp_path, capsys):
     path.write_text(TINY_LINK_TEXT.format("1e-310"))
     assert main([str(path) if a == "TINY" else a for a in args]) == 1
     captured = capsys.readouterr()
-    assert "[FAIL] convergence-budget" in captured.out and " budget inf" in captured.out
+    line = next(s for s in captured.out.splitlines() if s.startswith("[FAIL] convergence-budget"))
+    assert ", bound inf," in line, line
     assert "budget=inf" in captured.out and "Traceback" not in captured.err
 
 
@@ -367,7 +379,7 @@ def test_cli_step_budget_past_2_53_prints_in_e_notation(capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     line = next(s for s in out.splitlines() if s.startswith("[PASS] convergence-budget"))
-    assert re.search(r" budget \d\.\d+e\+300$", line), line
+    assert re.search(r", bound \d\.\d+e\+300,", line), line
     assert re.search(r" budget=\d\.\d+e\+300( |$)", out), out
 
 
