@@ -50,7 +50,11 @@ def _choice_probs(game: CongestionGame, flat: np.ndarray) -> list[np.ndarray]:
     bad = ~(np.abs(totals - 1.0) <= 1e-9)  # a non-finite entry makes its total nan or inf
     if bad.any() or probs.min() < -1e-12:
         i = int(np.argmax(bad | (np.minimum.reduceat(probs, starts) < -1e-12)))
-        raise ValueError(f"player {i} choice probabilities sum to {totals[i]}")
+        if bad[i]:
+            raise ValueError(f"player {i} choice probabilities sum to {totals[i]}")
+        block = probs[game.player_slice(i)]
+        j = int(np.argmax(block < -1e-12))
+        raise ValueError(f"player {i} path {j} has negative choice probability {block[j]}")
     bounds = game.offsets.tolist()
     q = np.maximum(probs, 0.0)
     return [b / b.sum() for b in (q[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))]

@@ -146,15 +146,16 @@ def ratio_checks(
     average: CertifiedMinimum,
     maximum: CertifiedMinimum | None = None,
 ) -> list[Check]:
-    """The social-cost checks at slack sigma: C_A(x) within (b/a)(1 + sigma) of
-    min C_A and, when `maximum` is given, C_M(x) within `max_ratio_bound` at the
-    gap a*sigma**2/(32m) of it.  A `maximum` given for an asymmetric game is
-    refused."""
-    bound = (game.b / game.a) * (1.0 + sigma) + 1e-9
+    """The social-cost checks at slack sigma: C_A(x) within `average_ratio_bound`
+    at the gap a*sigma/(2m), (b/a)(1 + sigma), of min C_A and, when `maximum` is
+    given, C_M(x) within `max_ratio_bound` at the gap a*sigma**2/(32m) of it.  A
+    `maximum` given for an asymmetric game is refused."""
+    average_gap, maximum_gap = sigma_targets(game, sigma)
+    bound = average_ratio_bound(game, average_gap) + 1e-9
     checks = [Check("average-cost-ratio", average_cost_ratio(game, flat, average), bound)]
     if maximum is not None:
         ratio = max_cost_ratio(game, flat, average, maximum)
-        bound = max_ratio_bound(game, sigma_targets(game, sigma)[1]) + 1e-9
+        bound = max_ratio_bound(game, maximum_gap) + 1e-9
         checks.append(Check("maximum-cost-ratio", ratio, bound))
     return checks
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congames import (
-    BulletinConfig,
     ConfigurationError,
     CongestionGame,
     DivergenceDomainError,
@@ -16,10 +15,10 @@ from congames import (
     PolynomialCost,
     generate_random_game,
     make_geometry,
-    reference_minimizer,
-    run_bulletin,
 )
 from congames.bregman import project_simplex_rows
+
+import spec
 
 EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
@@ -161,93 +160,9 @@ def test_euclidean_project_floored():
 
 def test_project_simplex_against_sort_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = rng.normal(size=5)
+    for p in rng.normal(size=(200, 5)):
         z = project_simplex_rows(p[None], 1.0)[0]
-        assert math.isclose(z.sum(), 1.0, abs_tol=1e-12)
-        assert np.all(z >= 0.0)
-        # KKT: active coordinates share one multiplier, inactive have z = 0
-        tau = (p - z)[z > 1e-12]
-        if tau.size:
-            assert np.ptp(tau) <= 1e-10
-            assert np.all(p[z <= 1e-12] <= tau.max() + 1e-10)
-
-
-def _project_simplex_rows_inf(P: np.ndarray, mass) -> np.ndarray:
-    """project_simplex_rows as it was with -inf padding, kept as the reference."""
-    U = -np.sort(-P, axis=1)
-    idx = np.arange(1, P.shape[1] + 1)
-    with np.errstate(invalid="ignore"):  # -inf padding yields NaN rows, never selected
-        css = np.cumsum(U, axis=1) - mass
-        cond = U - css / idx > 0
-    rho = P.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
-    return np.maximum(P - tau[:, None], 0.0)
-
-
-@st.composite
-def padded_projections(draw):
-    """Padded (n, d) step inputs as mirror_step builds them: entries with ties,
-    padding anywhere but at least one entry per row, and floored rows whose
-    free mass mass - size * floor stays positive."""
-    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 8))
-
-    def grid(entry):
-        row = st.lists(entry, min_size=d, max_size=d)
-        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
-
-    X = grid(st.one_of(st.sampled_from([0.0, 0.125, -0.5, 1.0]), st.floats(-10.0, 10.0)))
-    mask = grid(st.booleans())
-    mask[np.arange(n), draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))] = True
-    mass = draw(st.sampled_from([1.0, 0.25, 1.0 / 3.0]))
-    floor = draw(st.sampled_from([0.0, 0.5, 0.99])) * mass / d
-    free = (mass - floor * mask.sum(axis=1))[:, None]
-    return X, mask, floor, draw(st.sampled_from([mass, free]))
-
-
-@given(case=padded_projections())
-@settings(max_examples=300, deadline=None)
-def test_project_simplex_finite_padding_matches_inf_padding(case):
-    X, mask, floor, mass = case
-    got = project_simplex_rows(X + np.where(mask, 0.0, -1e300) - floor, mass)
-    want = _project_simplex_rows_inf(X + np.where(mask, 0.0, -np.inf) - floor, mass)
-    assert got.tobytes() == want.tobytes()
-    assert np.all(got[~mask] == 0.0)
-
-
-def _project_simplex_rows_cumsum(P: np.ndarray, mass) -> np.ndarray:
-    """project_simplex_rows as it was before the direct ufunc calls, kept as the
-    reference."""
-    U = np.sort(P, axis=1)[:, ::-1]
-    idx = np.arange(P.shape[1])
-    css = np.cumsum(U, axis=1) - mass
-    rho = ((U - css / (idx + 1) > 0) * idx).max(axis=1)  # the last index that holds
-    tau = css[np.arange(P.shape[0]), rho] / (rho + 1)
-    return np.maximum(P - tau[:, None], 0.0)
-
-
-@given(case=padded_projections())
-@settings(max_examples=300, deadline=None)
-def test_project_simplex_matches_the_cumsum_form_bit_for_bit(case):
-    X, mask, floor, mass = case
-    P = X + np.where(mask, 0.0, -1e300) - floor
-    assert project_simplex_rows(P, mass).tobytes() == _project_simplex_rows_cumsum(P, mass).tobytes()
-
-
-def test_project_simplex_matches_the_cumsum_form_on_random_padded_rows():
-    # 35,000 padded cases, n 1-64 and d 1-17, scalar and per-row column masses;
-    # quarter steps tie, and a 1e20 entry leaves no index where U > css / counts
-    rng = np.random.default_rng(35)
-    for n, d, kind, column in rng.integers((1, 1, 0, 0), (65, 18, 10, 2), size=(35_000, 4)).tolist():
-        P = rng.normal(size=(n, d))
-        if kind == 0:
-            P = np.round(4.0 * P) / 4.0
-        P[rng.random((n, d)) < 0.3] = -1e300
-        P[np.arange(n), rng.integers(0, d, size=n)] = 1e20 if kind == 1 else 0.5  # one entry per row
-        mass = rng.uniform(0.05, 2.0, size=(n, 1)) if column else float(rng.uniform(0.05, 2.0))
-        out = np.empty_like(P)
-        assert project_simplex_rows(P, mass, out) is out
-        assert out.tobytes() == _project_simplex_rows_cumsum(P, mass).tobytes()
+        spec.check_projection(p, z, 1.0, 0.0, 4 * p.size + 16, sum(map(abs, p)) + 1.0)
 
 
 # -- mirror steps -------------------------------------------------------------------
@@ -328,23 +243,16 @@ def test_entropy_step_equals_multiplicative_update():
     rng = np.random.default_rng(7)
     fs = Simplex(size=5, mass=0.2)
     for _ in range(50):
-        x = sample_point(fs, rng)
-        g = rng.uniform(0.0, 2.0, size=5)
-        eta = rng.uniform(0.01, 0.8)
-        z = step(ENTROPY, fs, x, g, eta)
-        w = x * np.exp(-eta * g)
-        assert np.allclose(z, w * (fs.mass / w.sum()), atol=1e-12)
+        x, g, eta = sample_point(fs, rng), rng.uniform(0.0, 2.0, size=5), rng.uniform(0.01, 0.8)
+        spec.check_step(ENTROPY.kind, x, g, eta, step(ENTROPY, fs, x, g, eta), fs.mass, fs.floor)
 
 
 def test_entropy_floored_step_respects_floor_and_mass():
     rng = np.random.default_rng(8)
     fs = Simplex(size=4, mass=0.25, floor=0.03)
     for _ in range(200):
-        x = sample_point(fs, rng)
-        g = rng.uniform(-3.0, 3.0, size=4)
-        z = step(ENTROPY, fs, x, g, 0.9)
-        assert np.all(z >= fs.floor - 1e-12)
-        assert math.isclose(z.sum(), fs.mass, abs_tol=1e-12)
+        x, g = sample_point(fs, rng), rng.uniform(-3.0, 3.0, size=4)
+        spec.check_step(ENTROPY.kind, x, g, 0.9, step(ENTROPY, fs, x, g, 0.9), fs.mass, fs.floor)
 
 
 # -- configuration errors -----------------------------------------------------------
@@ -415,58 +323,7 @@ def test_step_written_into_out_matches_fresh_step(kind, floor_frac):
             assert X.tobytes() == want.tobytes()
 
 
-# -- the steps against their references ------------------------------------------
-
-
-def _euclidean_step_reference(mask, etas, mass, floor=0.0):
-    """EuclideanGeometry.mirror_step as it was before its per-run scratch, kept as
-    the reference: fresh temporaries on every call and the cumsum projection; at
-    floor 0 the rows are rescaled to the mass, as the bulletin loop once did."""
-    etas = np.reshape(etas, (-1, 1))
-    shift = np.where(mask, 0.0, -1e300) - floor
-    if not floor:
-
-        def step(X, G):
-            Z = _project_simplex_rows_cumsum(X - etas * G + shift, mass)
-            return Z * (mass / Z.sum(axis=1, keepdims=True))
-
-        return step
-    free = (mass - floor * mask.sum(axis=1))[:, None]
-    lift = np.where(mask, floor, 0.0)
-    return lambda X, G: _project_simplex_rows_cumsum(X - etas * G + shift, free) + lift
-
-
-def _entropy_step_reference(mask, etas, mass, floor=0.0):
-    """EntropyGeometry.mirror_step as it was before its per-run scratch, kept as the
-    reference: fresh temporaries on every call and the row minimum by one reduction."""
-    rates = np.reshape(etas, (-1, 1))
-
-    def step(X, G):
-        W = rates * G
-        W = np.exp(np.minimum.reduce(W, axis=1, keepdims=True) - W) * X
-        if floor:
-            return _pin_to_floor_reference(W, mask, mass, floor)
-        return W * (mass / np.add.reduce(W, axis=1, keepdims=True))
-
-    return step
-
-
-def _pin_to_floor_reference(W, mask, mass, floor):
-    """The floored multiplicative update's active-set loop as it was when every
-    round, the first rescale included, built its result on fresh temporaries."""
-    pinned = np.zeros(W.shape, dtype=bool)
-    for _ in range(W.shape[1] + 1):
-        free = mass - floor * pinned.sum(axis=1, keepdims=True)
-        unpinned = np.where(pinned, 0.0, W)
-        Z = np.where(pinned, floor, W * (free / unpinned.sum(axis=1, keepdims=True)))
-        newly = mask & ~pinned & (Z < floor)
-        if not newly.any():
-            return Z
-        pinned |= newly
-    raise AssertionError("active-set loop failed to settle")
-
-
-REFERENCE_STEPS = {"euclidean": _euclidean_step_reference, "negative-entropy": _entropy_step_reference}
+# -- padded layouts ----------------------------------------------------------------
 
 
 def _step_layout(rng, d: int, floor_frac: float, per_player: bool):
@@ -495,49 +352,25 @@ def _step_inputs(rng, mask, mass: float, floor: float, ties: bool):
     return X, np.where(mask, G, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
-@pytest.mark.parametrize("floor_frac", [0.0, 0.5])
-def test_steps_match_their_references_bit_for_bit(kind, floor_frac):
-    # widths 1 to 10: numpy's row sum adds left to right up to d = 7 and
-    # pairwise from d = 8 (wider rows at d = 17 and 33); one step object
-    # serves several calls, into a fresh array, into out and into X itself
-    geo = make_geometry(kind)
-    rng = np.random.default_rng(33)
-    for d in [*range(1, 11), 17, 33]:
-        for per_player in (False, True):
-            for _ in range(12):
-                mask, etas, mass, floor = _step_layout(rng, d, floor_frac, per_player)
-                step = geo.mirror_step(mask, etas, mass, floor)
-                reference = REFERENCE_STEPS[kind](mask, etas, mass, floor)
-                for ties, into in [(False, "fresh"), (True, "out"), (True, "X"), (False, "X")]:
-                    X, G = _step_inputs(rng, mask, mass, floor, ties)
-                    want = reference(X, G).tobytes()
-                    if into == "fresh":
-                        got = step(X, G)
-                    elif into == "out":
-                        got = step(X, G, out=np.full(X.shape, np.nan))
-                    else:
-                        got = step(X, G, out=X)
-                    assert got.tobytes() == want, (d, per_player, ties, into)
-
-
 def test_floor_that_binds_in_two_rounds_matches_the_reference():
-    # rescaled to the mass, player 0's update is (0.02, 0.105, 0.875): the
-    # rescale pins the first entry, and redistributing 0.9 over the other two
-    # takes the second to 0.105 * 0.9 / 0.98 < 0.1, so a second round pins it;
-    # player 1's row, with padding, leaves the floor unbound
+    # the reference is the spec's optimality conditions.  Rescaled to the mass,
+    # player 0's update is (0.02, 0.105, 0.875): the rescale pins the first
+    # entry, and redistributing 0.9 over the other two takes the second to
+    # 0.105 * 0.9 / 0.98 < 0.1, so a second round pins it; player 1's row, with
+    # padding, leaves the floor unbound
     mask = np.array([[True, True, True, False], [True, False, True, False]])
     mass, floor, etas = 1.0, 0.1, np.array([1.0, 0.5])
     X = np.where(mask, np.array([[1 / 3], [0.5]]), 0.0)
     G = np.zeros(mask.shape)
     G[0, :3] = -np.log([0.02, 0.105, 0.875])
     G[1, [0, 2]] = [0.3, 0.1]
-    step = EntropyGeometry().mirror_step(mask, etas, mass, floor)
-    want = _entropy_step_reference(mask, etas, mass, floor)(X, G)
-    assert want[0, 0] == want[0, 1] == floor and want[0, 2] > floor and want[0, 3] == 0.0
-    rescaled = _entropy_step_reference(mask, etas, mass)(X, G)
+    rescaled = ENTROPY.mirror_step(mask, etas, mass)(X, G)
     assert rescaled[0, 0] < floor <= rescaled[0, 1] and np.all(rescaled[1, [0, 2]] > floor)
-    assert step(X, G).tobytes() == want.tobytes()
+    step = ENTROPY.mirror_step(mask, etas, mass, floor)
+    want = step(X, G)
+    assert want[0, 0] == want[0, 1] == floor and want[0, 2] > floor and want[0, 3] == 0.0
+    for x, g, eta, z, row in zip(X, G, etas, want, mask):
+        spec.check_step(ENTROPY.kind, x[row].tolist(), g[row].tolist(), eta, z[row].tolist(), mass, floor)
     out = np.full(X.shape, np.nan)
     assert step(X, G, out=out) is out and out.tobytes() == want.tobytes()
     assert step(X, G, out=X) is X and X.tobytes() == want.tobytes()
@@ -559,22 +392,3 @@ def test_step_without_out_returns_a_fresh_array(kind, floor_frac):
     assert first.tobytes() == kept.tobytes()
     assert second.tobytes() != kept.tobytes()
     assert not np.shares_memory(first, X1) and not np.shares_memory(second, X2)
-
-
-@pytest.mark.parametrize("kind", ["euclidean", "negative-entropy"])
-def test_one_path_game_runs_bit_equal_to_the_reference_step(kind):
-    # every player has one path, so each row's minimum and sum is its one
-    # entry; each recorded step is the reference step of the one before
-    edges = (PolynomialCost((0.3,)), PolynomialCost((0.2, 0.5)), PolynomialCost((0.1, 0.2, 0.6)))
-    paths = tuple((frozenset(p),) for p in ({0}, {1, 2}, {0, 2}, {1}, {2}))
-    game = CongestionGame(n=5, edges=edges, paths=paths)
-    mass, mask, inc = 1.0 / game.n, game.path_mask, game.incidence
-    etas = np.linspace(0.3, 1.0, game.n) / game.smoothness_params().lam
-    cfg = BulletinConfig(geometry=kind, eta=etas, max_steps=20, record_profiles=True)
-    rep = run_bulletin(game, cfg, reference=reference_minimizer(game))
-    assert mask.shape == (game.n, 1) and rep.steps == 20
-    reference = REFERENCE_STEPS[kind](mask, etas, mass)
-    for before, after in zip(rep.profiles, rep.profiles[1:]):
-        G = game.padded(np.dot(inc, game.edge_costs(np.dot(before, inc))))
-        want = reference(game.padded(before), G)
-        assert after.tobytes() == want[mask].tobytes()

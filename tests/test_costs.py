@@ -8,7 +8,6 @@ from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import quad
 
 from congames import CostValidationError, PolynomialCost, parallel_links_game
-from congames.costs import primitive_table, slope_table
 
 
 def test_identity_cost_accepted():
@@ -100,49 +99,3 @@ def test_slope_matches_finite_differences():
         assert math.isclose(slope, fd, rel_tol=1e-8)
         assert math.isclose(slope, polyval(y, polyder(full)), rel_tol=1e-12)
         assert math.isclose(game.edge_costs(np.array([y]))[0], polyval(y, full), rel_tol=1e-12)
-
-
-def _horner_table(table: np.ndarray, y) -> np.ndarray:
-    """horner as it was, over the strided columns of an (m, deg) table, kept as the reference."""
-    acc = table[..., -1]
-    for j in range(table.shape[-1] - 2, -1, -1):
-        acc = acc * y + table[..., j]
-    return acc
-
-
-@st.composite
-def games_and_loads(draw):
-    """A parallel-links game whose edges have degrees 1 to 6, and (m,) or (k, m) loads."""
-    m = draw(st.integers(1, 8))
-    costs = []
-    for _ in range(m):
-        coefs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-        coefs[0] = max(coefs[0], 1e-3)
-        costs.append([c / sum(coefs) for c in coefs])
-    shape = draw(st.sampled_from([(m,), (1, m), (draw(st.integers(2, 5)), m)]))
-    size = math.prod(shape)
-    loads = draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size))
-    return parallel_links_game(1, costs), np.reshape(loads, shape)
-
-
-@given(case=games_and_loads())
-@settings(max_examples=300, deadline=None)
-def test_power_major_horner_matches_strided_table(case):
-    game, loads = case
-    table = game._coef_table
-    slopes = slope_table(table)
-    curvature = np.pad(slopes[:, 1:] * np.arange(1, slopes.shape[1]), ((0, 0), (0, 1)))
-    zeros = np.zeros(loads.shape)
-    expected = {
-        "edge_costs": _horner_table(table, loads) * loads,
-        "edge_primitives": _horner_table(primitive_table(table), loads) * loads * loads,
-        "edge_slopes": _horner_table(slopes, loads) + zeros,
-        "edge_curvatures": _horner_table(curvature, loads) + zeros,
-    }
-    for name, want in expected.items():
-        got = getattr(game, name)(loads)
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
-    row = np.full(loads.shape, np.nan)
-    assert game.edge_costs(loads, out=row) is row
-    assert row.tobytes() == expected["edge_costs"].tobytes()

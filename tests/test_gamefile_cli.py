@@ -14,7 +14,6 @@ from congames import (
     render_game,
 )
 from congames.cli import _fmt, _load_game, _write_csv, build_parser, main, parse_gen_string
-from congames.generator import _random_paths
 
 G1_TEXT = """\
 # two parallel edges, one player
@@ -127,31 +126,10 @@ def test_generator_games_validate():
     for seed in range(100):
         game = generate_random_game(seed=seed, n=2 + seed % 3, m=4 + seed % 4, d=2 + seed % 3)
         assert game.k <= game.d and game.m_path <= game.m
+        assert all(len(set(paths)) == len(paths) for paths in game.paths)
         for cost in game.edges:
             assert cost.derivative_lower > 0
             assert sum(cost.coefficients) <= 1 + 1e-12
-
-
-def _list_based_paths(rng, m, count, max_len):
-    """The path draw as it was, testing membership on a list, kept as the oracle."""
-    paths = []
-    for _ in range(200 * count):
-        length = int(rng.integers(1, max_len + 1))
-        path = frozenset(int(e) for e in rng.choice(m, size=length, replace=False))
-        if path not in paths:
-            paths.append(path)
-        if len(paths) == count:
-            return tuple(paths)
-    raise AssertionError("the list-based draw ran out of tries")
-
-
-@pytest.mark.parametrize(
-    "seed, m, count, max_len", [(0, 5, 10, 3), (1, 8, 30, 2), (7, 3, 7, 3), (3, 40, 2000, 3)]
-)
-def test_random_paths_match_the_list_based_draw(seed, m, count, max_len):
-    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _random_paths(ours, m, count, max_len) == _list_based_paths(oracle, m, count, max_len)
-    assert ours.random() == oracle.random()  # the same number of draws
 
 
 def test_generator_rejects_more_paths_than_exist_before_drawing(monkeypatch):

@@ -36,7 +36,6 @@ from congames.cli import main
 from congames.minimize import (
     _EIGVALS_ERRSTATE,
     _line_search,
-    average_cost_objective,
     potential_objective,
 )
 from conftest import random_feasible
@@ -561,59 +560,7 @@ def test_solve_bisects_every_line_search_when_eigenvalues_do_not_converge(monkey
     assert math.isclose(res.value, expected.value, rel_tol=0.0, abs_tol=1e-10)
 
 
-# -- line derivative and weight total ------------------------------------------
-
-
-def _line_derivative_loop(objective):
-    """line_derivative_poly as a loop over the powers, as it was before the single
-    reduction, kept as the reference."""
-    P, m = len(objective.taylor), objective.m
-    inner, dpow, lpow = np.empty((P, m)), np.empty((P, m)), np.empty(m)
-
-    def line_derivative_poly(loads, dloads):
-        np.add(objective.taylor[0], 0.0, out=inner)  # sum_j taylor[j] * loads**j from 0.0
-        power = loads  # loads**j
-        for j in range(1, P):
-            term = np.multiply(objective.taylor[j], power, out=dpow[: P - j])
-            inner[: P - j] += term
-            if j + 1 < P:
-                power = np.multiply(power, loads, out=lpow)
-        dpow[0] = dloads  # dloads**(q+1), includes the outer chain factor
-        for q in range(1, P):
-            np.multiply(dpow[q - 1], dloads, out=dpow[q])
-        return np.multiply(dpow, inner, out=dpow).sum(axis=1)
-
-    return line_derivative_poly
-
-
-@st.composite
-def line_derivative_cases(draw):
-    """A links game of m edges with cost degree 1-6 (zero coefficients included,
-    c(1) <= 1), loads in [0, 1] with 0 and 1 among them, and signed load steps."""
-    degree, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
-    coefficient = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-    higher = st.lists(coefficient, min_size=degree - 1, max_size=degree - 1)
-    coefs = [[draw(st.floats(1e-3, 1.0)), *draw(higher)] for _ in range(m)]
-    coefs = [[c / (degree * 1.0000001) for c in row] for row in coefs]
-
-    def vector(entry):
-        return np.array(draw(st.lists(entry, min_size=m, max_size=m)))
-
-    loads = vector(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    dloads = vector(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0))
-    return parallel_links_game(1, coefs), loads, dloads
-
-
-@given(case=line_derivative_cases())
-@settings(max_examples=300, deadline=None)
-def test_line_derivative_matches_the_power_loop_bit_for_bit(case):
-    game, loads, dloads = case
-    for objective in (potential_objective(game), average_cost_objective(game)):
-        want = _line_derivative_loop(objective)(loads, dloads)
-        poly = objective.line_derivative()
-        for _ in range(2):  # the per-solve buffers are rewritten, not accumulated
-            got = poly(loads, dloads)
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+# -- weight total ----------------------------------------------------------------
 
 
 @given(w=st.lists(st.floats(1e-15, 1.0), min_size=1, max_size=60))

@@ -55,6 +55,28 @@ def test_checks_import_no_solver_and_only_the_cli_imports_checks():
     assert importers == {"cli.py", "__init__.py"}
 
 
+# The functions in tests/ kept as copies of an earlier implementation, each with
+# the recorded mutant that no other test kills.
+KEPT_COPIES = {
+    "test_minimize.py::_np_roots_line_search": "complex eigenvalues with |imag| < 1 taken as "
+    "real roots in minimize._line_search (`abs(r.imag) < 1.0`)",
+}
+
+
+def test_no_test_keeps_a_copy_of_an_earlier_implementation():
+    """The spec (tests/spec.py) pins the math and the goldens pin the bits, so no
+    function in tests/ is documented as an earlier implementation kept as a
+    reference unless KEPT_COPIES names the mutant that only it kills."""
+    copy = re.compile(r"as it was|kept as the (reference|oracle)")
+    found = {
+        f"{path.name}::{node.name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and copy.search(" ".join(str(ast.get_docstring(node)).split()))
+    }
+    assert found == set(KEPT_COPIES)
+
+
 def test_console_script_resolves_to_cli_main():
     """The installed `congames` command runs cli.main (tier-1 imports from src/,
     so a stale [project.scripts] entry would otherwise go unnoticed)."""
