@@ -36,8 +36,8 @@ def main() -> None:
         game = generate_random_game(seed=args.seed + i, n=n, m=3 + i % 6, d=2 + i % 3)
         ref = reference_minimizer(game)
         avg = min_average_cost(game)
-        eta = 1.0 / game.smoothness_params().lam
         for kind in ("euclidean", "negative-entropy"):
+            eta = float(BulletinConfig(geometry=kind).resolve_etas(game).min())
             budget = step_budget(game, kind, eta, args.eps)
             cfg = BulletinConfig(geometry=kind, target_gap=args.eps, max_steps=budget)
             rep = run_bulletin(game, cfg, reference=ref)

@@ -59,6 +59,9 @@ def project_simplex_rows(P: np.ndarray, mass, out: np.ndarray | None = None) -> 
     -1e300 are ignored and come out 0.  The rows are sorted ascending and the
     descending cumulative sums are written back to front, so column j holds
     the sum of the d - j largest entries and every array is read in order.
+    Unchecked domain: a row whose largest entry passes about 2**53 times the
+    mass loses it all ([[0.5, 1e20, 0.25]] at mass 1 gives zeros); no game's
+    step gets there, as path costs stay below m_path and rates at most 1/lambda.
     """
     n, d = P.shape
     counts, offsets = _rank_tables(n, d)
@@ -117,7 +120,8 @@ class EuclideanGeometry:
         the floored set into {w >= 0, sum w = mass - size * floor}; padding
         enters the projection as -1e300 and comes out 0.  Without a floor
         each projected row is then rescaled to the mass, clearing the
-        round-off the threshold leaves in its sum.
+        round-off the threshold leaves in its sum (a row outside
+        `project_simplex_rows`' domain projects to zeros and turns NaN here).
         """
         rates = _full_rates(etas, mask.shape)
         shift = np.where(mask, 0.0, -1e300) - floor
@@ -217,10 +221,7 @@ def _pin_to_floor(W: np.ndarray, Z: np.ndarray, mask: np.ndarray, mass: float, f
         newly = mask & ~pinned & (Z < floor)
 
 
-_GEOMETRIES = {
-    "euclidean": EuclideanGeometry,
-    "negative-entropy": EntropyGeometry,
-}
+_GEOMETRIES = {geometry.kind: geometry for geometry in (EuclideanGeometry, EntropyGeometry)}
 
 
 def make_geometry(kind: str):

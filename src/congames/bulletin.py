@@ -33,7 +33,7 @@ class BulletinConfig:
 
     geometry: str = "euclidean"
     eta: float | np.ndarray | None = None
-    max_steps: int = 100_000
+    max_steps: int = 200_000
     target_gap: float | None = None
     x0: np.ndarray | None = None
     record_profiles: bool = False

@@ -72,12 +72,12 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write the columns as CSV rows: integer columns as %d, the others as %.12g,
-    the text `_fmt` gives for each value."""
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
-    lines = [",".join(header), *(row % values for values in zip(*(c.tolist() for c in columns)))]
+def _write_csv(path: str, columns: dict) -> None:
+    """Write the {name: values} columns as CSV rows under their names: integer
+    columns as %d, the others as %.12g, the text `_fmt` gives for each value."""
+    values = [np.asarray(c) for c in columns.values()]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in values)
+    lines = [",".join(columns), *(row % line for line in zip(*(c.tolist() for c in values)))]
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -89,19 +89,12 @@ def _out_error(path: str, exc: OSError) -> ConfigurationError:
 
 
 def _load_game(args: argparse.Namespace) -> CongestionGame:
-    """Load the --game file, or generate the game `args.gen` (a `parse_gen_string` dict) describes."""
+    """Load the --game file, or generate the game `args.gen` (a `parse_gen_string` dict)
+    describes, with seed --seed and generate_random_game's defaults where it is silent."""
     if args.game is not None:
         return parse_game(args.game)
-    gen = args.gen
-    return generate_random_game(
-        seed=gen.get("seed", args.seed),
-        n=gen["n"],
-        m=gen["m"],
-        d=gen["d"],
-        degree=gen.get("deg", 3),
-        symmetric=bool(gen.get("sym", 0)),
-        max_path_len=gen.get("len"),
-    )
+    given = {_GEN_KEYS[key][0]: value for key, value in args.gen.items()}
+    return generate_random_game(**{"seed": args.seed} | given)
 
 
 def _reference(game: CongestionGame) -> CertifiedMinimum:
@@ -116,15 +109,16 @@ def _reference(game: CongestionGame) -> CertifiedMinimum:
     return reference
 
 
-# What each --gen key sets, for error messages; sym and seed are checked apart.
+# Each --gen key: the generate_random_game argument it sets, and what that is for
+# error messages; sym and seed are checked apart.
 _GEN_KEYS = {
-    "n": "player count",
-    "m": "edge count",
-    "d": "path count",
-    "deg": "cost degree",
-    "len": "path length cap",
-    "sym": None,
-    "seed": None,
+    "n": ("n", "player count"),
+    "m": ("m", "edge count"),
+    "d": ("d", "path count"),
+    "deg": ("degree", "cost degree"),
+    "len": ("max_path_len", "path length cap"),
+    "sym": ("symmetric", None),
+    "seed": ("seed", None),
 }
 
 
@@ -138,8 +132,9 @@ def _check_gen_value(key: str, value: str) -> int:
         raise ConfigurationError(f"--gen sym={value}: sym must be 0 or 1")
     if key == "seed" and number < 0:
         raise ConfigurationError(f"--gen seed={value}: seed must be a nonnegative integer")
-    if _GEN_KEYS[key] and number < 1:
-        raise ConfigurationError(f"--gen {key}={value}: {_GEN_KEYS[key]} must be at least 1")
+    _, what = _GEN_KEYS[key]
+    if what and number < 1:
+        raise ConfigurationError(f"--gen {key}={value}: {what} must be at least 1")
     return number
 
 
@@ -171,12 +166,8 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
         if target == 0.0:
             raise ConfigurationError(f"--sigma {args.sigma:g} gives a gap target of 0")
 
-    config = BulletinConfig(
-        geometry=geometry,
-        eta=args.eta,
-        max_steps=args.steps if args.steps is not None else 200_000,
-        target_gap=target,
-    )
+    given = {"max_steps": args.steps} if args.steps is not None else {}
+    config = BulletinConfig(geometry=geometry, eta=args.eta, target_gap=target, **given)
     config.resolve_etas(game)  # rejects bad flags before the potential is solved
     report = run_bulletin(game, config, reference=_reference(game))
     cert_gaps = report.certified_gaps
@@ -186,20 +177,16 @@ def _run_bulletin_experiment(args: argparse.Namespace, game: CongestionGame) -> 
     max_min = min_max_cost(game) if check_ratios and game.symmetric else None
 
     if args.out:
-        _write_csv(
-            args.out,
-            ["step", "phi", "phi_gap", "delta_gap", "c_avg", "c_max", "ratio_avg", "bound_avg"],
-            (
-                np.arange(len(report.phi)),
-                report.phi,
-                cert_gaps,
-                report.delta_gaps,
-                report.avg_costs,
-                report.max_costs,
-                certified_ratio(report.avg_costs, avg_min.lower_bound),
-                average_ratio_bound(game, np.maximum(cert_gaps, 0.0)),
-            ),
-        )
+        _write_csv(args.out, {
+            "step": np.arange(len(report.phi)),
+            "phi": report.phi,
+            "phi_gap": cert_gaps,
+            "delta_gap": report.delta_gaps,
+            "c_avg": report.avg_costs,
+            "c_max": report.max_costs,
+            "ratio_avg": certified_ratio(report.avg_costs, avg_min.lower_bound),
+            "bound_avg": average_ratio_bound(game, np.maximum(cert_gaps, 0.0)),
+        })
 
     assertions = bulletin_checks(report)
     if check_ratios:
@@ -241,19 +228,15 @@ def _run_bandit_experiment(args: argparse.Namespace, game: CongestionGame) -> in
             mixed_delta_gap(game, r.profile, mode, _MC_SAMPLES, args.seed * 100_003 + r.tau).delta
             for r in report.records
         ]
-        _write_csv(
-            args.out,
-            ["episode", "steps", "phi", "phi_gap", "max_est_error", "delta_mixed", "theorem_threshold"],
-            (
-                [rec.tau for rec in report.records],
-                [rec.steps for rec in report.records],
-                report.phis,
-                report.certified_gaps,
-                report.grad_errors,
-                deltas,
-                np.full(len(deltas), params.threshold),
-            ),
-        )
+        _write_csv(args.out, {
+            "episode": [rec.tau for rec in report.records],
+            "steps": [rec.steps for rec in report.records],
+            "phi": report.phis,
+            "phi_gap": report.certified_gaps,
+            "max_est_error": report.grad_errors,
+            "delta_mixed": deltas,
+            "theorem_threshold": np.full(len(deltas), params.threshold),
+        })
 
     summary = {
         "algo": args.algo,

@@ -180,8 +180,7 @@ class CongestionGame:
     def _curvature_rows(self) -> tuple[np.ndarray, ...]:
         # c''(y) for y**j is (j + 1) times the slope coefficient of y**(j + 1); the
         # zero row keeps a table for linear costs
-        slope = slope_table(self._coef_table)
-        curvature = slope[:, 1:] * np.arange(1, slope.shape[1])
+        curvature = slope_table(slope_table(self._coef_table)[:, 1:])
         return power_rows(np.pad(curvature, ((0, 0), (0, 1))))
 
     def edge_costs(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -74,7 +74,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .bregman import ConfigurationError
-from .costs import _left_sum, horner, power_rows, primitive_table
+from .costs import _left_sum, horner, power_rows, primitive_table, slope_table
 from .game import CongestionGame
 
 
@@ -104,9 +104,8 @@ class _EdgeSeparableObjective:
 
     def __init__(self, table: np.ndarray):
         # table is (m, P): F_e(y) = sum_p table[e, p-1] * y**p
-        dtable = table * np.arange(1, table.shape[1] + 1)  # derivative over powers 0..P-1
         self.rows = power_rows(table)
-        self.drows = power_rows(dtable)
+        self.drows = power_rows(slope_table(table))  # derivative over powers 0..P-1
         P, self.m = len(self.drows), table.shape[0]
         # taylor[j][q] = drows[q+j] * C(q+j, q): the coefficient of loads**j in
         # the t**q term of the derivative along a line, for q + j < P.

@@ -73,7 +73,7 @@ def _episode(game: CongestionGame, x: np.ndarray, seed: int, steps: int, record:
     return bandit._simulate_episode(game, x, _streams(game, seed), steps, record)
 
 
-def test_sample_choices_degenerate():
+def test_episode_on_a_pure_profile_visits_only_its_paths():
     game = parallel_links_game(2, [[1.0], [1.0]])
     x = np.array([0.5, 0.0, 0.0, 0.5])
     steps = 20
@@ -82,7 +82,7 @@ def test_sample_choices_degenerate():
     assert log.tolist() == [[0, 1]] * steps
 
 
-def test_sample_choices_frequency():
+def test_episode_visit_frequency_follows_the_profile():
     game = parallel_links_game(1, [[1.0], [1.0]])
     x = np.array([0.5, 0.5])
     steps = 100_000
@@ -99,7 +99,7 @@ def test_sampled_load_matches_flow():
     assert np.allclose(loads, game.edge_loads(x), atol=0.01)
 
 
-def test_sample_choices_rejects_bad_distribution():
+def test_choice_probs_reject_a_block_that_does_not_sum_to_one():
     game = parallel_links_game(1, [[1.0], [1.0]])
     with pytest.raises(ValueError, match="sum"):
         bandit._choice_probs(game, np.array([0.5, 0.6]))

@@ -376,7 +376,7 @@ def test_player_slice_takes_only_players_that_exist(player, exists):
 
 @pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
 @pytest.mark.parametrize("lead", [(1,), (3,), (8,), (2, 5)])
-def test_path_reduction_matches_reduce_paths_bit_for_bit(ufunc, lead):
+def test_path_reduction_matches_ufunc_reduce(ufunc, lead):
     # every width from 1 to 40, with ties, infinities and signed zeros in the
     # data, against numpy's own reduction; that may pick the other zero of a
     # tie of 0.0 and -0.0, so it is matched by value

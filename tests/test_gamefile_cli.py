@@ -531,6 +531,6 @@ def test_csv_rows_format_as_fmt(tmp_path):
     ])
     ints = np.arange(len(floats)) * 7 - 3
     out = tmp_path / "t.csv"
-    _write_csv(str(out), ["k", "x", "y"], (ints, floats, floats.tolist()))
+    _write_csv(str(out), {"k": ints, "x": floats, "y": floats.tolist()})
     expected = ["k,x,y"] + [f"{_fmt(k)},{_fmt(x)},{_fmt(x)}" for k, x in zip(ints, floats)]
     assert out.read_text() == "\n".join(expected) + "\n"

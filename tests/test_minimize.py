@@ -468,6 +468,20 @@ def test_line_search_clips_an_eigenvalue_past_t_max():
     assert _same_step(coeffs, t_max) == t_max
 
 
+def test_line_search_takes_an_eigenvalue_within_its_window_past_t_max():
+    # the eigenvalue lies in (t_max, t_max * (1 + 1e-12)], while the float sign
+    # change, where bisection would end, lies 3 ulps below t_max: a window that
+    # stops at t_max returns that bisection step instead of t_max
+    coeffs = _hexes(
+        "-0x1.ed7c93f0de2c6p+1", "0x1.0827f63036ffdp+4",
+        "0x1.a5237b6e9b317p+1", "0x1.e0302af5ba801p+2",
+    )
+    t_max = float.fromhex("0x1.c0d9153cc7d23p-3")
+    assert t_max < _eigen_window(coeffs, t_max)[0] <= t_max * (1 + 1e-12)
+    assert _brackets_sign_change(np.array(coeffs), float.fromhex("0x1.c0d9153cc7d20p-3"), t_max)
+    assert _same_step(coeffs, t_max) == t_max
+
+
 def test_line_search_bisects_when_no_eigenvalue_lands_inside():
     # a triple root just below t_max: its eigenvalues scatter by about 1e-5
     coeffs = _hexes(
