@@ -30,14 +30,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman import ConfigurationError, make_geometry, resolve_learning_rates
-from .game import CongestionGame
+from .game import CongestionGame, _is_integer
 from .minimize import CertifiedMinimum
 
 
@@ -178,11 +177,11 @@ class BanditConfig:
     record_choices: bool = False
 
     def derive(self, game: CongestionGame) -> BanditParams:
-        if isinstance(self.episodes, bool) or not isinstance(self.episodes, numbers.Integral):
+        if not _is_integer(self.episodes):
             raise ConfigurationError(f"episode count must be an integer, got {self.episodes!r}")
         if self.episodes < 1:
             raise ConfigurationError("need at least one episode")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.record_choices and game.d > _LOG_PATHS:
             raise ConfigurationError(
@@ -588,9 +587,9 @@ def mixed_delta_gap(
     if mode == "enumerate":
         expected = expected_path_costs(game, flat)
     elif mode == "monte-carlo":
-        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        if not _is_integer(samples) or samples < 1:
             raise ValueError(f"monte-carlo mode needs at least one sample, got {samples!r}")
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             raise ValueError(f"monte-carlo mode needs a nonnegative integer seed, got {seed!r}")
         law = _sampled_load_law(game, flat, int(samples), int(seed))
         expected = _path_costs_under(game, law / samples)

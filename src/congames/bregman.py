@@ -13,10 +13,13 @@ loop on the multiplicative closed form.  Each geometry has one step,
 of `CongestionGame.padded`; a single player is the one-row layout.  A step
 returns rows summing to the mass, so its caller applies no correction.
 
-A step is built once per run and owns that run's scratch buffers, so each
-call does only the arithmetic.  One step must therefore not be called from
-two threads at once; build one step per thread.  What a step returns is never
-its scratch: without `out` it is a fresh array.
+A step is built once per run and owns that run's scratch buffers and bound
+ufuncs, so each call does only the arithmetic, with outputs passed positionally
+(a reduction's as reduce(array, axis, dtype, out, keepdims); np.minimum keeps
+out=, since numpy 2.4 deprecates a third positional argument to it).  One step
+must therefore not be called from two threads at once; build one step per
+thread.  What a step returns is never its scratch: without `out` it is a fresh
+array.
 """
 
 from __future__ import annotations
@@ -66,15 +69,15 @@ def project_simplex_rows(P: np.ndarray, mass, out: np.ndarray | None = None) -> 
     n, d = P.shape
     counts, offsets = _rank_tables(n, d)
     U = P.copy()
-    U.sort(axis=1)
+    U.sort(1)
     css = np.empty((n, d))
-    np.add.accumulate(U[:, ::-1], axis=1, out=css[:, ::-1])
-    np.subtract(css, mass, out=css)
+    np.add.accumulate(U[:, ::-1], 1, None, css[:, ::-1])
+    np.subtract(css, mass, css)
     holds = np.greater(U, np.divide(css, counts))
     holds[:, -1] = True  # the largest entry holds where no other does
-    first = holds.argmax(axis=1)  # the smallest entry that holds
+    first = holds.argmax(1)  # the smallest entry that holds
     tau = css.take(np.add(offsets, first)) / counts.take(first)
-    Z = np.subtract(P, tau[:, None], out=out)
+    Z = np.subtract(P, tau[:, None], out)
     return np.maximum(Z, 0.0, out=Z)
 
 
@@ -130,17 +133,19 @@ class EuclideanGeometry:
         total = np.array(mass)  # 0-d: a Python float is converted on every call
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
+        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+        add_reduce = np.add.reduce
 
         def step(X, G, out=None):
-            np.multiply(rates, G, out=P)
-            np.subtract(X, P, out=P)
-            np.add(P, shift, out=P)
+            multiply(rates, G, P)
+            subtract(X, P, P)
+            add(P, shift, P)
             if floor:
-                return np.add(project_simplex_rows(P, free, P), lift, out=out)
+                return add(project_simplex_rows(P, free, P), lift, out)
             Z = project_simplex_rows(P, total, out)
-            np.add.reduce(Z, axis=1, keepdims=True, out=scale)
-            np.divide(total, scale, out=scale)
-            return np.multiply(Z, scale, out=Z)
+            add_reduce(Z, 1, None, scale, True)
+            divide(total, scale, scale)
+            return multiply(Z, scale, Z)
 
         return step
 
@@ -184,16 +189,18 @@ class EntropyGeometry:
         row_minimum = path_reduction(np.minimum, W, low[:, 0])
         scale = np.empty((mask.shape[0], 1))
         total = np.array(mass)
+        multiply, subtract, exp, divide = np.multiply, np.subtract, np.exp, np.divide
+        add_reduce = np.add.reduce
 
         def step(X, G, out=None):
-            np.multiply(rates, G, out=W)
+            multiply(rates, G, W)
             row_minimum()
-            np.subtract(low, W, out=W)
-            np.exp(W, out=W)
-            np.multiply(W, X, out=W)
-            np.add.reduce(W, axis=1, keepdims=True, out=scale)
-            np.divide(total, scale, out=scale)
-            Z = np.multiply(W, scale, out=out)
+            subtract(low, W, W)
+            exp(W, W)
+            multiply(W, X, W)
+            add_reduce(W, 1, None, scale, True)
+            divide(total, scale, scale)
+            Z = multiply(W, scale, out)
             if floor:
                 _pin_to_floor(W, Z, mask, mass, floor)
             return Z

@@ -11,7 +11,6 @@ price-of-anarchy guarantees can be checked step by step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .game import (
     SUPPORT_TOL,
     CongestionGame,
     _heavy_floor,
+    _is_integer,
     padded_equilibrium_gaps,
     path_reduction,
 )
@@ -40,7 +40,7 @@ class BulletinConfig:
 
     def resolve_etas(self, game: CongestionGame) -> np.ndarray:
         """Per-player learning rates, after rejecting a bad step cap or target gap."""
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+        if not _is_integer(self.max_steps):
             raise ConfigurationError(f"step cap must be an integer, got {self.max_steps!r}")
         if self.max_steps < 0:
             raise ConfigurationError("step cap must be nonnegative")
@@ -169,25 +169,28 @@ def run_bulletin(
     phis = np.empty(rows)
     avgs = np.empty(rows)
     diagnostics = _Diagnostics(game, reference, config.record_profiles)
-    # row views bound once: a list index is cheaper than numpy's on every step
+    # row views bound once: a list index is cheaper than numpy's on every step;
+    # so are the functions, each called with its output positional
     X_rows, PC_rows, L_rows, E_rows = list(Xs), list(PCs), list(Ls), list(Es)
+    dot, take, put = np.dot, np.ndarray.take, np.ndarray.put
+    add_reduce, matmul, certified_gap = np.add.reduce, np.matmul, reference.certified_gap
 
     X = X_rows[0]
     X[...] = game.padded(x0)
     stopped = False
     j = done = 0  # next chunk row; rows before done have their potentials
     for t in range(last + 1):
-        loads = np.dot(X.take(sel), inc, out=L_rows[j - done])
+        loads = dot(take(X, sel), inc, L_rows[j - done])
         PC = PC_rows[j]
-        PC.put(sel, np.dot(inc, edge_costs(loads, out=E_rows[j - done]), out=pc))
+        put(PC, sel, dot(inc, edge_costs(loads, E_rows[j - done]), pc))
         j += 1
 
         if j - done == block or j == rows or t == last:
             L, E = Ls[: j - done], Es[: j - done]
-            phis[done:j] = game.edge_primitives(L).sum(axis=1)
-            avgs[done:j] = np.matmul(L[:, None, :], E[:, :, None])[:, 0, 0]
+            phis[done:j] = add_reduce(game.edge_primitives(L), 1)
+            avgs[done:j] = matmul(L[:, None, :], E[:, :, None])[:, 0, 0]
             if target is not None:
-                hits = np.flatnonzero(reference.certified_gap(phis[done:j]) <= target)
+                hits = np.flatnonzero(certified_gap(phis[done:j]) <= target)
                 if hits.size:
                     j = done + int(hits[0]) + 1
                     stopped = True
@@ -199,7 +202,7 @@ def run_bulletin(
                 diagnostics.add(Xs, PCs, phis, avgs)
                 j = done = 0
 
-        X = step(X, PC, out=X_rows[j])  # the next step's row; X itself in a one-row chunk
+        X = step(X, PC, X_rows[j])  # the next step's row; X itself in a one-row chunk
     diagnostics.add(Xs[:j], PCs[:j], phis[:j], avgs[:j])
 
     return BulletinReport(
@@ -248,7 +251,7 @@ class _Diagnostics:
         self.deltas.append(deltas)
         self.theorem_deltas.append(theorem_deltas)
         self.maxs.append(path_reduction(np.maximum, np.where(mask, PC, -np.inf))().max(axis=1))
-        unit = game.n * np.where(mask, PC * X, 0.0).sum(axis=2)
+        unit = game.n * np.add.reduce(np.where(mask, PC * X, 0.0), 2)
         self.cum_unit = _add_rows(self.cum_unit, unit)
         self.cum_paths = _add_rows(self.cum_paths, PC[:, mask])
         if self.profiles is not None:

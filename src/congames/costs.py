@@ -83,8 +83,8 @@ def horner(rows, y) -> np.ndarray:
     """
     acc, out = rows[-1], None
     for row in rows[-2::-1]:
-        acc = np.multiply(acc, y, out=out)
-        out = np.add(acc, row, out=acc)
+        acc = np.multiply(acc, y, out)
+        out = np.add(acc, row, acc)
     return acc
 
 

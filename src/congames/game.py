@@ -45,10 +45,15 @@ class CongestionGame:
         object.__setattr__(
             self, "paths", tuple(tuple(frozenset(p) for p in pl) for pl in self.paths)
         )
+        if not _is_integer(self.n):
+            raise GameStructureError(f"player count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise GameStructureError("need at least one player")
         if len(self.edges) < 1:
             raise GameStructureError("need at least one edge")
+        for e, cost in enumerate(self.edges):
+            if not isinstance(cost, PolynomialCost):
+                raise GameStructureError(f"edge {e} is not a PolynomialCost: {cost!r}")
         if len(self.paths) != self.n:
             raise GameStructureError(f"expected {self.n} path lists, got {len(self.paths)}")
         m = len(self.edges)
@@ -58,6 +63,9 @@ class CongestionGame:
             for s in player_paths:
                 if len(s) == 0:
                     raise GameStructureError(f"player {i} has an empty path")
+                for e in s:
+                    if not _is_integer(e):
+                        raise GameStructureError(f"player {i} references edge {e!r}, not an integer")
                 if any(e < 0 or e >= m for e in s):
                     raise GameStructureError(f"player {i} references an unknown edge")
 
@@ -191,10 +199,11 @@ class CongestionGame:
         adds run in the same order, each in place into the result.
         """
         leading, lower = self._cost_rows
-        acc = np.multiply(leading, loads, out=out)
+        multiply, add = np.multiply, np.add
+        acc = multiply(leading, loads, out)
         for row in lower:
-            np.add(acc, row, out=acc)
-            np.multiply(acc, loads, out=acc)
+            add(acc, row, acc)
+            multiply(acc, loads, acc)
         return acc
 
     def edge_primitives(self, loads: np.ndarray) -> np.ndarray:
@@ -272,9 +281,14 @@ class CongestionGame:
 
     def player_slice(self, i: int) -> slice:
         """Player i's block of the flat strategy vector; i must be an integer in [0, n)."""
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < self.n:
+        if not _is_integer(i) or not 0 <= i < self.n:
             raise ValueError(f"no player {i!r}")
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer: numpy's integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def path_reduction(ufunc: np.ufunc, A: np.ndarray, out: np.ndarray | None = None):

@@ -134,14 +134,15 @@ class _EdgeSeparableObjective:
         lpow, dpow, inner = np.ones((P, m)), np.empty((P, m)), np.empty((P, m))
         terms = np.empty((P, P, m))
         lpow_j = lpow[:, None]  # loads**j against T[j]
+        multiply, accumulate, add_reduce = np.multiply, np.multiply.accumulate, np.add.reduce
 
         def line_derivative_poly(loads: np.ndarray, dloads: np.ndarray) -> np.ndarray:
             lpow[1:] = loads  # row j becomes loads**j, multiplied left to right
-            np.multiply.accumulate(lpow, axis=0, out=lpow)
-            np.add.reduce(np.multiply(T, lpow_j, out=terms), axis=0, out=inner)
+            accumulate(lpow, 0, None, lpow)
+            add_reduce(multiply(T, lpow_j, terms), 0, None, inner)
             dpow[:] = dloads  # row q becomes dloads**(q+1), the outer chain factor included
-            np.multiply.accumulate(dpow, axis=0, out=dpow)
-            return np.add.reduce(np.multiply(dpow, inner, out=dpow), axis=1)
+            accumulate(dpow, 0, None, dpow)
+            return add_reduce(multiply(dpow, inner, dpow), 1)
 
         return line_derivative_poly
 
@@ -170,6 +171,7 @@ def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
     # np.roots' companion matrix of size k is np.eye(k, k=-1) with row 0 set to
     # -p[1:] / p[0] once leading zeros are stripped; only row 0 changes per call.
     companions = [np.eye(k, k=-1) for k in range(degree + 1)]
+    eigvals, isfinite = _eigvals, math.isfinite
 
     def poly_root_in(coeffs: np.ndarray, t_max: float) -> float:
         leading_first = coeffs[::-1].tolist()
@@ -193,11 +195,11 @@ def _line_search(degree: int) -> Callable[[np.ndarray, float], float]:
         # A subnormal lead overflows row 0 to inf (np.linalg.eigvals raised on a
         # non-finite matrix), and LAPACK's non-convergence sets the invalid flag
         # (eigvals raised on that too): both leave no eigenvalue and bisect.
-        if rest and all(map(math.isfinite, row)):
+        if rest and all(map(isfinite, row)):
             companion = companions[len(rest)]
             companion[0] = row
             try:
-                roots = _eigvals(companion, signature="d->D").tolist()
+                roots = eigvals(companion, signature="d->D").tolist()
             except FloatingPointError:
                 roots = []
             high = t_max * (1 + 1e-12)
@@ -226,13 +228,16 @@ def minimize_edge_separable(
     line_derivative_poly = objective.line_derivative()
     poly_root_in = _line_search(len(objective.taylor) - 1)
     direction = np.empty(game.dim)
+    edge_gradient, put, argmin = objective.edge_gradient, padded.put, padded.argmin
+    add_reduce, add_accumulate, subtract = np.add.reduce, np.add.accumulate, np.subtract
+    equal, max_reduce, all_reduce = np.equal, np.maximum.reduce, np.logical_and.reduce
 
     def best_response(g: np.ndarray) -> np.ndarray:
-        padded.put(sel, g)
-        return padded.argmin(axis=1) + starts
+        put(sel, g)
+        return argmin(1) + starts
 
     def scores(g: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return g[V].sum(axis=1) / n
+        return add_reduce(g.take(V), 1) / n
 
     def combination(V: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_k w[k] * vertex(V[k]), added up in row order."""
@@ -252,20 +257,20 @@ def minimize_edge_separable(
     with np.errstate(**_EIGVALS_ERRSTATE):  # one error state for every line search
         for it in range(1, max_iter + 1):
             loads = x @ inc
-            g = inc @ objective.edge_gradient(loads)
+            g = inc @ edge_gradient(loads)
             fw = best_response(g)
             gx = float(g @ x)
-            gap = gx - float(g[fw].sum() / n)
+            gap = gx - float(add_reduce(g.take(fw)) / n)
             if gap <= tol:
                 break
 
             s = scores(g, V)  # the away vertex scores highest, ties to the smallest row
-            ties = np.equal(s, np.maximum.reduce(s)).nonzero()[0]
+            ties = equal(s, max_reduce(s)).nonzero()[0]
             away = ties[np.lexsort(V[ties].T[::-1])[0]] if ties.size > 1 else ties[0]
 
             fw_step = gap >= float(s[away]) - gx or len(w) == 1
             if fw_step:  # vertex - x
-                np.subtract(0.0, x, out=direction)  # not -x: 0.0 - 0.0 is +0.0
+                subtract(0.0, x, direction)  # not -x: 0.0 - 0.0 is +0.0
                 direction[fw] += unit
                 t_max = 1.0
             else:  # x - vertex
@@ -293,10 +298,10 @@ def minimize_edge_separable(
                 w *= 1.0 + t
                 w[away] -= t
             keep = w > 1e-15
-            if not keep.all():
+            if not all_reduce(keep):
                 V, w = V[keep], w[keep]
                 rows = {v.tobytes(): k for k, v in enumerate(V)}
-            w /= np.add.accumulate(w)[-1]  # left to right: np.sum's pairwise order changes bits
+            w /= add_accumulate(w)[-1]  # left to right: np.sum's pairwise order changes bits
 
             direction *= t
             x += direction  # the bits of x + t * direction

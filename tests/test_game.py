@@ -12,6 +12,7 @@ from congames import (
     PolynomialCost,
     generate_random_game,
     parallel_links_game,
+    reference_minimizer,
 )
 from congames.game import path_reduction
 from congames.minimize import _flow_jacobian
@@ -321,11 +322,35 @@ def test_game_rejects_empty_paths():
         (0, (PolynomialCost((1.0,)),), (), "need at least one player"),
         (1, (), ((frozenset({0}),),), "need at least one edge"),
         (2, (PolynomialCost((1.0,)),), ((frozenset({0}),),), "expected 2 path lists, got 1"),
+        # each of these was accepted and failed later, far from its cause
+        (2.0, (PolynomialCost((1.0,)),), ((frozenset({0}),),) * 2,
+         "player count must be an integer, got 2.0"),
+        (True, (PolynomialCost((1.0,)),), ((frozenset({0}),),),
+         "player count must be an integer, got True"),
+        (1, (PolynomialCost((1.0,)),), ((frozenset({0.0}),),),
+         "player 0 references edge 0.0, not an integer"),
+        (1, (PolynomialCost((1.0,)),) * 2, ((frozenset({0}), frozenset({0.5})),),
+         "player 0 references edge 0.5, not an integer"),
+        (2, (PolynomialCost((1.0,)),), ((frozenset({0}),), (frozenset({"0"}),)),
+         "player 1 references edge '0', not an integer"),
+        (1, (PolynomialCost((1.0,)), 0.5), ((frozenset({0}),),),
+         "edge 1 is not a PolynomialCost: 0.5"),
     ],
 )
 def test_game_rejects_bad_structure(n, edges, paths, message):
-    with pytest.raises(GameStructureError, match=f"^{message}$"):
+    with pytest.raises(GameStructureError, match=f"^{re.escape(message)}$"):
         CongestionGame(n=n, edges=edges, paths=paths)
+
+
+def test_game_takes_numpy_integers():
+    # numpy's integers index like Python's, so a game built from them runs
+    game = CongestionGame(
+        n=np.int64(2),
+        edges=(PolynomialCost((1.0,)), PolynomialCost((0.5,))),
+        paths=((frozenset({np.int64(0)}), frozenset({np.intp(1)})),) * 2,
+    )
+    assert game.incidence.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
+    assert reference_minimizer(game).converged
 
 
 def test_check_profile_validation(g1):

@@ -147,3 +147,39 @@ def test_every_dataclass_field_is_read():
                     if item.target.id not in read:
                         unread.append(f"{path.name}:{item.lineno} {node.name}.{item.target.id}")
     assert unread == []
+
+
+def _positional_extremum_calls(source: str) -> list[int]:
+    """Lines where np.minimum or np.maximum, or a name assigned one of them, is
+    called with more than two positional arguments."""
+    tree = ast.parse(source)
+    names = {"np.minimum", "np.maximum"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                names |= {ast.unparse(t) for t, v in pairs if ast.unparse(v) in names}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in names
+        and (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args))
+    ]
+
+
+def test_min_and_max_take_out_as_a_keyword():
+    """numpy 2.4 deprecates a third positional argument to np.minimum and
+    np.maximum; pytest turns that warning into an error only on the calls a test
+    runs, so every call in the package is read here."""
+    sample = "lo, add = np.minimum, np.add\nlo(a, b, c)\nnp.maximum(a, b, out=c)\nadd(a, b, c)\n"
+    assert _positional_extremum_calls(sample) == [2]
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "congames").glob("*.py"))
+        for line in _positional_extremum_calls(path.read_text())
+    }
+    assert found == set()
