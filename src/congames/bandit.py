@@ -445,12 +445,13 @@ def _simulate_episode(game, flat, streams, steps, record):
     # bincount costs no more than its events.
     tile = min(_tile_steps(game, bins), steps)
     # Integer counts have no order and each stream can jump ahead, so with two
-    # CPUs an episode of two or more tiles is counted in two ranges at once,
-    # cut at the tile boundary nearest its middle, with every draw unchanged.
-    # Histograms larger than a tile's entries stay on one range, so the memory
-    # of their tiles is not doubled.
+    # CPUs an episode of two or more full tiles is counted in two ranges at
+    # once, cut at the tile boundary nearest its middle, with every draw
+    # unchanged; each range gets at least one full tile, as a shorter one
+    # costs the thread more than it saves.  Histograms larger than a tile's
+    # entries stay on one range, so the memory of their tiles is not doubled.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if steps > tile and bins <= _TILE_ENTRIES and cpus >= 2:
+    if steps >= 2 * tile and bins <= _TILE_ENTRIES and cpus >= 2:
         cut = tile * max(1, (steps + tile) // (2 * tile))
         hist = _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log)
     else:

@@ -11,11 +11,19 @@ by a sorted-threshold projection and the entropy case by a finite active-set
 loop on the multiplicative closed form.  Each geometry has one step,
 `mirror_step`, which steps every player at once in the padded (n, d) layout
 of `CongestionGame.padded`; a single player is the one-row layout.  A step
-returns rows summing to the mass, so its caller applies no correction.
+returns rows summing to the mass up to the rounding of one projection or one
+rescale, so its caller applies no correction, and the error does not
+accumulate: every step lands on the mass afresh.
+
+Domain of the entropy step: eta * g well below 745 in every entry, where
+exp(-eta * g) underflows to 0 (and above -709, where it overflows).  In the
+package's dynamics eta * g lies in [0, 1]: every rate is at most 1/lambda,
+lambda = b * m * k >= b * m_path, and every path cost or bandit estimate is at
+most m_path * b, since c_e(y) <= b * y on [0, 1].
 
 A step is built once per run and owns that run's scratch buffers and bound
 ufuncs, so each call does only the arithmetic, with outputs passed positionally
-(a reduction's as reduce(array, axis, dtype, out, keepdims); np.minimum keeps
+(a reduction's as reduce(array, axis, dtype, out, keepdims); np.maximum keeps
 out=, since numpy 2.4 deprecates a third positional argument to it).  One step
 must therefore not be called from two threads at once; build one step per
 thread.  What a step returns is never its scratch: without `out` it is a fresh
@@ -27,8 +35,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .game import path_reduction
 
 
 class ConfigurationError(ValueError):
@@ -121,20 +127,16 @@ class EuclideanGeometry:
         mass}.  The step is built once per run, so each call does only the
         arithmetic.  Here it projects x - eta * g, with z = floor + w turning
         the floored set into {w >= 0, sum w = mass - size * floor}; padding
-        enters the projection as -1e300 and comes out 0.  Without a floor
-        each projected row is then rescaled to the mass, clearing the
-        round-off the threshold leaves in its sum (a row outside
-        `project_simplex_rows`' domain projects to zeros and turns NaN here).
+        enters the projection as -1e300 and comes out 0.  A row's sum is the
+        mass up to the threshold's rounding (a row outside
+        `project_simplex_rows`' domain projects to zeros).
         """
         rates = _full_rates(etas, mask.shape)
         shift = np.where(mask, 0.0, -1e300) - floor
         P = np.empty(mask.shape)  # scratch: the point the step projects
-        scale = np.empty((mask.shape[0], 1))
-        total = np.array(mass)  # 0-d: a Python float is converted on every call
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
-        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-        add_reduce = np.add.reduce
+        multiply, subtract, add = np.multiply, np.subtract, np.add
 
         def step(X, G, out=None):
             multiply(rates, G, P)
@@ -142,10 +144,7 @@ class EuclideanGeometry:
             add(P, shift, P)
             if floor:
                 return add(project_simplex_rows(P, free, P), lift, out)
-            Z = project_simplex_rows(P, total, out)
-            add_reduce(Z, 1, None, scale, True)
-            divide(total, scale, scale)
-            return multiply(Z, scale, Z)
+            return project_simplex_rows(P, mass, out)
 
         return step
 
@@ -175,27 +174,23 @@ class EntropyGeometry:
         return floor
 
     def mirror_step(self, mask: np.ndarray, etas, mass: float, floor: float = 0.0):
-        """Multiplicative updates in the layout of EuclideanGeometry.mirror_step.
+        """Multiplicative updates in the layout of EuclideanGeometry.mirror_step:
+        x * exp(-eta * g), rescaled to the mass (Hedge), padding staying 0.
 
-        Shifting each row of eta * G by its minimum, padding included, keeps
-        exp from underflowing; the shift cancels when the row is rescaled.
-        exp(min - Z) equals exp(-(Z - min)) bit for bit: the two exponents
-        differ at most in the sign of a zero, and so does a minimum taken one
-        path column at a time from numpy's reduction of the row.
+        Domain: eta * g well below 745 in every entry (the module docstring
+        says why the package's dynamics keep it in [0, 1]).  Beyond it exp
+        underflows: such an entry comes out 0, and a row whose every entry
+        does comes out NaN.
         """
-        rates = _full_rates(etas, mask.shape)
+        rates = -_full_rates(etas, mask.shape)
         W = np.empty(mask.shape)  # scratch: the unscaled update
-        low = np.empty((mask.shape[0], 1))
-        row_minimum = path_reduction(np.minimum, W, low[:, 0])
         scale = np.empty((mask.shape[0], 1))
-        total = np.array(mass)
-        multiply, subtract, exp, divide = np.multiply, np.subtract, np.exp, np.divide
+        total = np.array(mass)  # 0-d: a Python float is converted on every call
+        multiply, exp, divide = np.multiply, np.exp, np.divide
         add_reduce = np.add.reduce
 
         def step(X, G, out=None):
             multiply(rates, G, W)
-            row_minimum()
-            subtract(low, W, W)
             exp(W, W)
             multiply(W, X, W)
             add_reduce(W, 1, None, scale, True)

@@ -4,6 +4,7 @@ import pytest
 from congames import (
     CongestionGame,
     PolynomialCost,
+    generate_random_game,
     parallel_links_game,
     reference_minimizer,
 )
@@ -61,6 +62,27 @@ def uneven_links(sizes) -> CongestionGame:
     edges = parallel_links_game(1, [[1.0]] * max(sizes)).edges
     paths = tuple(tuple(frozenset([e]) for e in range(size)) for size in sizes)
     return CongestionGame(n=len(sizes), edges=edges, paths=paths)
+
+
+def domain_games() -> list[CongestionGame]:
+    """A seeded sweep of generated games (cost degrees 1 to 4, paths of up to 4
+    edges) plus the acceptance links game, where the entropy step's domain is read."""
+    rng = np.random.default_rng(40)
+    games = []
+    for seed in range(24):
+        n, m, degree, length = (int(v) for v in rng.integers((1, 3, 1, 1), (9, 10, 5, 5)))
+        d = int(rng.integers(1, min(m, 5) + 1))
+        games.append(
+            generate_random_game(
+                seed, n, m, d, degree=degree, symmetric=seed % 5 == 0, max_path_len=length
+            )
+        )
+    return games + [parallel_links_game(10, [[1.0]] * 10)]
+
+
+def priciest_path(game: CongestionGame) -> float:
+    """The largest path cost at any load: every edge at full load 1."""
+    return float((game.incidence @ game.edge_costs(np.ones(game.m))).max())
 
 
 @pytest.fixture(scope="session")

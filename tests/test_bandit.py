@@ -34,7 +34,7 @@ from congames import (
 from congames import bandit
 from congames.bandit import GuideTable
 from congames.checks import delta_equilibrium_gap, descent_step_check, mixed_delta_bound
-from conftest import random_feasible, uneven_links
+from conftest import domain_games, priciest_path, random_feasible, uneven_links
 
 
 def brute_force_expected_costs(game: CongestionGame, flat: np.ndarray) -> np.ndarray:
@@ -345,6 +345,16 @@ def test_single_path_players_profile_constant(reference_cache):
         assert np.allclose(rec.profile, game.uniform_profile())
 
 
+def test_estimates_never_pass_the_priciest_path(reference_cache):
+    # the entropy step's domain: an estimate averages path costs realized at
+    # loads k/n <= 1, so none passes the priciest path at full load
+    for game in domain_games():
+        cfg = entropy_preset(game, episodes=3, seed=0, nu=1.0)
+        rep = run_bandit(game, cfg, reference=reference_cache(game))
+        top = priciest_path(game)
+        assert all(0.0 <= rec.estimate.min() and rec.estimate.max() <= top for rec in rep.records)
+
+
 def test_zero_noise_mode_descends_monotonically(reference_cache):
     game = generate_random_game(seed=7, n=3, m=5, d=3)
     cfg = euclidean_preset(game, episodes=25, seed=0, exact_gradient=True)
@@ -571,6 +581,36 @@ def test_episode_kernel_tile_invariance(monkeypatch, two_cpus, ranges, name):
     visits, sums, log = bandit._simulate_episode(game, flat, _streams(game, 7), steps, False)
     assert log is None
     assert (visits.tolist(), [v.hex() for v in sums]) == got[:2]
+
+
+def test_episode_under_two_tiles_is_one_range(monkeypatch, two_cpus, ranges):
+    """An episode longer than one tile and shorter than two is counted on one
+    range, as its second range would be shorter than a tile (78 steps of this
+    game's 1,291-step episode 8 at 1,213-step tiles), with the bits of a
+    two-range count; at two tiles it splits into one tile each."""
+    game = generate_random_game(n=9, m=8, d=3, seed=303)
+    flat = restrict_profile(game, random_feasible(game, np.random.default_rng(8)), 0.05)
+    tile = bandit._tile_steps(game, game.dim * game.m_path * (game.n + 1))
+    assert tile == 1213
+    tile_steps, count_in_two_ranges = bandit._tile_steps, bandit._count_in_two_ranges
+
+    def no_split(*args):
+        raise AssertionError("the kernel split an episode shorter than two tiles")
+
+    for steps in (tile + 1, 1291, 2 * tile - 1):
+        monkeypatch.setattr(bandit, "_tile_steps", lambda game, bins=0: 7)
+        ranges[:] = []
+        want = _digest(*_episode(game, flat, 8, steps, True))
+        assert len(ranges) == 2
+        monkeypatch.setattr(bandit, "_tile_steps", tile_steps)
+        monkeypatch.setattr(bandit, "_count_in_two_ranges", no_split)
+        ranges[:] = []
+        assert _digest(*_episode(game, flat, 8, steps, True)) == want
+        assert ranges == [(0, steps, True)]
+        monkeypatch.setattr(bandit, "_count_in_two_ranges", count_in_two_ranges)
+    ranges[:] = []
+    _episode(game, flat, 8, 2 * tile)
+    assert sorted(ranges) == [(0, tile, True), (tile, 2 * tile, False)]
 
 
 def test_two_range_episode_counts_each_players_own_load(two_cpus, ranges):

@@ -19,6 +19,7 @@ from congames import (
 from congames.bregman import project_simplex_rows
 
 import spec
+from conftest import domain_games, priciest_path
 
 EUCLID = EuclideanGeometry()
 ENTROPY = EntropyGeometry()
@@ -392,3 +393,25 @@ def test_step_without_out_returns_a_fresh_array(kind, floor_frac):
     assert first.tobytes() == kept.tobytes()
     assert second.tobytes() != kept.tobytes()
     assert not np.shares_memory(first, X1) and not np.shares_memory(second, X2)
+
+
+# -- the entropy step's domain -------------------------------------------------------
+
+
+def test_no_rate_times_path_cost_passes_one():
+    # the entropy step needs eta * g well below 745; the dynamics' rates are at
+    # most 1/lambda, and no path costs more than the priciest one at full load
+    for game in domain_games():
+        assert priciest_path(game) / game.smoothness_params().lam <= 1.0, game
+
+
+def test_entropy_step_outside_its_domain():
+    # past 745, exp(-eta * g) underflows to 0: such an entry comes out 0, and a
+    # row whose every entry does comes out NaN, with numpy's divide and invalid
+    # warnings (a row shifted by its minimum first would give e/(1+e), 1/(1+e))
+    step = ENTROPY.mirror_step(np.ones((2, 2), dtype=bool), 1.0, 1.0)
+    X, G = np.full((2, 2), 0.5), np.array([[0.0, 800.0], [1000.0, 1001.0]])
+    with pytest.warns(RuntimeWarning):
+        Z = step(X, G)
+    assert Z[0].tolist() == [1.0, 0.0]
+    assert np.isnan(Z[1]).all()

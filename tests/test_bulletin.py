@@ -242,7 +242,7 @@ def test_closed_form_step_budget_reads_inf_past_every_integer(g1, kind):
 def _per_step_run(game, config, reference):
     """The bulletin loop one step at a time: every report field of the step
     evaluated before the stop rule reads the potential, and the multiplicative
-    update written out as exp(-(Z - min Z)).
+    update written out as x * exp(-eta * g), rescaled to the mass.
     """
     etas = config.resolve_etas(game)
     mask, inc, mass = game.path_mask, game.incidence, 1.0 / game.n
@@ -277,9 +277,7 @@ def _per_step_run(game, config, reference):
         if config.geometry == "euclidean":
             X = euclidean_step(X, PC)
         else:
-            Z = rates * PC
-            Z -= Z.min(axis=1, keepdims=True)
-            X = X * np.exp(-Z)
+            X = X * np.exp(-(rates * PC))
             X *= mass / X.sum(axis=1, keepdims=True)
     out = {name: np.array(values) for name, values in out.items()}
     out.update(cum_unit_costs=cum_unit, cum_path_costs=cum_paths, x_final=X[mask])

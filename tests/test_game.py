@@ -409,16 +409,12 @@ def test_path_reduction_matches_ufunc_reduce(ufunc, lead):
     for d in range(1, 41):
         A = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf], size=(*lead, d))
         A[..., -1] = rng.normal(size=lead)
-        for out in (np.full(lead, np.nan), None):  # given, or allocated by the call
-            reduce = path_reduction(ufunc, A, out)
-            result = reduce()
-            assert result.shape == lead and (out is None or result is out), d
-            assert not np.shares_memory(result, A), d
-            for _ in range(2):  # the views are bound once: the second call reads new data
-                assert reduce() is result, d
-                assert np.array_equal(result, ufunc.reduce(A, axis=-1)), d
-                A[...] = -A
+        for _ in range(2):  # the data and its negation
+            result = path_reduction(ufunc, A)
+            assert result.shape == lead and not np.shares_memory(result, A), d
+            assert np.array_equal(result, ufunc.reduce(A, axis=-1)), d
+            A = -A
         B = np.where(A == 0.0, 0.0, A)  # bit for bit wherever no two zeros tie
-        assert path_reduction(ufunc, B)().tobytes() == ufunc.reduce(B, axis=-1).tobytes(), d
-    # with no out, each built call has an array of its own
-    assert path_reduction(ufunc, A)() is not path_reduction(ufunc, A)()
+        assert path_reduction(ufunc, B).tobytes() == ufunc.reduce(B, axis=-1).tobytes(), d
+    # each call returns an array of its own
+    assert path_reduction(ufunc, A) is not path_reduction(ufunc, A)
