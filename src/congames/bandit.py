@@ -370,6 +370,10 @@ def _steps_keys(game: CongestionGame, tile: int) -> np.ndarray:
 # most _TILE_ENTRIES entries, so a tile stays in cache whatever the game.
 _BATCH = 16384
 _TILE_ENTRIES = 32768
+# An episode is split into two ranges only from _SPLIT_TILES tiles on: a tile
+# is a near-constant amount of work, and below about 24 tiles the thread's
+# start and its share of the GIL can cost more than half an episode saves.
+_SPLIT_TILES = 32
 
 
 def _tile_steps(game: CongestionGame, bins: int = 0) -> int:
@@ -445,14 +449,13 @@ def _simulate_episode(game, flat, streams, steps, record):
     # bincount costs no more than its events.
     tile = min(_tile_steps(game, bins), steps)
     # Integer counts have no order and each stream can jump ahead, so with two
-    # CPUs an episode of two or more full tiles is counted in two ranges at
+    # CPUs an episode of _SPLIT_TILES or more tiles is counted in two ranges at
     # once, cut at the tile boundary nearest its middle, with every draw
-    # unchanged; each range gets at least one full tile, as a shorter one
-    # costs the thread more than it saves.  Histograms larger than a tile's
-    # entries stay on one range, so the memory of their tiles is not doubled.
+    # unchanged.  Histograms larger than a tile's entries stay on one range,
+    # so the memory of their tiles is not doubled.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if steps >= 2 * tile and bins <= _TILE_ENTRIES and cpus >= 2:
-        cut = tile * max(1, (steps + tile) // (2 * tile))
+    if steps >= _SPLIT_TILES * tile and bins <= _TILE_ENTRIES and cpus >= 2:
+        cut = tile * ((steps + tile) // (2 * tile))
         hist = _count_in_two_ranges(game, sampler, streams, steps, cut, tile, log)
     else:
         hist = _count_steps(game, sampler, streams, 0, steps, tile, log)

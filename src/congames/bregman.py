@@ -136,6 +136,7 @@ class EuclideanGeometry:
         P = np.empty(mask.shape)  # scratch: the point the step projects
         free = (mass - floor * mask.sum(axis=1))[:, None]
         lift = np.where(mask, floor, 0.0)
+        total = np.array(mass)  # 0-d: a Python float is converted on every call
         multiply, subtract, add = np.multiply, np.subtract, np.add
 
         def step(X, G, out=None):
@@ -144,7 +145,7 @@ class EuclideanGeometry:
             add(P, shift, P)
             if floor:
                 return add(project_simplex_rows(P, free, P), lift, out)
-            return project_simplex_rows(P, mass, out)
+            return project_simplex_rows(P, total, out)
 
         return step
 

@@ -521,7 +521,7 @@ def _digest(visits, sums, log):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let the kernel see two CPUs, so an episode of two or more tiles is split."""
+    """Let the kernel see two CPUs, so an episode of _SPLIT_TILES or more tiles is split."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -583,21 +583,21 @@ def test_episode_kernel_tile_invariance(monkeypatch, two_cpus, ranges, name):
     assert (visits.tolist(), [v.hex() for v in sums]) == got[:2]
 
 
-def test_episode_under_two_tiles_is_one_range(monkeypatch, two_cpus, ranges):
-    """An episode longer than one tile and shorter than two is counted on one
-    range, as its second range would be shorter than a tile (78 steps of this
-    game's 1,291-step episode 8 at 1,213-step tiles), with the bits of a
-    two-range count; at two tiles it splits into one tile each."""
+def test_episode_under_the_split_length_is_one_range(monkeypatch, two_cpus, ranges):
+    """An episode shorter than _SPLIT_TILES tiles is counted on one range (this
+    game's 1,291-step episode 8 at 1,213-step tiles among them), with the bits
+    of a two-range count; at _SPLIT_TILES tiles it splits at its middle."""
     game = generate_random_game(n=9, m=8, d=3, seed=303)
     flat = restrict_profile(game, random_feasible(game, np.random.default_rng(8)), 0.05)
     tile = bandit._tile_steps(game, game.dim * game.m_path * (game.n + 1))
     assert tile == 1213
+    split = bandit._SPLIT_TILES * tile
     tile_steps, count_in_two_ranges = bandit._tile_steps, bandit._count_in_two_ranges
 
     def no_split(*args):
-        raise AssertionError("the kernel split an episode shorter than two tiles")
+        raise AssertionError("the kernel split an episode shorter than the split length")
 
-    for steps in (tile + 1, 1291, 2 * tile - 1):
+    for steps in (tile + 1, 1291, 2 * tile - 1, 2 * tile, split - 1):
         monkeypatch.setattr(bandit, "_tile_steps", lambda game, bins=0: 7)
         ranges[:] = []
         want = _digest(*_episode(game, flat, 8, steps, True))
@@ -609,15 +609,15 @@ def test_episode_under_two_tiles_is_one_range(monkeypatch, two_cpus, ranges):
         assert ranges == [(0, steps, True)]
         monkeypatch.setattr(bandit, "_count_in_two_ranges", count_in_two_ranges)
     ranges[:] = []
-    _episode(game, flat, 8, 2 * tile)
-    assert sorted(ranges) == [(0, tile, True), (tile, 2 * tile, False)]
+    _episode(game, flat, 8, split)
+    assert sorted(ranges) == [(0, split // 2, True), (split // 2, split, False)]
 
 
 def test_two_range_episode_counts_each_players_own_load(two_cpus, ranges):
     """On one link every pick sees all n players, its own unit of load included,
     so each path's cost sum is exactly visits * c(1) on both ranges."""
     game = parallel_links_game(3, [[0.25, 0.5]])  # c(1) = 0.75, c(2/3) = 7/18
-    steps = 3 * bandit._tile_steps(game) + 5
+    steps = bandit._SPLIT_TILES * bandit._tile_steps(game) + 5
     visits, sums, _ = _episode(game, game.uniform_profile(), 0, steps)
     assert len(ranges) == 2
     assert visits.tolist() == [steps] * 3
@@ -639,7 +639,7 @@ def test_episode_range_error_raised_in_caller(monkeypatch, two_cpus, on_main):
     monkeypatch.setattr(GuideTable, "picks", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="range failed"):
-        _episode(game, game.uniform_profile(), 0, 4 * bandit._tile_steps(game))
+        _episode(game, game.uniform_profile(), 0, bandit._SPLIT_TILES * bandit._tile_steps(game))
     assert threading.active_count() == before
 
 
@@ -648,7 +648,7 @@ def test_concurrent_two_range_episodes_keep_their_bits(monkeypatch, two_cpus):
     switching threads every 10 us, each give their one-range bits."""
     game = generate_random_game(n=16, m=8, d=3, seed=302)
     flat = restrict_profile(game, random_feasible(game, np.random.default_rng(5)), 0.05)
-    steps = 5 * bandit._tile_steps(game) + 3
+    steps = bandit._SPLIT_TILES * bandit._tile_steps(game) + 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = [_digest(*_episode(game, flat, seed, steps, True)) for seed in range(3)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -676,7 +676,7 @@ def test_one_cpu_episode_is_one_range_with_the_same_bits(two_cpus, ranges):
     """Pinned to one CPU, a links episode runs on one range, starts no thread,
     and gives the bits of the two-range episode."""
     game = parallel_links_game(10, [[1.0]] * 10)
-    steps = 3 * bandit._tile_steps(game) + 11
+    steps = bandit._SPLIT_TILES * bandit._tile_steps(game) + 11
     flat = restrict_profile(game, game.uniform_profile(), 0.05)
     want = _digest(*_episode(game, flat, 3, steps, True))
     assert len(ranges) == 2
